@@ -14,18 +14,18 @@ import csv
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from enum import Enum
 from pathlib import Path
 
 from .data import SplitSpec, split
 from .dgp import Scenario, ScenarioSpec, generate
 from .metrics import AggregateReport, EvalReport, aggregate, kendall, rmse, spearman
-from .pipeline import VARIANTS, fit_variant, predict_model, variant_loss_spec
-from .scorer import AdamHyper, TrainConfig
+from .pipeline import VARIANTS, FitHyper, fit_variant, predict_model, variant_train_config
 
 RESULTS_VERSION = "cairo-bench-v1"
 
-_OVERRIDE_KEYS = {"epochs", "batch_size", "learning_rate", "sigma", "temperature"}
+_HYPER_KEYS = tuple(f.name for f in fields(FitHyper))
 
 
 class BenchError(RuntimeError):
@@ -34,23 +34,19 @@ class BenchError(RuntimeError):
 
 @dataclass(frozen=True)
 class BenchConfig:
-    scenarios: tuple[Scenario, ...] = (
-        Scenario.NORMAL,
-        Scenario.GAMMA_TAIL,
-        Scenario.HEAVY_TAIL,
-    )
-    models: tuple[str, ...] = ("ranknet", "ranknet-giniw", "gininet-softrank", "nn-mse")
-    n: int = 6000
-    d: int = 10
+    scenarios: tuple[Scenario, ...] = tuple(Scenario)
+    models: tuple[str, ...] = tuple(VARIANTS)
+    n: int = ScenarioSpec.n
+    d: int = ScenarioSpec.d
     repetitions: int = 5
     base_seed: int = 0
     train_fraction: float = 0.7
-    epochs: int = 200
-    batch_size: int = 256
-    learning_rate: float = 1e-3
-    sigma: float = 1.0
-    temperature: float = 0.1
-    # per-model overrides, e.g. {"nn-mse": {"epochs": 400}}
+    epochs: int = FitHyper.epochs
+    batch_size: int = FitHyper.batch_size
+    learning_rate: float = FitHyper.learning_rate
+    sigma: float = FitHyper.sigma
+    temperature: float = FitHyper.temperature
+    # per-model overrides of the FitHyper fields, e.g. {"nn-mse": {"epochs": 400}}
     overrides: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -62,9 +58,14 @@ class BenchConfig:
         for model, kv in self.overrides.items():
             if model not in VARIANTS:
                 raise ValueError(f"override for unknown model: {model!r}")
-            bad = set(kv) - _OVERRIDE_KEYS
+            bad = set(kv) - set(_HYPER_KEYS)
             if bad:
                 raise ValueError(f"unknown override keys for {model!r}: {sorted(bad)}")
+
+    def hyper(self, model: str) -> FitHyper:
+        """One model's training hyperparameters: the shared values, then its overrides."""
+        shared = {key: getattr(self, key) for key in _HYPER_KEYS}
+        return FitHyper(**{**shared, **self.overrides.get(model, {})})
 
 
 @dataclass(frozen=True)
@@ -82,22 +83,6 @@ class BenchResult:
     aggregates: list[tuple[str, AggregateReport]]  # (scenario, per-model aggregate)
 
 
-def _train_config(cfg: BenchConfig, model: str, seed: int) -> TrainConfig:
-    kv = dict(cfg.overrides.get(model, {}))
-    epochs = int(kv.get("epochs", cfg.epochs))
-    batch_size = int(kv.get("batch_size", cfg.batch_size))
-    lr = float(kv.get("learning_rate", cfg.learning_rate))
-    sigma = float(kv.get("sigma", cfg.sigma))
-    temperature = float(kv.get("temperature", cfg.temperature))
-    return TrainConfig(
-        epochs=epochs,
-        batch_size=batch_size,
-        seed=seed,
-        loss=variant_loss_spec(model, sigma=sigma, temperature=temperature),
-        adam=AdamHyper(learning_rate=lr),
-    )
-
-
 def _run_repetition(cfg: BenchConfig, scenario: Scenario, rep: int) -> list[RepetitionResult]:
     seed = cfg.base_seed + rep
     ds = generate(ScenarioSpec(scenario=scenario, n=cfg.n, d=cfg.d, seed=seed))
@@ -105,7 +90,8 @@ def _run_repetition(cfg: BenchConfig, scenario: Scenario, rep: int) -> list[Repe
     out = []
     for model_name in cfg.models:
         try:
-            model = fit_variant(model_name, train_ds, _train_config(cfg, model_name, seed))
+            train_cfg = variant_train_config(model_name, seed, cfg.hyper(model_name))
+            model = fit_variant(model_name, train_ds, train_cfg)
             yhat = predict_model(model, test_ds.features)
             report = EvalReport(
                 model_name=VARIANTS[model_name],
@@ -155,22 +141,17 @@ def run_bench(cfg: BenchConfig, max_workers: int | None = None) -> BenchResult:
     return BenchResult(config=cfg, raw=raw, aggregates=aggregates)
 
 
-def config_to_dict(cfg: BenchConfig) -> dict:
-    return {
-        "scenarios": [s.value for s in cfg.scenarios],
-        "models": list(cfg.models),
-        "n": cfg.n,
-        "d": cfg.d,
-        "repetitions": cfg.repetitions,
-        "base_seed": cfg.base_seed,
-        "train_fraction": cfg.train_fraction,
-        "epochs": cfg.epochs,
-        "batch_size": cfg.batch_size,
-        "learning_rate": cfg.learning_rate,
-        "sigma": cfg.sigma,
-        "temperature": cfg.temperature,
-        "overrides": cfg.overrides,
-    }
+def config_to_dict(cfg) -> dict:
+    """JSON-ready fields of a config dataclass, with enum members as their values."""
+
+    def plain(value):
+        if isinstance(value, Enum):
+            return value.value
+        if isinstance(value, tuple):
+            return [plain(v) for v in value]
+        return value
+
+    return {key: plain(value) for key, value in asdict(cfg).items()}
 
 
 def result_to_dict(result: BenchResult) -> dict:

@@ -1,18 +1,23 @@
 """Command-line front end: simulate | fit | predict | eval | bench.
 
 Every command is deterministic given its flags; seeds are explicit with
-fixed defaults. Options may also come from a JSON config file (--config),
-with command-line flags taking precedence and unknown config keys
-rejected. JSON outputs carry {"version", "config"}; CSV outputs get a
-<name>.meta.json sidecar with the same fields.
+fixed defaults. Each command's options, with their types and defaults,
+come from one table derived from a library dataclass: ScenarioSpec for
+simulate, FitHyper (plus the seed and the calibration split) for fit,
+BenchConfig for bench. The table gives both the flags and the keys a JSON
+config file (--config) may hold; flags take precedence and unknown config
+keys are rejected. JSON outputs carry {"version", "config"}; CSV outputs
+get a <name>.meta.json sidecar with the same fields.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
+import typing
+from dataclasses import MISSING, fields
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -30,21 +35,22 @@ from .data import (
     load_csv,
     read_numeric_csv,
     write_csv,
+    write_numeric_csv,
 )
-from .dgp import Scenario, ScenarioSpec, generate
+from .dgp import ScenarioSpec, generate
 from .isotonic import predict as calibration_predict
 from .metrics import rmse, spearman, kendall
 from .pipeline import (
     VARIANTS,
     CairoModel,
-    cairo_fit,
+    FitHyper,
     fit_variant,
     load_model,
     predict_model,
     save_model,
-    variant_loss_spec,
+    variant_train_config,
 )
-from .scorer import AdamHyper, TrainConfig, forward
+from .scorer import TrainConfig, forward
 
 EVAL_VERSION = "cairo-eval-v1"
 DATASET_VERSION = "cairo-dataset-v1"
@@ -55,125 +61,98 @@ class CliError(RuntimeError):
     pass
 
 
-def _load_config_file(path: str | None, allowed: set[str]) -> dict:
-    if path is None:
-        return {}
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(obj, dict):
-        raise CliError("config file must hold a JSON object")
-    unknown = set(obj) - allowed
-    if unknown:
-        raise CliError(f"unknown config keys: {sorted(unknown)}")
-    return obj
+def _table(cls) -> dict[str, tuple[type, object]]:
+    """Options of a config dataclass: field name -> (type, default)."""
+    hints = typing.get_type_hints(cls)
+    return {
+        f.name: (hints[f.name], f.default if f.default_factory is MISSING else f.default_factory())
+        for f in fields(cls)
+    }
 
 
-def _effective(args: argparse.Namespace, file_cfg: dict, key: str, default):
-    flag = getattr(args, key.replace("-", "_"))
-    if flag is not None:
-        return flag
-    if key in file_cfg:
-        return file_cfg[key]
-    return default
+_TARGET = {"target_column": (str, TARGET_COLUMN)}
+
+# Each command's options: every key is a flag and an allowed --config key,
+# except dict-valued ones (bench's per-model overrides), which only a
+# config file can hold.
+OPTIONS = {
+    "simulate": _table(ScenarioSpec),
+    "fit": {
+        "model": (str, None),
+        **_TARGET,
+        **_table(FitHyper),
+        "seed": (int, TrainConfig.seed),
+        "calibration_fraction": (float, None),
+    },
+    "predict": _TARGET,
+    "eval": _TARGET,
+    "bench": _table(BenchConfig),
+}
 
 
-def _write_sidecar(csv_path: Path, version: str, config: dict) -> None:
-    meta = {"version": version, "config": config}
-    csv_path.with_suffix(csv_path.suffix + ".meta.json").write_text(
-        json.dumps(meta, indent=2), encoding="utf-8"
-    )
+def _coerce(kind, value):
+    if typing.get_origin(kind) is tuple:  # comma-separated on the command line
+        if isinstance(value, str):
+            value = [v for v in value.split(",") if v]
+        element = typing.get_args(kind)[0]
+        return tuple(element(v) for v in value)
+    return kind(value)
+
+
+def _resolve(args: argparse.Namespace) -> dict:
+    """Each option of the command: its flag, else its --config entry, else its default."""
+    table = OPTIONS[args.command]
+    file_cfg = {}
+    if args.config is not None:
+        file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        if not isinstance(file_cfg, dict):
+            raise CliError("config file must hold a JSON object")
+        unknown = set(file_cfg) - set(table)
+        if unknown:
+            raise CliError(f"unknown config keys: {sorted(unknown)}")
+    out = {}
+    for key, (kind, default) in table.items():
+        value = getattr(args, key, None)
+        if value is None:
+            value = file_cfg.get(key, default)
+        out[key] = None if value is None else _coerce(kind, value)
+    return out
 
 
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2), encoding="utf-8")
 
 
+def _write_sidecar(csv_path: Path, version: str, config: dict) -> None:
+    meta_path = csv_path.with_suffix(csv_path.suffix + ".meta.json")
+    _write_json(meta_path, {"version": version, "config": config})
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
-    allowed = {"scenario", "n", "d", "seed", "lognormal_scale", "raw_lognormal"}
-    cfg = _load_config_file(args.config, allowed)
-    scenario = _effective(args, cfg, "scenario", "normal")
-    spec = ScenarioSpec(
-        scenario=Scenario(scenario),
-        n=int(_effective(args, cfg, "n", 6000)),
-        d=int(_effective(args, cfg, "d", 10)),
-        seed=int(_effective(args, cfg, "seed", 0)),
-        lognormal_scale=float(
-            _effective(args, cfg, "lognormal_scale", ScenarioSpec.lognormal_scale)
-        ),
-        raw_lognormal=bool(_effective(args, cfg, "raw_lognormal", False)),
-    )
+    spec = ScenarioSpec(**_resolve(args))
     ds = generate(spec)
     out = Path(args.out)
     write_csv(ds, out)
-    config = {
-        "scenario": spec.scenario.value,
-        "n": spec.n,
-        "d": spec.d,
-        "seed": spec.seed,
-        "lognormal_scale": spec.lognormal_scale,
-        "raw_lognormal": spec.raw_lognormal,
-    }
-    _write_sidecar(out, DATASET_VERSION, config)
+    _write_sidecar(out, DATASET_VERSION, config_to_dict(spec))
     print(f"wrote {ds.n} rows x {ds.d} features to {out}")
     return 0
 
 
-_FIT_KEYS = {
-    "model",
-    "target_column",
-    "epochs",
-    "batch_size",
-    "learning_rate",
-    "sigma",
-    "temperature",
-    "seed",
-    "calibration_fraction",
-    "rank_weights_full_set",
-}
-
-
 def cmd_fit(args: argparse.Namespace) -> int:
-    cfg = _load_config_file(args.config, _FIT_KEYS)
-    model_name = _effective(args, cfg, "model", None)
+    opts = _resolve(args)
+    model_name = opts["model"]
     if model_name not in VARIANTS:
         raise CliError(f"--model must be one of {sorted(VARIANTS)}")
-    target_column = _effective(args, cfg, "target_column", TARGET_COLUMN)
-    config = {
-        "model": model_name,
-        "data": str(args.data),
-        "target_column": target_column,
-        "epochs": int(_effective(args, cfg, "epochs", 200)),
-        "batch_size": int(_effective(args, cfg, "batch_size", 256)),
-        "learning_rate": float(_effective(args, cfg, "learning_rate", 1e-3)),
-        "sigma": float(_effective(args, cfg, "sigma", 1.0)),
-        "temperature": float(_effective(args, cfg, "temperature", 0.1)),
-        "seed": int(_effective(args, cfg, "seed", 0)),
-        "calibration_fraction": _effective(args, cfg, "calibration_fraction", None),
-        "rank_weights_full_set": bool(
-            _effective(args, cfg, "rank_weights_full_set", False)
-        ),
-    }
-    ds = load_csv(args.data, target_column)
-    train_cfg = TrainConfig(
-        epochs=config["epochs"],
-        batch_size=config["batch_size"],
-        seed=config["seed"],
-        loss=variant_loss_spec(
-            model_name, sigma=config["sigma"], temperature=config["temperature"]
-        ),
-        adam=AdamHyper(learning_rate=config["learning_rate"]),
-        rank_weights_full_set=config["rank_weights_full_set"],
+    # The bundle records the model first, then the data path, then the rest.
+    config = {"model": model_name, "data": str(args.data), **opts}
+    ds = load_csv(args.data, opts["target_column"])
+    hyper = FitHyper(**{f.name: opts[f.name] for f in fields(FitHyper)})
+    model = fit_variant(
+        model_name,
+        ds,
+        variant_train_config(model_name, opts["seed"], hyper),
+        opts["calibration_fraction"],
     )
-    if model_name == "nn-mse" and config["calibration_fraction"] is not None:
-        raise CliError("calibration_fraction applies only to ranking variants")
-    if model_name == "nn-mse":
-        model = fit_variant(model_name, ds, train_cfg)
-    else:
-        model = cairo_fit(
-            ds,
-            train_cfg.loss,
-            train_cfg,
-            calibration_fraction=config["calibration_fraction"],
-        )
     save_model(model, args.out, config)
     if args.emit_plot_data is not None:
         _emit_plot_data(model, ds, Path(args.emit_plot_data), config)
@@ -189,11 +168,7 @@ def _emit_plot_data(model, ds, path: Path, config: dict) -> None:
     else:
         scores = predict_model(model, ds.features)
         calibrated = scores
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["score", "target", "calibrated"])
-        for s, y, c in zip(scores, ds.targets, calibrated):
-            writer.writerow([f"{s:.17g}", f"{y:.17g}", f"{c:.17g}"])
+    write_numeric_csv(path, ["score", "target", "calibrated"], [scores, ds.targets, calibrated])
     _write_sidecar(path, "cairo-plot-data-v1", config)
 
 
@@ -205,22 +180,12 @@ def _load_feature_matrix(path: str, target_column: str) -> np.ndarray:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    cfg = _load_config_file(args.config, {"target_column"})
-    target_column = _effective(args, cfg, "target_column", TARGET_COLUMN)
+    target_column = _resolve(args)["target_column"]
     model = load_model(args.model)
     X = _load_feature_matrix(args.data, target_column)
-    expected = model.scorer.dims[0]
-    if X.shape[1] != expected:
-        raise CliError(
-            f"dimension mismatch: model expects {expected} features, data has {X.shape[1]}"
-        )
     yhat = predict_model(model, X)
     out = Path(args.out)
-    with out.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["prediction"])
-        for v in yhat:
-            writer.writerow([f"{v:.17g}"])
+    write_numeric_csv(out, ["prediction"], [yhat])
     config = {"model": str(args.model), "data": str(args.data), "target_column": target_column}
     _write_sidecar(out, PREDICTIONS_VERSION, config)
     print(f"wrote {yhat.size} predictions to {out}")
@@ -228,19 +193,12 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    cfg = _load_config_file(args.config, {"target_column"})
-    target_column = _effective(args, cfg, "target_column", TARGET_COLUMN)
+    target_column = _resolve(args)["target_column"]
     if (args.model is None) == (args.pred is None):
         raise CliError("provide exactly one of --model or --pred")
     ds = load_csv(args.data, target_column)
     if args.model is not None:
-        model = load_model(args.model)
-        expected = model.scorer.dims[0]
-        if ds.d != expected:
-            raise CliError(
-                f"dimension mismatch: model expects {expected} features, data has {ds.d}"
-            )
-        yhat = predict_model(model, ds.features)
+        yhat = predict_model(load_model(args.model), ds.features)
         model_label = str(args.model)
     else:
         header, parsed = read_numeric_csv(args.pred)
@@ -276,46 +234,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-_BENCH_KEYS = {
-    "scenarios",
-    "models",
-    "n",
-    "d",
-    "repetitions",
-    "base_seed",
-    "train_fraction",
-    "epochs",
-    "batch_size",
-    "learning_rate",
-    "sigma",
-    "temperature",
-    "overrides",
-}
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
-    cfg_file = _load_config_file(args.config, _BENCH_KEYS)
-    scenarios = _effective(args, cfg_file, "scenarios", "normal,gamma,heavy")
-    if isinstance(scenarios, str):
-        scenarios = [s for s in scenarios.split(",") if s]
-    models = _effective(args, cfg_file, "models", ",".join(VARIANTS))
-    if isinstance(models, str):
-        models = [m for m in models.split(",") if m]
-    cfg = BenchConfig(
-        scenarios=tuple(Scenario(s) for s in scenarios),
-        models=tuple(models),
-        n=int(_effective(args, cfg_file, "n", 6000)),
-        d=int(_effective(args, cfg_file, "d", 10)),
-        repetitions=int(_effective(args, cfg_file, "repetitions", 5)),
-        base_seed=int(_effective(args, cfg_file, "base_seed", 0)),
-        train_fraction=float(_effective(args, cfg_file, "train_fraction", 0.7)),
-        epochs=int(_effective(args, cfg_file, "epochs", 200)),
-        batch_size=int(_effective(args, cfg_file, "batch_size", 256)),
-        learning_rate=float(_effective(args, cfg_file, "learning_rate", 1e-3)),
-        sigma=float(_effective(args, cfg_file, "sigma", 1.0)),
-        temperature=float(_effective(args, cfg_file, "temperature", 0.1)),
-        overrides=cfg_file.get("overrides", {}),
-    )
+    cfg = BenchConfig(**_resolve(args))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     result = run_bench(cfg, max_workers=args.threads)
@@ -326,6 +246,39 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+def _shown(value) -> str:
+    if isinstance(value, Enum):
+        return str(value.value)
+    if isinstance(value, tuple):
+        return ",".join(_shown(v) for v in value)
+    return str(value)
+
+
+def _command(sub, name: str, func, help: str) -> argparse.ArgumentParser:
+    """Subcommand parser with one flag per option of the command's table."""
+    p = sub.add_parser(name, help=help)
+    for key, (kind, default) in OPTIONS[name].items():
+        if kind is dict:
+            continue
+        kw: dict = {"default": None}
+        if default is not None:
+            kw["help"] = f"default: {_shown(default)}"
+        if kind is bool:
+            kw["action"] = "store_true"
+        elif key == "model":
+            kw["choices"] = sorted(VARIANTS)
+        elif isinstance(kind, type) and issubclass(kind, Enum):
+            kw["choices"] = [member.value for member in kind]
+        elif typing.get_origin(kind) is tuple:
+            kw["help"] = f"comma-separated; {kw['help']}"
+        else:
+            kw["type"] = kind
+        p.add_argument("--" + key.replace("_", "-"), **kw)
+    p.add_argument("--config", default=None, help="JSON file of options; flags take precedence")
+    p.set_defaults(func=func)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cairo",
@@ -333,68 +286,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="generate a synthetic dataset CSV")
-    p.add_argument("--scenario", choices=[s.value for s in Scenario], default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--lognormal-scale", type=float, default=None)
-    p.add_argument("--raw-lognormal", action="store_true", default=None)
-    p.add_argument("--config", default=None)
+    p = _command(sub, "simulate", cmd_simulate, "generate a synthetic dataset CSV")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("fit", help="fit a model variant on a CSV dataset")
+    p = _command(sub, "fit", cmd_fit, "fit a model variant on a CSV dataset")
     p.add_argument("--data", required=True)
-    p.add_argument("--model", choices=sorted(VARIANTS), default=None)
-    p.add_argument("--target-column", default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--learning-rate", type=float, default=None)
-    p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--temperature", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--calibration-fraction", type=float, default=None)
-    p.add_argument("--rank-weights-full-set", action="store_true", default=None)
     p.add_argument("--emit-plot-data", default=None, metavar="CSV")
-    p.add_argument("--config", default=None)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("predict", help="apply a fitted model to a feature CSV")
+    p = _command(sub, "predict", cmd_predict, "apply a fitted model to a feature CSV")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--target-column", default=None)
-    p.add_argument("--config", default=None)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("eval", help="evaluate a model or a predictions file")
+    p = _command(sub, "eval", cmd_eval, "evaluate a model or a predictions file")
     p.add_argument("--data", required=True)
     p.add_argument("--model", default=None)
     p.add_argument("--pred", default=None)
-    p.add_argument("--target-column", default=None)
-    p.add_argument("--config", default=None)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("bench", help="run the synthetic comparison harness")
-    p.add_argument("--scenarios", default=None, help="comma-separated subset of normal,gamma,heavy")
-    p.add_argument("--models", default=None, help=f"comma-separated subset of {','.join(VARIANTS)}")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--repetitions", type=int, default=None)
-    p.add_argument("--base-seed", type=int, default=None)
-    p.add_argument("--train-fraction", type=float, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--learning-rate", type=float, default=None)
-    p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--temperature", type=float, default=None)
+    p = _command(sub, "bench", cmd_bench, "run the synthetic comparison harness")
     p.add_argument("--threads", type=int, default=None, help="overrides CAIRO_THREADS")
-    p.add_argument("--config", default=None)
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_bench)
     return parser
 
 

@@ -151,14 +151,11 @@ def apply_standardizer(st: Standardizer, ds: Dataset) -> Dataset:
     )
 
 
-def read_numeric_csv(
-    path: str | Path, has_header: bool = True
-) -> tuple[list[str], np.ndarray]:
-    """Parse a fully numeric CSV into (column names, float64 matrix).
+def read_numeric_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
+    """Parse a fully numeric CSV with a header row into (column names, float64 matrix).
 
-    Without a header, columns are addressed as c0, c1, ... Non-numeric
-    cells and missing values are hard errors reported with row index and
-    column name.
+    Non-numeric cells and missing values are hard errors reported with row
+    index and column name.
     """
     path = Path(path)
     if not path.exists():
@@ -168,11 +165,7 @@ def read_numeric_csv(
     rows = [r for r in rows if r]
     if not rows:
         raise DataError(f"empty CSV: {path}")
-    if has_header:
-        header, body = rows[0], rows[1:]
-    else:
-        header = [f"c{j}" for j in range(len(rows[0]))]
-        body = rows
+    header, body = rows[0], rows[1:]
 
     parsed = np.empty((len(body), len(header)), dtype=np.float64)
     for i, row in enumerate(body):
@@ -190,14 +183,13 @@ def read_numeric_csv(
     return header, parsed
 
 
-def load_csv(path: str | Path, target_column: str = TARGET_COLUMN,
-             has_header: bool = True) -> Dataset:
+def load_csv(path: str | Path, target_column: str = TARGET_COLUMN) -> Dataset:
     """Load a numeric CSV into a Dataset.
 
     The target column is required; a "__true_mean" column, when present,
     is loaded as the true conditional mean.
     """
-    header, parsed = read_numeric_csv(path, has_header)
+    header, parsed = read_numeric_csv(path)
     if target_column not in header:
         raise DataError(f"missing target column {target_column!r} in {path}")
     if parsed.shape[0] < 2:
@@ -214,16 +206,23 @@ def load_csv(path: str | Path, target_column: str = TARGET_COLUMN,
     )
 
 
+def write_numeric_csv(path: str | Path, header: list[str], columns: list[np.ndarray]) -> None:
+    """Write equal-length float columns under a header row.
+
+    Cells carry 17 significant digits, so every float64 reads back exactly.
+    """
+    rows = zip(*(np.asarray(c, dtype=np.float64).tolist() for c in columns))
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([f"{v:.17g}" for v in row] for row in rows)
+
+
 def write_csv(ds: Dataset, path: str | Path) -> None:
     """Write features plus reserved "__target" / "__true_mean" columns."""
-    path = Path(path)
     header = list(ds.feature_names) + [TARGET_COLUMN]
     cols = [ds.features[:, j] for j in range(ds.d)] + [ds.targets]
     if ds.true_mean is not None:
         header.append(TRUE_MEAN_COLUMN)
         cols.append(ds.true_mean)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(ds.n):
-            writer.writerow([f"{c[i]:.17g}" for c in cols])
+    write_numeric_csv(path, header, cols)

@@ -37,7 +37,7 @@ HEAVY_NOISE_SCALE = 0.3
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    scenario: Scenario
+    scenario: Scenario = Scenario.NORMAL
     n: int = 6000
     d: int = 10
     seed: int = 0

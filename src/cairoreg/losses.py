@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
-from .ranks import SoftRankConfig, mid_distribution, mid_distribution_at, rank, softrank
+from .ranks import SoftRankConfig, _sigmoid, mid_distribution, mid_distribution_at, rank, softrank
 
 
 class WeightVariant(Enum):
@@ -169,15 +169,6 @@ def hard_pairwise_loss_ordered(
 
 def _softplus(x: np.ndarray) -> np.ndarray:
     return np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0)
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 def surrogate_pairwise_loss(

@@ -31,7 +31,7 @@ from .losses import (
     WeightVariant,
     is_ranking_loss,
 )
-from .scorer import MlpParams, TrainConfig, forward, mlp_from_dict, mlp_to_dict, train
+from .scorer import AdamHyper, MlpParams, TrainConfig, forward, mlp_from_dict, mlp_to_dict, train
 
 BUNDLE_VERSION = "cairo-model-v1"
 
@@ -44,7 +44,11 @@ VARIANTS = {
 }
 
 
-def variant_loss_spec(variant: str, sigma: float = 1.0, temperature: float = 0.1) -> LossSpec:
+def variant_loss_spec(
+    variant: str,
+    sigma: float = PairwiseSurrogate.sigma,
+    temperature: float = SoftGini.temperature,
+) -> LossSpec:
     if variant == "ranknet":
         return PairwiseSurrogate(WeightVariant.UNIFORM, sigma)
     if variant == "ranknet-giniw":
@@ -54,6 +58,32 @@ def variant_loss_spec(variant: str, sigma: float = 1.0, temperature: float = 0.1
     if variant == "nn-mse":
         return PointwiseMse()
     raise ValueError(f"unknown model variant: {variant!r} (choose from {sorted(VARIANTS)})")
+
+
+@dataclass(frozen=True)
+class FitHyper:
+    """Per-model training hyperparameters, with the library's defaults.
+
+    These are the `cairo fit` options and the keys a bench run may
+    override per model.
+    """
+
+    epochs: int = TrainConfig.epochs
+    batch_size: int = TrainConfig.batch_size
+    learning_rate: float = AdamHyper.learning_rate
+    sigma: float = PairwiseSurrogate.sigma
+    temperature: float = SoftGini.temperature
+
+
+def variant_train_config(variant: str, seed: int, hyper: FitHyper) -> TrainConfig:
+    """Training configuration of one named variant under the given hyperparameters."""
+    return TrainConfig(
+        epochs=int(hyper.epochs),
+        batch_size=int(hyper.batch_size),
+        seed=seed,
+        loss=variant_loss_spec(variant, float(hyper.sigma), float(hyper.temperature)),
+        adam=AdamHyper(learning_rate=float(hyper.learning_rate)),
+    )
 
 
 @dataclass(frozen=True)
@@ -101,7 +131,20 @@ def cairo_fit(
     return CairoModel(scorer=params, calibration=calibration, standardizer=st, spec=loss)
 
 
+def _check_features(model: Model, X: np.ndarray) -> np.ndarray:
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    expected = model.scorer.dims[0]
+    if X.ndim != 2 or X.shape[1] != expected:
+        raise ValueError(
+            f"dimension mismatch: model expects {expected} features, data has {X.shape[-1]}"
+        )
+    if not np.all(np.isfinite(X)):
+        raise ValueError("non-finite feature value")
+    return X
+
+
 def cairo_predict(model: CairoModel, X: np.ndarray) -> np.ndarray:
+    X = _check_features(model, X)
     scores, _ = forward(model.scorer, model.standardizer.transform(X))
     return calibration_predict(model.calibration, scores)
 
@@ -123,6 +166,7 @@ def mse_fit(train_ds: Dataset, cfg: TrainConfig) -> MseBaselineModel:
 
 
 def mse_predict(model: MseBaselineModel, X: np.ndarray) -> np.ndarray:
+    X = _check_features(model, X)
     scores, _ = forward(model.scorer, model.standardizer.transform(X))
     return scores * model.target_std + model.target_mean
 
@@ -130,13 +174,24 @@ def mse_predict(model: MseBaselineModel, X: np.ndarray) -> np.ndarray:
 Model = CairoModel | MseBaselineModel
 
 
-def fit_variant(variant: str, train_ds: Dataset, cfg: TrainConfig) -> Model:
-    """Fit one named variant; cfg.loss must match the variant's objective."""
+def fit_variant(
+    variant: str,
+    train_ds: Dataset,
+    cfg: TrainConfig,
+    calibration_fraction: float | None = None,
+) -> Model:
+    """Fit one named variant; cfg.loss must match the variant's objective.
+
+    calibration_fraction is passed to cairo_fit; the MSE baseline has no
+    calibration stage and rejects it.
+    """
     if variant == "nn-mse":
+        if calibration_fraction is not None:
+            raise ValueError("calibration_fraction applies only to ranking variants")
         return mse_fit(train_ds, cfg)
     if variant not in VARIANTS:
         raise ValueError(f"unknown model variant: {variant!r}")
-    return cairo_fit(train_ds, cfg.loss, cfg)
+    return cairo_fit(train_ds, cfg.loss, cfg, calibration_fraction)
 
 
 def predict_model(model: Model, X: np.ndarray) -> np.ndarray:
@@ -195,6 +250,12 @@ def model_from_dict(obj: dict) -> Model:
         std=np.asarray(obj["standardizer"]["std"], dtype=np.float64),
     )
     params = mlp_from_dict(obj["scorer"])
+    d = params.dims[0]
+    if st.mean.shape != (d,) or st.std.shape != (d,):
+        raise ValueError(
+            f"corrupt bundle: standardizer lengths {st.mean.shape}, {st.std.shape} "
+            f"do not match the scorer's {d} input features"
+        )
     if obj.get("kind") == "cairo":
         return CairoModel(
             scorer=params,

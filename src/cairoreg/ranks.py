@@ -25,22 +25,14 @@ def _check_scores(s: np.ndarray) -> np.ndarray:
 def rank(scores: np.ndarray) -> np.ndarray:
     """Mid-ranks in [1, n]: rank_i = #{s_j < s_i} + (#{s_j = s_i} + 1)/2.
 
-    Sort plus tie-group scan, O(n log n). The ranks always sum to
-    n(n+1)/2 exactly.
+    Both counts are binary searches into the sorted scores, O(n log n).
+    The ranks always sum to n(n+1)/2 exactly.
     """
     s = _check_scores(scores)
-    n = s.size
-    order = np.argsort(s, kind="stable")
-    ranks = np.empty(n, dtype=np.float64)
-    i = 0
-    while i < n:
-        j = i + 1
-        while j < n and s[order[j]] == s[order[i]]:
-            j += 1
-        # positions i..j-1 hold equal values; mid-rank of ranks i+1..j
-        ranks[order[i:j]] = 0.5 * (i + j + 1)
-        i = j
-    return ranks
+    sorted_s = np.sort(s)
+    below = np.searchsorted(sorted_s, s, side="left")
+    through = np.searchsorted(sorted_s, s, side="right")
+    return 0.5 * (below + through + 1)
 
 
 def empirical_cdf(scores: np.ndarray) -> np.ndarray:

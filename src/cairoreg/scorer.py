@@ -184,8 +184,6 @@ class TrainConfig:
     batch_size: int = 256
     seed: int = 0
     loss: LossSpec = field(default_factory=PointwiseMse)
-    shuffle: bool = True
-    hidden: tuple[int, int] = (32, 16)
     adam: AdamHyper = field(default_factory=AdamHyper)
     # Rank-gap weights default to the in-batch target mid-distribution;
     # set True to evaluate the full training set's mid-distribution instead.
@@ -212,7 +210,7 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[MlpParams, list[float]]:
     if is_ranking_loss(cfg.loss) and ds.n < 2:
         raise ValueError("pairwise losses need at least 2 rows")
 
-    params = init_params(ds.d, cfg.seed, cfg.hidden)
+    params = init_params(ds.d, cfg.seed)
     state = init_adam(params, cfg.adam)
     history: list[float] = []
 
@@ -225,13 +223,10 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[MlpParams, list[float]]:
         full_cdf = mid_cdf(ds.targets)
 
     for epoch in range(cfg.epochs):
-        if cfg.shuffle:
-            rng = np.random.Generator(
-                np.random.Philox(np.random.SeedSequence([cfg.seed, epoch]))
-            )
-            order = rng.permutation(ds.n)
-        else:
-            order = np.arange(ds.n)
+        rng = np.random.Generator(
+            np.random.Philox(np.random.SeedSequence([cfg.seed, epoch]))
+        )
+        order = rng.permutation(ds.n)
         batch_losses = []
         for start in range(0, ds.n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]

@@ -1,12 +1,16 @@
+import argparse
 import csv
 import json
 
 import numpy as np
 import pytest
 
-from cairoreg.cli import main
-from cairoreg.data import load_csv
+from cairoreg.bench import BenchConfig
+from cairoreg.cli import OPTIONS, build_parser, main
+from cairoreg.data import TARGET_COLUMN, load_csv
+from cairoreg.losses import PairwiseSurrogate, SoftGini
 from cairoreg.pipeline import load_model, predict_model
+from cairoreg.scorer import AdamHyper, TrainConfig
 
 
 def _simulate(tmp_path, name="data.csv", n=120, d=3, seed=1, scenario="normal"):
@@ -224,6 +228,73 @@ class TestConfigFile:
             ]
         )
         assert rc == 1
+
+
+    def test_rank_weights_full_set_is_not_an_option(self, tmp_path):
+        data = _simulate(tmp_path)
+        fit = ["fit", "--data", str(data), "--model", "ranknet", "--out", str(tmp_path / "m.json")]
+        with pytest.raises(SystemExit) as exc:
+            main([*fit, "--rank-weights-full-set"])
+        assert exc.value.code == 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"rank_weights_full_set": True}))
+        assert main([*fit, "--config", str(cfg)]) == 1
+
+
+class TestOptionTable:
+    # flags that name files or set how a run executes; no config file holds them
+    RUN_FLAGS = {
+        "simulate": {"out"},
+        "fit": {"data", "emit_plot_data", "out"},
+        "predict": {"model", "data", "out"},
+        "eval": {"data", "model", "pred", "out"},
+        "bench": {"threads", "out_dir"},
+    }
+
+    def test_flags_equal_config_keys(self):
+        parser = build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert set(sub.choices) == set(OPTIONS)
+        for command, p in sub.choices.items():
+            flags = {a.dest for a in p._actions} - {"help", "config"} - self.RUN_FLAGS[command]
+            config_only = {k for k, (kind, _) in OPTIONS[command].items() if kind is dict}
+            assert config_only <= {"overrides"}  # per-model dicts have no flag form
+            assert flags | config_only == set(OPTIONS[command]), command
+
+    def test_fit_records_library_defaults(self, tmp_path):
+        data = _simulate(tmp_path)
+        out = tmp_path / "m.json"
+        assert main(["fit", "--data", str(data), "--model", "ranknet", "--out", str(out)]) == 0
+        config = json.loads(out.read_text())["config"]
+        train, adam = TrainConfig(), AdamHyper()
+        assert config == {
+            "model": "ranknet",
+            "data": str(data),
+            "target_column": TARGET_COLUMN,
+            "epochs": train.epochs,
+            "batch_size": train.batch_size,
+            "learning_rate": adam.learning_rate,
+            "sigma": PairwiseSurrogate().sigma,
+            "temperature": SoftGini().temperature,
+            "seed": train.seed,
+            "calibration_fraction": None,
+        }
+        bench = BenchConfig()
+        for key in ("epochs", "batch_size", "learning_rate", "sigma", "temperature"):
+            assert getattr(bench, key) == config[key]
+        # the recorded options, read back from a config file, give the same bundle
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({k: v for k, v in config.items() if k != "data"}))
+        again = tmp_path / "again.json"
+        assert main(["fit", "--data", str(data), "--config", str(cfg), "--out", str(again)]) == 0
+        assert again.read_bytes() == out.read_bytes()
+
+    def test_help_shows_defaults(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["fit", "--help"])
+        text = capsys.readouterr().out
+        assert f"default: {AdamHyper().learning_rate}" in text
+        assert f"default: {TrainConfig().batch_size}" in text
 
 
 class TestBenchCommand:

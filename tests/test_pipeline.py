@@ -101,6 +101,34 @@ class TestCairoPredict:
             cairo_predict(model, np.zeros((3, 99)))
 
 
+class TestPredictionInput:
+    @pytest.fixture(scope="class")
+    def models(self, normal_model):
+        ds, cairo_model = normal_model
+        return ds, [cairo_model, mse_fit(ds, _quick_cfg())]
+
+    def test_wrong_column_count(self, models):
+        ds, fitted = models
+        for model in fitted:
+            with pytest.raises(ValueError, match="model expects 4 features, data has 3"):
+                predict_model(model, ds.features[:, :3])
+
+    def test_non_finite_feature(self, models):
+        ds, fitted = models
+        X = ds.features[:5].copy()
+        X[2, 1] = np.nan
+        for model, predict in zip(fitted, (cairo_predict, mse_predict)):
+            with pytest.raises(ValueError, match="non-finite feature"):
+                predict(model, X)
+
+    def test_bundle_standardizer_must_match_scorer(self, normal_model):
+        _, model = normal_model
+        obj = model_to_dict(model)
+        obj["standardizer"]["mean"] = obj["standardizer"]["mean"][:2]
+        with pytest.raises(ValueError, match="standardizer lengths"):
+            model_from_dict(obj)
+
+
 class TestMseBaseline:
     def test_learns_linear_target(self):
         rng = make_rng(10)
@@ -144,6 +172,17 @@ class TestVariants:
             preds = predict_model(model, ds.features)
             assert preds.shape == (ds.n,)
             assert isinstance(model, CairoModel) == (name != "nn-mse")
+
+    def test_fit_variant_calibration_fraction(self):
+        ds = generate(ScenarioSpec(Scenario.NORMAL, n=120, d=3, seed=8))
+        cfg = _quick_cfg(loss=variant_loss_spec("ranknet"))
+        got = fit_variant("ranknet", ds, cfg, calibration_fraction=0.25)
+        want = cairo_fit(ds, cfg.loss, cfg, calibration_fraction=0.25)
+        np.testing.assert_array_equal(
+            predict_model(got, ds.features), predict_model(want, ds.features)
+        )
+        with pytest.raises(ValueError, match="only to ranking variants"):
+            fit_variant("nn-mse", ds, _quick_cfg(), calibration_fraction=0.25)
 
 
 class TestSerialization:

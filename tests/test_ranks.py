@@ -24,8 +24,9 @@ class TestRank:
 
     def test_matches_scipy_average_ranks(self):
         rng = np.random.default_rng(0)
-        for _ in range(50):
-            v = rng.integers(0, 8, size=rng.integers(1, 40)).astype(float)
+        inputs = [rng.integers(0, 8, size=rng.integers(1, 40)).astype(float) for _ in range(50)]
+        inputs.append(np.array([0.0, -0.0, 1.0, -0.0]))  # signed zeros tie
+        for v in inputs:
             np.testing.assert_array_equal(rank(v), rankdata(v, method="average"))
 
     def test_sum_identity_and_range(self):
