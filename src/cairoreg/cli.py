@@ -7,7 +7,8 @@ simulate, FitHyper (plus the seed and the calibration split) for fit,
 BenchConfig for bench. The table gives both the flags and the keys a JSON
 config file (--config) may hold; flags take precedence and unknown config
 keys are rejected. JSON outputs carry {"version", "config"}; CSV outputs
-get a <name>.meta.json sidecar with the same fields.
+get a <name>.meta.json sidecar with the same fields. predict and
+eval --model take a model's feature columns by the names it was fitted on.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .data import (
     TRUE_MEAN_COLUMN,
     load_csv,
     read_numeric_csv,
+    select_columns,
     write_csv,
     write_numeric_csv,
 )
@@ -172,17 +174,17 @@ def _emit_plot_data(model, ds, path: Path, config: dict) -> None:
     _write_sidecar(path, "cairo-plot-data-v1", config)
 
 
-def _load_feature_matrix(path: str, target_column: str) -> np.ndarray:
+def _load_feature_matrix(path: str, target_column: str, names: tuple[str, ...]) -> np.ndarray:
     header, parsed = read_numeric_csv(path)
     drop = {target_column, TRUE_MEAN_COLUMN}
     keep = [j for j, name in enumerate(header) if name not in drop]
-    return parsed[:, keep]
+    return select_columns([header[j] for j in keep], parsed[:, keep], names)
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
     target_column = _resolve(args)["target_column"]
     model = load_model(args.model)
-    X = _load_feature_matrix(args.data, target_column)
+    X = _load_feature_matrix(args.data, target_column, model.feature_names)
     yhat = predict_model(model, X)
     out = Path(args.out)
     write_numeric_csv(out, ["prediction"], [yhat])
@@ -198,7 +200,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise CliError("provide exactly one of --model or --pred")
     ds = load_csv(args.data, target_column)
     if args.model is not None:
-        yhat = predict_model(load_model(args.model), ds.features)
+        model = load_model(args.model)
+        yhat = predict_model(
+            model, select_columns(ds.feature_names, ds.features, model.feature_names)
+        )
         model_label = str(args.model)
     else:
         header, parsed = read_numeric_csv(args.pred)

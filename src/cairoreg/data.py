@@ -8,6 +8,7 @@ float64 and frozen after construction so datasets can be shared freely.
 from __future__ import annotations
 
 import csv
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -181,6 +182,22 @@ def read_numeric_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
         if not np.all(np.isfinite(parsed[i])):
             raise DataError(f"non-finite value at row {i}")
     return header, parsed
+
+
+def select_columns(header: list[str], matrix: np.ndarray, names: Sequence[str]) -> np.ndarray:
+    """The columns of matrix that header names, in the order of names.
+
+    header must hold the same names in any order; DataError lists the
+    names it lacks and the columns it has beyond them.
+    """
+    missing = [c for c in names if c not in header]
+    unexpected = [c for c in header if c not in names]
+    if missing or unexpected:
+        raise DataError(
+            f"feature columns differ from the model's: missing {missing}, unexpected {unexpected}"
+        )
+    idx = [header.index(c) for c in names]
+    return matrix if idx == list(range(matrix.shape[1])) else matrix[:, idx]
 
 
 def load_csv(path: str | Path, target_column: str = TARGET_COLUMN) -> Dataset:

@@ -5,7 +5,10 @@ diagnostics and identity checks; training uses the log-sigmoid surrogate,
 the softrank Gini loss, or plain MSE. All pairwise forms share one
 canonical normalizer n(n-1); only kendall_identity_check switches to
 pair-averaged normalization, the convention under which the uniform loss
-equals (1 - tau)/2 exactly.
+equals (1 - tau)/2 exactly. The two training kernels, the surrogate here
+and softrank in ranks, sort their input once and walk the strict lower
+triangle of pairs in blocks of PAIR_BLOCK_ROWS rows, so they hold no
+n x n temporaries.
 """
 
 from __future__ import annotations
@@ -16,7 +19,14 @@ from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
-from .ranks import SoftRankConfig, _sigmoid, mid_distribution, mid_distribution_at, rank, softrank
+from .ranks import (
+    PAIR_BLOCK_ROWS,
+    SoftRankConfig,
+    mid_distribution,
+    mid_distribution_at,
+    rank,
+    softrank,
+)
 
 
 class WeightVariant(Enum):
@@ -39,7 +49,11 @@ class PairwiseSurrogate:
 
 @dataclass(frozen=True)
 class SoftGini:
-    """Negative covariance between targets and soft ranks of the scores."""
+    """Negative covariance between targets and soft ranks of the scores.
+
+    The 0.1 default temperature keeps gradients alive when scores are O(1),
+    as they are at a freshly initialized standardized-input scorer.
+    """
 
     temperature: float = 0.1
 
@@ -115,6 +129,13 @@ def pair_weight(
     return abs(float(f[0]) - float(f[1]))
 
 
+def _rank_gap_cdf(y: np.ndarray, target_cdf: np.ndarray | None) -> np.ndarray:
+    f = mid_distribution(y) if target_cdf is None else np.asarray(target_cdf, dtype=np.float64)
+    if f.shape != y.shape:
+        raise ValueError("target_cdf must align with targets")
+    return f
+
+
 def _weight_matrix(
     variant: WeightVariant, y: np.ndarray, target_cdf: np.ndarray | None
 ) -> np.ndarray:
@@ -122,9 +143,7 @@ def _weight_matrix(
         return np.ones((y.size, y.size))
     if variant is WeightVariant.ABSOLUTE_GAP:
         return np.abs(y[:, None] - y[None, :])
-    f = mid_distribution(y) if target_cdf is None else np.asarray(target_cdf, dtype=np.float64)
-    if f.shape != y.shape:
-        raise ValueError("target_cdf must align with targets")
+    f = _rank_gap_cdf(y, target_cdf)
     return np.abs(f[:, None] - f[None, :])
 
 
@@ -167,37 +186,75 @@ def hard_pairwise_loss_ordered(
     return float(np.sum(w[mis]) / (n * (n - 1)))
 
 
-def _softplus(x: np.ndarray) -> np.ndarray:
-    return np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0)
-
-
 def surrogate_pairwise_loss(
     y: np.ndarray,
     s: np.ndarray,
     variant: WeightVariant,
-    sigma: float = 1.0,
+    sigma: float,
     target_cdf: np.ndarray | None = None,
 ) -> LossValueGrad:
     """Smooth upper bound on the misordered-pair loss, with exact gradient.
 
     value = (1/(n(n-1))) sum_{i != j} w_ij 1{y_i > y_j} softplus(-sigma (s_i - s_j)).
+
+    The rows are sorted by target once, so the pairs with y_i > y_j are
+    j < first[i] (the first row tied with i): a lower triangle, cut back
+    at ties, walked in blocks of PAIR_BLOCK_ROWS rows. One exp(-|x|) per
+    pair serves both softplus(x) and sigmoid(x). O(n^2) time and
+    O(n * PAIR_BLOCK_ROWS) memory.
     """
     y, s = _check_pair(y, s)
     if not sigma > 0.0:
         raise ValueError("sigma must be positive")
     n = y.size
-    coeff = _weight_matrix(variant, y, target_cdf) * (y[:, None] > y[None, :])
-    coeff /= n * (n - 1)
-    delta = -sigma * (s[:, None] - s[None, :])
-    value = float(np.sum(coeff * _softplus(delta)))
-    slope = coeff * _sigmoid(delta) * sigma
-    grad = slope.sum(axis=0) - slope.sum(axis=1)
-    return LossValueGrad(value, grad)
+    order = np.argsort(y, kind="stable")
+    ys = y[order]
+    xs = sigma * s[order]
+    first = np.searchsorted(ys, ys, side="left")
+    f = _rank_gap_cdf(y, target_cdf)[order] if variant is WeightVariant.RANK_GAP else None
+
+    value = 0.0
+    grad = np.zeros(n)
+    for r0 in range(0, n, PAIR_BLOCK_ROWS):
+        r1 = min(r0 + PAIR_BLOCK_ROWS, n)
+        # columns below c0 pair with every row of the block, those in [c0, c1) with some
+        c0, c1 = first[r0], first[r1 - 1]
+        if c1 == 0:
+            continue
+        rows = slice(r0, r1)
+        x = xs[:c1] - xs[rows, None]  # -sigma (s_i - s_j)
+        e = np.abs(x)
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        slope = np.maximum(e, x >= 0.0)  # sigmoid(x) = (1 if x >= 0 else e) / (1 + e)
+        np.maximum(x, 0.0, out=x)
+        x += np.log1p(e)  # softplus(x)
+        e += 1.0
+        slope /= e
+        pairs = np.arange(c0, c1) < first[rows, None]
+        if variant is WeightVariant.UNIFORM:
+            x[:, c0:] *= pairs
+            slope[:, c0:] *= pairs
+            value += float(x.sum())
+        else:
+            if f is None:
+                w = ys[rows, None] - ys[:c1]
+            else:
+                w = f[rows, None] - f[:c1]
+                np.abs(w, out=w)
+            w[:, c0:] *= pairs
+            value += float(np.vdot(w, x))
+            slope *= w
+        grad[:c1] += slope.sum(axis=0)
+        grad[rows] -= slope.sum(axis=1)
+
+    scale = 1.0 / (n * (n - 1))
+    out = np.empty(n)
+    out[order] = grad * (sigma * scale)
+    return LossValueGrad(value * scale, out)
 
 
-def soft_gini_loss(
-    y: np.ndarray, s: np.ndarray, temperature: float = 0.1
-) -> LossValueGrad:
+def soft_gini_loss(y: np.ndarray, s: np.ndarray, temperature: float) -> LossValueGrad:
     """Smoothed negative rank covariance -(2/n^2) sum (y_i - mean y) softrank_i.
 
     Centering the targets drops only an additive constant, keeping the

@@ -33,7 +33,7 @@ from .losses import (
 )
 from .scorer import AdamHyper, MlpParams, TrainConfig, forward, mlp_from_dict, mlp_to_dict, train
 
-BUNDLE_VERSION = "cairo-model-v1"
+BUNDLE_VERSION = "cairo-model-v2"
 
 # CLI variant flag -> display name used in reports
 VARIANTS = {
@@ -92,6 +92,7 @@ class CairoModel:
     calibration: CalibrationMap
     standardizer: Standardizer
     spec: LossSpec
+    feature_names: tuple[str, ...]  # training columns, in the scorer's input order
 
 
 @dataclass(frozen=True)
@@ -100,6 +101,7 @@ class MseBaselineModel:
     standardizer: Standardizer
     target_mean: float
     target_std: float
+    feature_names: tuple[str, ...]
 
 
 def cairo_fit(
@@ -128,7 +130,13 @@ def cairo_fit(
     params, _ = train(scorer_ds, replace(cfg, loss=loss))
     scores, _ = forward(params, calib_ds.features)
     calibration = pav_fit(scores, calib_ds.targets)
-    return CairoModel(scorer=params, calibration=calibration, standardizer=st, spec=loss)
+    return CairoModel(
+        scorer=params,
+        calibration=calibration,
+        standardizer=st,
+        spec=loss,
+        feature_names=tuple(train_ds.feature_names),
+    )
 
 
 def _check_features(model: Model, X: np.ndarray) -> np.ndarray:
@@ -161,7 +169,11 @@ def mse_fit(train_ds: Dataset, cfg: TrainConfig) -> MseBaselineModel:
     )
     params, _ = train(std_train, replace(cfg, loss=PointwiseMse()))
     return MseBaselineModel(
-        scorer=params, standardizer=st, target_mean=y_mean, target_std=y_std
+        scorer=params,
+        standardizer=st,
+        target_mean=y_mean,
+        target_std=y_std,
+        feature_names=tuple(train_ds.feature_names),
     )
 
 
@@ -230,6 +242,7 @@ def model_to_dict(model: Model, config: dict | None = None) -> dict:
         "config": config or {},
         "scorer": mlp_to_dict(model.scorer),
         "standardizer": {"mean": st.mean.tolist(), "std": st.std.tolist()},
+        "feature_names": list(model.feature_names),
     }
     if isinstance(model, CairoModel):
         out["kind"] = "cairo"
@@ -256,12 +269,20 @@ def model_from_dict(obj: dict) -> Model:
             f"corrupt bundle: standardizer lengths {st.mean.shape}, {st.std.shape} "
             f"do not match the scorer's {d} input features"
         )
+    names = obj.get("feature_names")
+    if (
+        not isinstance(names, list)
+        or len(names) != d
+        or not all(isinstance(c, str) for c in names)
+    ):
+        raise ValueError(f"corrupt bundle: feature_names must list the scorer's {d} column names")
     if obj.get("kind") == "cairo":
         return CairoModel(
             scorer=params,
             calibration=calibration_from_dict(obj["calibration"]),
             standardizer=st,
             spec=_loss_from_dict(obj["loss"]),
+            feature_names=tuple(names),
         )
     if obj.get("kind") == "nn-mse":
         return MseBaselineModel(
@@ -269,6 +290,7 @@ def model_from_dict(obj: dict) -> Model:
             standardizer=st,
             target_mean=float(obj["target_mean"]),
             target_std=float(obj["target_std"]),
+            feature_names=tuple(names),
         )
     raise ValueError(f"unknown model kind: {obj.get('kind')!r}")
 

@@ -7,6 +7,7 @@ pairwise losses only ever see pairs inside one batch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -203,7 +204,9 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[MlpParams, list[float]]:
 
     Shuffling is reseeded per epoch from (cfg.seed, epoch) so runs are
     bitwise reproducible. Trailing batches with a single row are dropped
-    for pairwise losses, which are undefined there.
+    for pairwise losses, which are undefined there. Raises ValueError,
+    naming the epoch and batch, at the first non-finite loss value or
+    score gradient.
     """
     if ds.n < 1:
         raise ValueError("empty dataset")
@@ -228,7 +231,7 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[MlpParams, list[float]]:
         )
         order = rng.permutation(ds.n)
         batch_losses = []
-        for start in range(0, ds.n, cfg.batch_size):
+        for batch, start in enumerate(range(0, ds.n, cfg.batch_size)):
             idx = order[start : start + cfg.batch_size]
             if idx.size < 2 and is_ranking_loss(cfg.loss):
                 continue
@@ -236,6 +239,12 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[MlpParams, list[float]]:
             scores, cache = forward(params, X)
             target_cdf = None if full_cdf is None else full_cdf(y)
             value, grad_scores = evaluate_loss(cfg.loss, y, scores, target_cdf)
+            if not math.isfinite(value):
+                raise ValueError(f"training diverged at epoch {epoch}, batch {batch}: loss {value}")
+            if not np.isfinite(grad_scores).all():
+                raise ValueError(
+                    f"training diverged at epoch {epoch}, batch {batch}: non-finite score gradient"
+                )
             grads = backward(cache, grad_scores)
             params, state = adam_step(params, grads, state)
             batch_losses.append(value)

@@ -88,7 +88,7 @@ class TestFitPredictEval:
         data = _simulate(tmp_path)
         model_path = _fit(tmp_path, data)
         obj = json.loads(model_path.read_text())
-        assert obj["version"] == "cairo-model-v1"
+        assert obj["version"] == "cairo-model-v2"
         assert obj["config"]["model"] == "ranknet"
         assert obj["config"]["epochs"] == 4
 
@@ -162,6 +162,29 @@ class TestFitPredictEval:
             ]
         )
         assert rc == 1
+
+    def test_feature_columns_are_taken_by_name(self, tmp_path, capsys):
+        data = _simulate(tmp_path, d=4)
+        model_path = _fit(tmp_path, data)
+        rows = list(csv.reader(data.open()))
+        swapped = tmp_path / "swapped.csv"
+        with swapped.open("w", newline="") as fh:
+            csv.writer(fh).writerows([r[1], r[0], *r[2:]] for r in rows)
+        renamed = tmp_path / "renamed.csv"
+        with renamed.open("w", newline="") as fh:
+            csv.writer(fh).writerows([["z1", *rows[0][1:]], *rows[1:]])
+
+        def run(command, path, out):
+            return main([command, "--model", str(model_path), "--data", str(path), "--out", str(out)])
+
+        for command, ext in (("predict", "csv"), ("eval", "json")):
+            assert run(command, data, tmp_path / f"a.{ext}") == 0
+            assert run(command, swapped, tmp_path / f"b.{ext}") == 0
+            a, b = ((tmp_path / f"{x}.{ext}").read_text() for x in "ab")
+            assert a.replace(str(data), str(swapped)) == b
+            capsys.readouterr()
+            assert run(command, renamed, tmp_path / f"c.{ext}") == 1
+            assert "missing ['x1']" in capsys.readouterr().err
 
     def test_missing_file_is_runtime_error(self, tmp_path):
         rc = main(

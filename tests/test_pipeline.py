@@ -128,6 +128,14 @@ class TestPredictionInput:
         with pytest.raises(ValueError, match="standardizer lengths"):
             model_from_dict(obj)
 
+    def test_bundle_feature_names_must_match_scorer(self, normal_model):
+        _, model = normal_model
+        for names in (None, ["x1", "x2"], ["x1", "x2", "x3", 4]):
+            obj = model_to_dict(model)
+            obj["feature_names"] = names
+            with pytest.raises(ValueError, match="feature_names"):
+                model_from_dict(obj)
+
 
 class TestMseBaseline:
     def test_learns_linear_target(self):
@@ -195,16 +203,18 @@ class TestSerialization:
             cairo_predict(back, ds.features), cairo_predict(model, ds.features)
         )
         assert back.spec == model.spec
+        assert back.feature_names == model.feature_names == ("x1", "x2", "x3", "x4")
 
     def test_mse_round_trip(self, tmp_path):
         ds = generate(ScenarioSpec(Scenario.NORMAL, n=100, d=3, seed=9))
         model = mse_fit(ds, _quick_cfg())
         obj = model_to_dict(model)
-        assert obj["version"] == "cairo-model-v1"
+        assert obj["version"] == "cairo-model-v2"
         back = model_from_dict(obj)
         np.testing.assert_array_equal(
             mse_predict(back, ds.features), mse_predict(model, ds.features)
         )
+        assert back.feature_names == model.feature_names == ("x1", "x2", "x3")
 
     def test_version_guard(self):
         with pytest.raises(ValueError, match="version"):

@@ -240,6 +240,16 @@ class TestTrain:
         p2, _ = train(ds, full)
         assert not np.array_equal(flatten_params(p1), flatten_params(p2))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the gap weights overflow
+    def test_divergence_fails_fast(self):
+        # ranknet-giniw weighs a pair by |y_i - y_j|, which is inf for targets near +-1e308
+        rng = np.random.default_rng(0)
+        y = np.resize([1.0, -1.0], 64) * rng.uniform(0.9, 1.0, 64) * 1e308
+        ds = Dataset(features=rng.normal(size=(64, 3)), targets=y)
+        loss = PairwiseSurrogate(WeightVariant.ABSOLUTE_GAP, 1.0)
+        with pytest.raises(ValueError, match="diverged at epoch 0, batch 0"):
+            train(ds, TrainConfig(epochs=2, batch_size=32, seed=0, loss=loss))
+
     def test_batch_size_guard_for_pairwise(self):
         with pytest.raises(ValueError, match="batch_size >= 2"):
             TrainConfig(batch_size=1, loss=PairwiseSurrogate())
