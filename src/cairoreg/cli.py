@@ -92,12 +92,16 @@ OPTIONS = {
 }
 
 
-def _coerce(kind, value):
+def _coerce(key: str, kind, value):
     if typing.get_origin(kind) is tuple:  # comma-separated on the command line
         if isinstance(value, str):
             value = [v for v in value.split(",") if v]
         element = typing.get_args(kind)[0]
         return tuple(element(v) for v in value)
+    if kind is int and (
+        isinstance(value, bool) or (isinstance(value, float) and not value.is_integer())
+    ):
+        raise CliError(f"{key} must be an integer, got {value!r}")
     return kind(value)
 
 
@@ -117,7 +121,7 @@ def _resolve(args: argparse.Namespace) -> dict:
         value = getattr(args, key, None)
         if value is None:
             value = file_cfg.get(key, default)
-        out[key] = None if value is None else _coerce(kind, value)
+        out[key] = None if value is None else _coerce(key, kind, value)
     return out
 
 

@@ -8,6 +8,7 @@ float64 and frozen after construction so datasets can be shared freely.
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -130,9 +131,6 @@ class Standardizer:
     def transform(self, X: np.ndarray) -> np.ndarray:
         return (np.asarray(X, dtype=np.float64) - self.mean) / self.std
 
-    def inverse_transform(self, X: np.ndarray) -> np.ndarray:
-        return np.asarray(X, dtype=np.float64) * self.std + self.mean
-
 
 def fit_standardizer(ds: Dataset) -> Standardizer:
     if ds.n < 2:
@@ -156,7 +154,7 @@ def read_numeric_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
     """Parse a fully numeric CSV with a header row into (column names, float64 matrix).
 
     Non-numeric cells and missing values are hard errors reported with row
-    index and column name.
+    index and column name; so is a column name that appears twice.
     """
     path = Path(path)
     if not path.exists():
@@ -167,6 +165,9 @@ def read_numeric_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
     if not rows:
         raise DataError(f"empty CSV: {path}")
     header, body = rows[0], rows[1:]
+    duplicated = [name for name, count in Counter(header).items() if count > 1]
+    if duplicated:
+        raise DataError(f"duplicate column names {duplicated} in {path}")
 
     parsed = np.empty((len(body), len(header)), dtype=np.float64)
     for i, row in enumerate(body):

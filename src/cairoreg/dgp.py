@@ -51,39 +51,23 @@ class ScenarioSpec:
             raise ValueError("lognormal_scale must be positive")
 
 
-def sample_standard_normal(rng: np.random.Generator, size=None):
-    return rng.standard_normal(size)
-
-
-def sample_gamma(rng: np.random.Generator, shape: float, scale, size=None):
-    if not shape > 0.0 or np.any(np.asarray(scale) <= 0.0):
-        raise ValueError("gamma shape and scale must be positive")
-    return rng.gamma(shape, scale, size)
-
-
-def sample_lognormal(rng: np.random.Generator, mu: float, sigma: float, size=None):
-    if not sigma > 0.0:
-        raise ValueError("lognormal sigma must be positive")
-    return rng.lognormal(mu, sigma, size)
-
-
 def generate(spec: ScenarioSpec) -> Dataset:
     """One dataset per spec: fresh weight vector, covariates, and noise."""
     rng = make_rng(spec.seed)
-    w = sample_standard_normal(rng, spec.d)
-    X = sample_standard_normal(rng, (spec.n, spec.d))
+    w = rng.standard_normal(spec.d)
+    X = rng.standard_normal((spec.n, spec.d))
     eta = X @ w / np.sqrt(spec.d)
 
     if spec.scenario is Scenario.NORMAL:
-        y = eta + sample_standard_normal(rng, spec.n)
+        y = eta + rng.standard_normal(spec.n)
         true_mean = eta
     elif spec.scenario is Scenario.GAMMA_TAIL:
         mu = np.exp(eta)
-        y = sample_gamma(rng, 2.0, mu / 2.0)
+        y = rng.gamma(2.0, mu / 2.0)
         true_mean = mu
     elif spec.scenario is Scenario.HEAVY_TAIL:
         mu = np.exp(eta)
-        eps = sample_lognormal(rng, 0.0, 1.0, spec.n)
+        eps = rng.lognormal(0.0, 1.0, spec.n)
         if spec.raw_lognormal:
             y = mu + eps * np.sqrt(mu)
             true_mean = mu + np.exp(0.5) * np.sqrt(mu)

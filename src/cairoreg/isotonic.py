@@ -34,10 +34,6 @@ class CalibrationMap:
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "fitted", fitted)
 
-    @property
-    def score_range(self) -> tuple[float, float]:
-        return float(self.knots[0]), float(self.knots[-1])
-
 
 @dataclass(frozen=True)
 class AutoCalibrationReport:
@@ -111,42 +107,6 @@ def audit_autocalibration(
     return AutoCalibrationReport(
         block_count=int(levels.size), max_abs_block_residual=float(residual)
     )
-
-
-def pav_oracle(scores: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Exhaustive isotonic fit for n <= 10 with distinct scores.
-
-    Enumerates every contiguous partition in score order, keeps those whose
-    block means are nondecreasing, and returns the SSE-minimizing fit per
-    input point. Test oracle; not for production sizes.
-    """
-    s, y = _check_fit_inputs(scores, targets)
-    n = s.size
-    if n > 10:
-        raise ValueError("oracle limited to n <= 10")
-    order = np.argsort(s, kind="stable")
-    if np.any(np.diff(s[order]) == 0):
-        raise ValueError("oracle requires distinct scores")
-    ys = y[order]
-    prefix = np.concatenate([[0.0], np.cumsum(ys)])
-
-    best_sse = np.inf
-    best_fit: np.ndarray | None = None
-    for mask in range(1 << (n - 1)):
-        bounds = [0] + [k + 1 for k in range(n - 1) if mask >> k & 1] + [n]
-        means = [
-            (prefix[b] - prefix[a]) / (b - a) for a, b in zip(bounds, bounds[1:])
-        ]
-        if any(m2 < m1 for m1, m2 in zip(means, means[1:])):
-            continue
-        fit = np.repeat(means, np.diff(bounds))
-        sse = float(np.sum((ys - fit) ** 2))
-        if sse < best_sse:
-            best_sse, best_fit = sse, fit
-    assert best_fit is not None  # the single-block partition is always feasible
-    out = np.empty(n)
-    out[order] = best_fit
-    return out
 
 
 def calibration_to_dict(cmap: CalibrationMap) -> dict:

@@ -2,7 +2,6 @@
 
 Both rank correlations use mid-ranks under ties; kendall is the tau-b
 variant (tie-corrected), computed in O(n log n) by inversion counting.
-A quadratic reference implementation is kept for cross-checks.
 """
 
 from __future__ import annotations
@@ -118,27 +117,6 @@ def kendall(a: np.ndarray, b: np.ndarray) -> float:
         raise MetricError("undefined correlation: constant input")
     con_minus_dis = total - ties_a - ties_b + ties_ab - 2 * discordant
     return float(con_minus_dis / denom)
-
-
-def kendall_reference(a: np.ndarray, b: np.ndarray) -> float:
-    """O(n^2) tau-b over explicit pairs; cross-check for kendall()."""
-    a, b = _check(a, b)
-    n = a.size
-    if n < 2:
-        raise MetricError("need at least 2 points")
-    da = np.sign(a[:, None] - a[None, :])
-    db = np.sign(b[:, None] - b[None, :])
-    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
-    prod = (da * db)[upper]
-    con = float(np.sum(prod > 0))
-    dis = float(np.sum(prod < 0))
-    total = n * (n - 1) / 2
-    ties_a = float(np.sum(da[upper] == 0))
-    ties_b = float(np.sum(db[upper] == 0))
-    denom = np.sqrt((total - ties_a) * (total - ties_b))
-    if denom == 0.0:
-        raise MetricError("undefined correlation: constant input")
-    return float((con - dis) / denom)
 
 
 @dataclass(frozen=True)

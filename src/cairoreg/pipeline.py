@@ -31,7 +31,7 @@ from .losses import (
     WeightVariant,
     is_ranking_loss,
 )
-from .scorer import AdamHyper, MlpParams, TrainConfig, forward, mlp_from_dict, mlp_to_dict, train
+from .scorer import MlpParams, TrainConfig, forward, mlp_from_dict, mlp_to_dict, train
 
 BUNDLE_VERSION = "cairo-model-v2"
 
@@ -70,7 +70,7 @@ class FitHyper:
 
     epochs: int = TrainConfig.epochs
     batch_size: int = TrainConfig.batch_size
-    learning_rate: float = AdamHyper.learning_rate
+    learning_rate: float = TrainConfig.learning_rate
     sigma: float = PairwiseSurrogate.sigma
     temperature: float = SoftGini.temperature
 
@@ -82,7 +82,7 @@ def variant_train_config(variant: str, seed: int, hyper: FitHyper) -> TrainConfi
         batch_size=int(hyper.batch_size),
         seed=seed,
         loss=variant_loss_spec(variant, float(hyper.sigma), float(hyper.temperature)),
-        adam=AdamHyper(learning_rate=float(hyper.learning_rate)),
+        learning_rate=float(hyper.learning_rate),
     )
 
 
@@ -117,6 +117,8 @@ def cairo_fit(
     """
     if not is_ranking_loss(loss):
         raise ValueError("cairo_fit needs a ranking objective; use mse_fit for the baseline")
+    if calibration_fraction is not None and not 0.0 < calibration_fraction < 1.0:
+        raise ValueError(f"calibration_fraction must lie in (0, 1), got {calibration_fraction}")
     st = fit_standardizer(train_ds)
     std_train = apply_standardizer(st, train_ds)
 
@@ -274,8 +276,11 @@ def model_from_dict(obj: dict) -> Model:
         not isinstance(names, list)
         or len(names) != d
         or not all(isinstance(c, str) for c in names)
+        or len(set(names)) != d
     ):
-        raise ValueError(f"corrupt bundle: feature_names must list the scorer's {d} column names")
+        raise ValueError(
+            f"corrupt bundle: feature_names must list the scorer's {d} distinct column names"
+        )
     if obj.get("kind") == "cairo":
         return CairoModel(
             scorer=params,

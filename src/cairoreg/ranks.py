@@ -1,4 +1,4 @@
-"""Rank, empirical CDF, mid-distribution, and differentiable softrank kernels.
+"""Rank, mid-distribution, and differentiable softrank kernels.
 
 Ties everywhere follow the mid-rank convention: tied entries share the
 average of the ranks they span, which keeps rank/covariance identities
@@ -37,12 +37,6 @@ def rank(scores: np.ndarray) -> np.ndarray:
     return 0.5 * (below + through + 1)
 
 
-def empirical_cdf(scores: np.ndarray) -> np.ndarray:
-    """rank(scores)/n elementwise."""
-    s = _check_scores(scores)
-    return rank(s) / s.size
-
-
 def mid_distribution(scores: np.ndarray) -> np.ndarray:
     """Tie-robust CDF (#{s_j < s_i} + 0.5 #{s_j = s_i})/n = (rank_i - 0.5)/n.
 
@@ -50,15 +44,6 @@ def mid_distribution(scores: np.ndarray) -> np.ndarray:
     """
     s = _check_scores(scores)
     return (rank(s) - 0.5) / s.size
-
-
-def mid_distribution_at(sample: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Evaluate the sample's mid-distribution at arbitrary points."""
-    sample = np.sort(_check_scores(sample))
-    q = np.asarray(query, dtype=np.float64)
-    lo = np.searchsorted(sample, q, side="left")
-    hi = np.searchsorted(sample, q, side="right")
-    return (lo + 0.5 * (hi - lo)) / sample.size
 
 
 # Rows per block of the pairwise kernels (softrank here, the pairwise

@@ -13,15 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .losses import (
-    LossSpec,
-    PairwiseSurrogate,
-    PointwiseMse,
-    WeightVariant,
-    evaluate_loss,
-    is_ranking_loss,
-    mid_cdf,
-)
+from .losses import LossSpec, PointwiseMse, evaluate_loss, is_ranking_loss
 
 _FIELDS = ("W1", "b1", "W2", "b2", "w3", "b3")
 
@@ -132,12 +124,11 @@ def backward(cache: ForwardCache, grad_scores: np.ndarray) -> MlpParams:
     )
 
 
-@dataclass(frozen=True)
-class AdamHyper:
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
+# Adam's moment decay rates and denominator guard; the learning rate is
+# a TrainConfig field.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 @dataclass(frozen=True)
@@ -145,27 +136,26 @@ class AdamState:
     m: MlpParams
     v: MlpParams
     step: int
-    hyper: AdamHyper
+    learning_rate: float
 
 
-def init_adam(params: MlpParams, hyper: AdamHyper | None = None) -> AdamState:
+def init_adam(params: MlpParams, learning_rate: float) -> AdamState:
     zeros = _params_from_arrays([np.zeros_like(a) for a in _arrays(params)])
-    return AdamState(m=zeros, v=zeros, step=0, hyper=hyper or AdamHyper())
+    return AdamState(m=zeros, v=zeros, step=0, learning_rate=learning_rate)
 
 
 def adam_step(
     params: MlpParams, grads: MlpParams, state: AdamState
 ) -> tuple[MlpParams, AdamState]:
     """One bias-corrected Adam update; purely functional."""
-    h = state.hyper
     t = state.step + 1
     new_p, new_m, new_v = [], [], []
     for p, g, m, v in zip(_arrays(params), _arrays(grads), _arrays(state.m), _arrays(state.v)):
-        m = h.beta1 * m + (1.0 - h.beta1) * g
-        v = h.beta2 * v + (1.0 - h.beta2) * g**2
-        m_hat = m / (1.0 - h.beta1**t)
-        v_hat = v / (1.0 - h.beta2**t)
-        new_p.append(p - h.learning_rate * m_hat / (np.sqrt(v_hat) + h.epsilon))
+        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g**2
+        m_hat = m / (1.0 - ADAM_BETA1**t)
+        v_hat = v / (1.0 - ADAM_BETA2**t)
+        new_p.append(p - state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON))
         new_m.append(m)
         new_v.append(v)
     return (
@@ -174,7 +164,7 @@ def adam_step(
             m=_params_from_arrays(new_m),
             v=_params_from_arrays(new_v),
             step=t,
-            hyper=h,
+            learning_rate=state.learning_rate,
         ),
     )
 
@@ -185,10 +175,7 @@ class TrainConfig:
     batch_size: int = 256
     seed: int = 0
     loss: LossSpec = field(default_factory=PointwiseMse)
-    adam: AdamHyper = field(default_factory=AdamHyper)
-    # Rank-gap weights default to the in-batch target mid-distribution;
-    # set True to evaluate the full training set's mid-distribution instead.
-    rank_weights_full_set: bool = False
+    learning_rate: float = 1e-3
 
     def __post_init__(self) -> None:
         if self.epochs < 0:
@@ -214,16 +201,8 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[MlpParams, list[float]]:
         raise ValueError("pairwise losses need at least 2 rows")
 
     params = init_params(ds.d, cfg.seed)
-    state = init_adam(params, cfg.adam)
+    state = init_adam(params, cfg.learning_rate)
     history: list[float] = []
-
-    full_cdf = None
-    if (
-        cfg.rank_weights_full_set
-        and isinstance(cfg.loss, PairwiseSurrogate)
-        and cfg.loss.variant is WeightVariant.RANK_GAP
-    ):
-        full_cdf = mid_cdf(ds.targets)
 
     for epoch in range(cfg.epochs):
         rng = np.random.Generator(
@@ -237,8 +216,7 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[MlpParams, list[float]]:
                 continue
             X, y = ds.features[idx], ds.targets[idx]
             scores, cache = forward(params, X)
-            target_cdf = None if full_cdf is None else full_cdf(y)
-            value, grad_scores = evaluate_loss(cfg.loss, y, scores, target_cdf)
+            value, grad_scores = evaluate_loss(cfg.loss, y, scores)
             if not math.isfinite(value):
                 raise ValueError(f"training diverged at epoch {epoch}, batch {batch}: loss {value}")
             if not np.isfinite(grad_scores).all():

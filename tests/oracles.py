@@ -1,8 +1,12 @@
-"""Quadratic reference kernels the blocked loss kernels are checked against.
+"""Reference implementations the package is checked against.
 
-These are the dense forms: each builds its n x n weight, difference and
-sigmoid matrices in full, so they are slow and memory-hungry, but each
-line maps onto the formula in its docstring.
+The dense loss and soft-rank kernels build their n x n weight, difference
+and sigmoid matrices in full, so they are slow and memory-hungry, but
+each line maps onto the formula in its docstring. The hard pairwise
+losses, the exact-rank Gini loss and the Kendall identity check state
+the identities the surrogates are built on; pav_oracle and
+kendall_reference solve by exhaustive enumeration what pav_fit and
+kendall compute in O(n log n). None of them runs in a fit.
 """
 
 from __future__ import annotations
@@ -11,8 +15,10 @@ from typing import Callable
 
 import numpy as np
 
-from cairoreg.losses import LossValueGrad, WeightVariant, _check_pair, _weight_matrix
-from cairoreg.ranks import SoftRankConfig, _check_scores
+from cairoreg.isotonic import _check_fit_inputs
+from cairoreg.losses import LossValueGrad, WeightVariant, _check_pair
+from cairoreg.metrics import MetricError, _check
+from cairoreg.ranks import SoftRankConfig, _check_scores, mid_distribution, rank
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -28,17 +34,95 @@ def _softplus(x: np.ndarray) -> np.ndarray:
     return np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0)
 
 
+def _tied_indices(v: np.ndarray) -> list[int]:
+    order = np.argsort(v, kind="stable")
+    sv = v[order]
+    tied = np.flatnonzero(sv[1:] == sv[:-1])
+    out: set[int] = set()
+    for k in tied:
+        out.add(int(order[k]))
+        out.add(int(order[k + 1]))
+    return sorted(out)
+
+
+def _require_tie_free(name: str, v: np.ndarray) -> None:
+    tied = _tied_indices(v)
+    if tied:
+        raise ValueError(f"ties in {name} at indices {tied}")
+
+
+def _weight_matrix(variant: WeightVariant, y: np.ndarray) -> np.ndarray:
+    """Symmetric nonnegative pair weights; rank-gap weights use the mid-distribution of y."""
+    if variant is WeightVariant.UNIFORM:
+        return np.ones((y.size, y.size))
+    if variant is WeightVariant.ABSOLUTE_GAP:
+        return np.abs(y[:, None] - y[None, :])
+    f = mid_distribution(y)
+    return np.abs(f[:, None] - f[None, :])
+
+
+def hard_pairwise_loss(y: np.ndarray, s: np.ndarray, variant: WeightVariant) -> float:
+    """Weighted fraction of non-concordant pairs over i<j, divided by n(n-1).
+
+    The indicator is (y_i - y_j)(s_i - s_j) <= 0, so pairs tied in either
+    coordinate count as errors under the uniform weight; gap weights assign
+    tied-target pairs zero weight automatically.
+    """
+    y, s = _check_pair(y, s)
+    n = y.size
+    w = _weight_matrix(variant, y)
+    bad = (y[:, None] - y[None, :]) * (s[:, None] - s[None, :]) <= 0.0
+    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+    return float(np.sum(w[upper & bad]) / (n * (n - 1)))
+
+
+def hard_pairwise_loss_ordered(y: np.ndarray, s: np.ndarray, variant: WeightVariant) -> float:
+    """Misordered-pair form: sum over i != j of w_ij 1{y_i>y_j} 1{s_i<s_j}.
+
+    Equal to hard_pairwise_loss on tie-free input; ties are rejected.
+    """
+    y, s = _check_pair(y, s)
+    _require_tie_free("targets", y)
+    _require_tie_free("scores", s)
+    n = y.size
+    w = _weight_matrix(variant, y)
+    mis = (y[:, None] > y[None, :]) & (s[:, None] < s[None, :])
+    return float(np.sum(w[mis]) / (n * (n - 1)))
+
+
+def gini_rank_loss(y: np.ndarray, s: np.ndarray) -> float:
+    """Exact-rank counterpart of soft_gini_loss: -(2/n^2) sum (y_i - mean y) rank_i."""
+    y, s = _check_pair(y, s)
+    n = y.size
+    return float(-(2.0 / n**2) * np.dot(y - y.mean(), rank(s)))
+
+
+def kendall_identity_check(y: np.ndarray, s: np.ndarray) -> tuple[float, float]:
+    """Pair-averaged uniform hard loss and the Kendall U-statistic.
+
+    Both are normalized by the number of unordered pairs n(n-1)/2 so that
+    loss_uni = (1 - tau_hat)/2 holds exactly on tie-free input.
+    """
+    y, s = _check_pair(y, s)
+    _require_tie_free("targets", y)
+    _require_tie_free("scores", s)
+    n = y.size
+    sy = np.sign(y[:, None] - y[None, :])
+    ss = np.sign(s[:, None] - s[None, :])
+    pairs = n * (n - 1) / 2
+    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+    loss_uni = float(np.sum((sy * ss)[upper] < 0) / pairs)
+    tau_hat = float(np.sum((sy * ss)[upper]) / pairs)
+    return loss_uni, tau_hat
+
+
 def surrogate_pairwise_loss_oracle(
-    y: np.ndarray,
-    s: np.ndarray,
-    variant: WeightVariant,
-    sigma: float,
-    target_cdf: np.ndarray | None = None,
+    y: np.ndarray, s: np.ndarray, variant: WeightVariant, sigma: float
 ) -> LossValueGrad:
     """value = (1/(n(n-1))) sum_{i != j} w_ij 1{y_i > y_j} softplus(-sigma (s_i - s_j))."""
     y, s = _check_pair(y, s)
     n = y.size
-    coeff = _weight_matrix(variant, y, target_cdf) * (y[:, None] > y[None, :])
+    coeff = _weight_matrix(variant, y) * (y[:, None] > y[None, :])
     coeff /= n * (n - 1)
     delta = -sigma * (s[:, None] - s[None, :])
     value = float(np.sum(coeff * _softplus(delta)))
@@ -72,3 +156,60 @@ def softrank_oracle(
         return (dsig.sum(axis=1) * v - dsig @ v) / tau
 
     return values, jacobian_apply
+
+
+def pav_oracle(scores: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Exhaustive isotonic fit for n <= 10 with distinct scores.
+
+    Enumerates every contiguous partition in score order, keeps those whose
+    block means are nondecreasing, and returns the SSE-minimizing fit per
+    input point. Test oracle; not for production sizes.
+    """
+    s, y = _check_fit_inputs(scores, targets)
+    n = s.size
+    if n > 10:
+        raise ValueError("oracle limited to n <= 10")
+    order = np.argsort(s, kind="stable")
+    if np.any(np.diff(s[order]) == 0):
+        raise ValueError("oracle requires distinct scores")
+    ys = y[order]
+    prefix = np.concatenate([[0.0], np.cumsum(ys)])
+
+    best_sse = np.inf
+    best_fit: np.ndarray | None = None
+    for mask in range(1 << (n - 1)):
+        bounds = [0] + [k + 1 for k in range(n - 1) if mask >> k & 1] + [n]
+        means = [
+            (prefix[b] - prefix[a]) / (b - a) for a, b in zip(bounds, bounds[1:])
+        ]
+        if any(m2 < m1 for m1, m2 in zip(means, means[1:])):
+            continue
+        fit = np.repeat(means, np.diff(bounds))
+        sse = float(np.sum((ys - fit) ** 2))
+        if sse < best_sse:
+            best_sse, best_fit = sse, fit
+    assert best_fit is not None  # the single-block partition is always feasible
+    out = np.empty(n)
+    out[order] = best_fit
+    return out
+
+
+def kendall_reference(a: np.ndarray, b: np.ndarray) -> float:
+    """O(n^2) tau-b over explicit pairs; cross-check for kendall()."""
+    a, b = _check(a, b)
+    n = a.size
+    if n < 2:
+        raise MetricError("need at least 2 points")
+    da = np.sign(a[:, None] - a[None, :])
+    db = np.sign(b[:, None] - b[None, :])
+    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+    prod = (da * db)[upper]
+    con = float(np.sum(prod > 0))
+    dis = float(np.sum(prod < 0))
+    total = n * (n - 1) / 2
+    ties_a = float(np.sum(da[upper] == 0))
+    ties_b = float(np.sum(db[upper] == 0))
+    denom = np.sqrt((total - ties_a) * (total - ties_b))
+    if denom == 0.0:
+        raise MetricError("undefined correlation: constant input")
+    return float((con - dis) / denom)

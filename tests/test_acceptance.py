@@ -9,21 +9,24 @@ import time
 
 import numpy as np
 import pytest
+from oracles import (
+    gini_rank_loss,
+    hard_pairwise_loss,
+    hard_pairwise_loss_ordered,
+    kendall_identity_check,
+    pav_oracle,
+)
 
 from cairoreg.bench import BenchConfig, run_bench
 from cairoreg.data import make_rng
 from cairoreg.dgp import Scenario, ScenarioSpec, generate
-from cairoreg.isotonic import audit_autocalibration, pav_fit, pav_oracle, predict
+from cairoreg.isotonic import audit_autocalibration, pav_fit, predict
 from cairoreg.losses import (
     PairwiseSurrogate,
     PointwiseMse,
     SoftGini,
     WeightVariant,
     evaluate_loss,
-    gini_rank_loss,
-    hard_pairwise_loss,
-    hard_pairwise_loss_ordered,
-    kendall_identity_check,
 )
 from cairoreg.metrics import kendall, spearman
 from cairoreg.pipeline import cairo_fit

@@ -10,7 +10,7 @@ from cairoreg.cli import OPTIONS, build_parser, main
 from cairoreg.data import TARGET_COLUMN, load_csv
 from cairoreg.losses import PairwiseSurrogate, SoftGini
 from cairoreg.pipeline import load_model, predict_model
-from cairoreg.scorer import AdamHyper, TrainConfig
+from cairoreg.scorer import TrainConfig
 
 
 def _simulate(tmp_path, name="data.csv", n=120, d=3, seed=1, scenario="normal"):
@@ -186,6 +186,27 @@ class TestFitPredictEval:
             assert run(command, renamed, tmp_path / f"c.{ext}") == 1
             assert "missing ['x1']" in capsys.readouterr().err
 
+    def test_duplicate_column_names_rejected(self, tmp_path, capsys):
+        data = _simulate(tmp_path, d=2)
+        model_path = _fit(tmp_path, data)
+        rows = list(csv.reader(data.open()))
+        dup = tmp_path / "dup.csv"
+        with dup.open("w", newline="") as fh:
+            csv.writer(fh).writerows([["x1", "x1", *rows[0][2:]], *rows[1:]])
+        pred = tmp_path / "pred.csv"
+        with pred.open("w", newline="") as fh:
+            csv.writer(fh).writerows([["prediction"] * 2, *(r[:2] for r in rows[1:])])
+        out = str(tmp_path / "out")
+        for args in (
+            ["fit", "--data", str(dup), "--model", "ranknet", "--epochs", "1", "--out", out],
+            ["predict", "--model", str(model_path), "--data", str(dup), "--out", out],
+            ["eval", "--model", str(model_path), "--data", str(dup), "--out", out],
+            ["eval", "--pred", str(pred), "--data", str(data), "--out", out],
+        ):
+            capsys.readouterr()
+            assert main(args) == 1, args
+            assert "duplicate column names" in capsys.readouterr().err, args
+
     def test_missing_file_is_runtime_error(self, tmp_path):
         rc = main(
             [
@@ -253,6 +274,20 @@ class TestConfigFile:
         assert rc == 1
 
 
+    def test_integer_options_are_not_truncated(self, tmp_path, capsys):
+        data = _simulate(tmp_path)
+        fit = ["fit", "--data", str(data), "--model", "ranknet", "--out", str(tmp_path / "m.json")]
+        cfg = tmp_path / "cfg.json"
+        for bad in ({"epochs": 2.7}, {"seed": 1.9}, {"batch_size": True}):
+            cfg.write_text(json.dumps(bad))
+            capsys.readouterr()
+            assert main([*fit, "--config", str(cfg)]) == 1, bad
+            key = next(iter(bad))
+            assert f"{key} must be an integer" in capsys.readouterr().err
+        cfg.write_text(json.dumps({"epochs": 2.0}))
+        assert main([*fit, "--config", str(cfg)]) == 0
+        assert json.loads((tmp_path / "m.json").read_text())["config"]["epochs"] == 2
+
     def test_rank_weights_full_set_is_not_an_option(self, tmp_path):
         data = _simulate(tmp_path)
         fit = ["fit", "--data", str(data), "--model", "ranknet", "--out", str(tmp_path / "m.json")]
@@ -289,14 +324,14 @@ class TestOptionTable:
         out = tmp_path / "m.json"
         assert main(["fit", "--data", str(data), "--model", "ranknet", "--out", str(out)]) == 0
         config = json.loads(out.read_text())["config"]
-        train, adam = TrainConfig(), AdamHyper()
+        train = TrainConfig()
         assert config == {
             "model": "ranknet",
             "data": str(data),
             "target_column": TARGET_COLUMN,
             "epochs": train.epochs,
             "batch_size": train.batch_size,
-            "learning_rate": adam.learning_rate,
+            "learning_rate": train.learning_rate,
             "sigma": PairwiseSurrogate().sigma,
             "temperature": SoftGini().temperature,
             "seed": train.seed,
@@ -316,7 +351,7 @@ class TestOptionTable:
         with pytest.raises(SystemExit):
             main(["fit", "--help"])
         text = capsys.readouterr().out
-        assert f"default: {AdamHyper().learning_rate}" in text
+        assert f"default: {TrainConfig().learning_rate}" in text
         assert f"default: {TrainConfig().batch_size}" in text
 
 

@@ -1,43 +1,30 @@
 import numpy as np
 import pytest
 
-from cairoreg.data import make_rng
-from cairoreg.dgp import (
-    Scenario,
-    ScenarioSpec,
-    generate,
-    sample_gamma,
-    sample_lognormal,
-    sample_standard_normal,
-)
+from cairoreg.dgp import HEAVY_NOISE_SCALE, Scenario, ScenarioSpec, generate
 
 
 class TestSamplers:
+    """The distributions generate draws its covariates and noise from."""
+
     def test_gamma_moments(self):
-        rng = make_rng(0)
-        draws = sample_gamma(rng, 2.0, 0.5, size=100_000)
+        ds = generate(_spec(Scenario.GAMMA_TAIL, n=100_000, seed=0))
+        draws = ds.targets / ds.true_mean  # Gamma(2, 1/2)
         assert np.all(draws > 0)
         assert draws.mean() == pytest.approx(1.0, abs=0.02)
+        assert draws.var() == pytest.approx(0.5, abs=0.02)
 
     def test_lognormal_moments(self):
-        rng = make_rng(1)
-        draws = sample_lognormal(rng, 0.0, 1.0, size=100_000)
+        ds = generate(_spec(Scenario.HEAVY_TAIL, n=100_000, seed=1))
+        scaled = HEAVY_NOISE_SCALE * np.sqrt(ds.true_mean)
+        draws = (ds.targets - ds.true_mean) / scaled + np.exp(0.5)  # LogNormal(0, 1)
         assert draws.mean() == pytest.approx(np.exp(0.5), abs=0.05)
+        assert np.median(draws) == pytest.approx(1.0, abs=0.02)
 
     def test_normal_moments(self):
-        rng = make_rng(2)
-        draws = sample_standard_normal(rng, 100_000)
+        draws = generate(_spec(Scenario.NORMAL, n=10_000, seed=2)).features.ravel()
         assert draws.var() == pytest.approx(1.0, abs=0.02)
         assert draws.mean() == pytest.approx(0.0, abs=0.02)
-
-    def test_parameter_validation(self):
-        rng = make_rng(3)
-        with pytest.raises(ValueError):
-            sample_gamma(rng, -1.0, 1.0)
-        with pytest.raises(ValueError):
-            sample_gamma(rng, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            sample_lognormal(rng, 0.0, -1.0)
 
 
 def _spec(scenario, **kw):

@@ -42,19 +42,16 @@ def _close(got, want, magnitude):
     s_tied=st.booleans(),
     variant=st.sampled_from(list(WeightVariant)),
     log_sigma=LOG_SCALE,
-    given_cdf=st.booleans(),
 )
-def test_surrogate_matches_oracle(n, seed, y_tied, s_tied, variant, log_sigma, given_cdf):
+def test_surrogate_matches_oracle(n, seed, y_tied, s_tied, variant, log_sigma):
     rng = np.random.default_rng(seed)
     y, s = _vector(rng, n, y_tied), _vector(rng, n, s_tied)
     sigma = 10.0**log_sigma
-    # a caller's cdf need not follow the targets' order; the pairs still do
-    cdf = rng.uniform(size=n) if given_cdf and variant is WeightVariant.RANK_GAP else None
-    got = surrogate_pairwise_loss(y, s, variant, sigma, cdf)
-    want = surrogate_pairwise_loss_oracle(y, s, variant, sigma, cdf)
+    got = surrogate_pairwise_loss(y, s, variant, sigma)
+    want = surrogate_pairwise_loss_oracle(y, s, variant, sigma)
     assert _close(got.value, want.value, abs(want.value))  # a sum of nonnegative terms
     assert _close(got.grad, want.grad, np.max(np.abs(want.grad)))
-    again = surrogate_pairwise_loss(y, s, variant, sigma, cdf)
+    again = surrogate_pairwise_loss(y, s, variant, sigma)
     assert again.value == got.value and again.grad.tobytes() == got.grad.tobytes()
 
 

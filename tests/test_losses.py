@@ -1,5 +1,12 @@
 import numpy as np
 import pytest
+from oracles import (
+    _weight_matrix,
+    gini_rank_loss,
+    hard_pairwise_loss,
+    hard_pairwise_loss_ordered,
+    kendall_identity_check,
+)
 
 from cairoreg.losses import (
     LossValueGrad,
@@ -8,13 +15,7 @@ from cairoreg.losses import (
     SoftGini,
     WeightVariant,
     evaluate_loss,
-    gini_rank_loss,
-    hard_pairwise_loss,
-    hard_pairwise_loss_ordered,
-    kendall_identity_check,
-    mid_cdf,
     mse_loss,
-    pair_weight,
     soft_gini_loss,
     surrogate_pairwise_loss,
 )
@@ -31,32 +32,28 @@ def _tie_free(rng, n):
 
 
 class TestPairWeight:
+    """The pair weights every loss oracle is built from."""
+
     def test_uniform(self):
-        assert pair_weight(WeightVariant.UNIFORM, 3.0, -17.0) == 1.0
+        np.testing.assert_array_equal(
+            _weight_matrix(WeightVariant.UNIFORM, np.array([3.0, -17.0])), np.ones((2, 2))
+        )
 
     def test_absolute_gap(self):
-        assert pair_weight(WeightVariant.ABSOLUTE_GAP, 3.0, 1.0) == 2.0
+        w = _weight_matrix(WeightVariant.ABSOLUTE_GAP, np.array([3.0, 1.0]))
+        assert w[0, 1] == 2.0
 
     def test_rank_gap(self):
-        cdf = mid_cdf(np.array([10.0, 20.0, 30.0]))
-        assert pair_weight(WeightVariant.RANK_GAP, 10.0, 30.0, cdf) == pytest.approx(
-            2 / 3, abs=1e-15
-        )
+        w = _weight_matrix(WeightVariant.RANK_GAP, np.array([10.0, 20.0, 30.0]))
+        assert w[0, 2] == pytest.approx(2 / 3, abs=1e-15)
 
     def test_symmetric(self):
         rng = np.random.default_rng(0)
         y = rng.normal(size=10)
-        cdf = mid_cdf(y)
         for variant in ALL_VARIANTS:
-            for _ in range(20):
-                i, j = rng.integers(0, 10, size=2)
-                a = pair_weight(variant, y[i], y[j], cdf)
-                b = pair_weight(variant, y[j], y[i], cdf)
-                assert a == b and a >= 0
-
-    def test_rank_gap_requires_cdf(self):
-        with pytest.raises(ValueError, match="mid-distribution"):
-            pair_weight(WeightVariant.RANK_GAP, 1.0, 2.0)
+            w = _weight_matrix(variant, y)
+            np.testing.assert_array_equal(w, w.T)
+            assert np.all(w >= 0)
 
 
 class TestHardPairwiseLoss:

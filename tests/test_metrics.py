@@ -1,16 +1,9 @@
 import numpy as np
 import pytest
+from oracles import kendall_reference
 from scipy import stats
 
-from cairoreg.metrics import (
-    EvalReport,
-    MetricError,
-    aggregate,
-    kendall,
-    kendall_reference,
-    rmse,
-    spearman,
-)
+from cairoreg.metrics import EvalReport, MetricError, aggregate, kendall, rmse, spearman
 
 
 class TestRmse:

@@ -130,7 +130,7 @@ class TestPredictionInput:
 
     def test_bundle_feature_names_must_match_scorer(self, normal_model):
         _, model = normal_model
-        for names in (None, ["x1", "x2"], ["x1", "x2", "x3", 4]):
+        for names in (None, ["x1", "x2"], ["x1", "x2", "x3", 4], ["x1", "x2", "x3", "x1"]):
             obj = model_to_dict(model)
             obj["feature_names"] = names
             with pytest.raises(ValueError, match="feature_names"):
@@ -191,6 +191,9 @@ class TestVariants:
         )
         with pytest.raises(ValueError, match="only to ranking variants"):
             fit_variant("nn-mse", ds, _quick_cfg(), calibration_fraction=0.25)
+        for fraction in (0.0, 1.0, 1.5):
+            with pytest.raises(ValueError, match=r"calibration_fraction must lie in \(0, 1\)"):
+                fit_variant("ranknet", ds, cfg, calibration_fraction=fraction)
 
 
 class TestSerialization:

@@ -2,14 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import rankdata
 
-from cairoreg.ranks import (
-    SoftRankConfig,
-    empirical_cdf,
-    mid_distribution,
-    mid_distribution_at,
-    rank,
-    softrank,
-)
+from cairoreg.ranks import SoftRankConfig, mid_distribution, rank, softrank
 
 
 class TestRank:
@@ -50,22 +43,6 @@ class TestRank:
             rank(np.array([1.0, np.nan]))
 
 
-class TestEmpiricalCdf:
-    def test_rank_over_n(self):
-        np.testing.assert_allclose(
-            empirical_cdf(np.array([0.3, 0.1, 0.2])), [1.0, 1 / 3, 2 / 3]
-        )
-
-    def test_tied_pair(self):
-        np.testing.assert_allclose(empirical_cdf(np.array([1.0, 1.0])), [0.75, 0.75])
-
-    def test_strictly_increasing(self):
-        n = 9
-        np.testing.assert_allclose(
-            empirical_cdf(np.arange(n, dtype=float)), np.arange(1, n + 1) / n
-        )
-
-
 class TestMidDistribution:
     def test_tied_counts(self):
         np.testing.assert_allclose(
@@ -94,20 +71,6 @@ class TestMidDistribution:
             [(np.sum(v < x) + 0.5 * np.sum(v == x)) / v.size for x in v]
         )
         np.testing.assert_allclose(mid_distribution(v), expected, atol=1e-15)
-
-    def test_evaluation_at_sample_matches(self):
-        rng = np.random.default_rng(5)
-        v = rng.integers(0, 4, size=18).astype(float)
-        np.testing.assert_allclose(
-            mid_distribution_at(v, v), mid_distribution(v), atol=1e-15
-        )
-
-    def test_evaluation_off_sample(self):
-        sample = np.array([1.0, 2.0, 3.0])
-        # below all, between, above all
-        np.testing.assert_allclose(
-            mid_distribution_at(sample, np.array([0.0, 2.5, 9.0])), [0.0, 2 / 3, 1.0]
-        )
 
 
 class TestSoftRank:
