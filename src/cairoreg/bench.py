@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .data import SplitSpec, split
 from .dgp import Scenario, ScenarioSpec, generate
-from .metrics import AggregateReport, EvalReport, aggregate, kendall, rmse, spearman
+from .metrics import METRICS, AggregateReport, EvalReport, aggregate, kendall, rmse, spearman
 from .pipeline import VARIANTS, FitHyper, fit_variant, predict_model, variant_train_config
 
 RESULTS_VERSION = "cairo-bench-v1"
@@ -156,19 +156,11 @@ def config_to_dict(cfg) -> dict:
 
 def result_to_dict(result: BenchResult) -> dict:
     def agg_entry(scenario: str, agg: AggregateReport) -> dict:
-        entry = {
-            "scenario": scenario,
-            "model": agg.model_name,
-            "repetitions": agg.repetitions,
-            "spearman": {"mean": agg.spearman.mean, "ci95": agg.spearman.half_width},
-            "kendall": {"mean": agg.kendall.mean, "ci95": agg.kendall.half_width},
-            "rmse": {"mean": agg.rmse.mean, "ci95": agg.rmse.half_width},
-        }
-        if agg.rmse_vs_true_mean is not None:
-            entry["rmse_vs_true_mean"] = {
-                "mean": agg.rmse_vs_true_mean.mean,
-                "ci95": agg.rmse_vs_true_mean.half_width,
-            }
+        entry = {"scenario": scenario, "model": agg.model_name, "repetitions": agg.repetitions}
+        for metric in METRICS:
+            stat = getattr(agg, metric)
+            if stat is not None:
+                entry[metric] = {"mean": stat.mean, "ci95": stat.half_width}
         return entry
 
     return {
@@ -179,10 +171,7 @@ def result_to_dict(result: BenchResult) -> dict:
                 "scenario": r.scenario,
                 "model": r.model,
                 "rep": r.rep,
-                "spearman": r.report.spearman,
-                "kendall": r.report.kendall,
-                "rmse": r.report.rmse,
-                "rmse_vs_true_mean": r.report.rmse_vs_true_mean,
+                **{metric: getattr(r.report, metric) for metric in METRICS},
             }
             for r in result.raw
         ],
@@ -198,33 +187,12 @@ def write_table_csv(result: BenchResult, path: str | Path) -> None:
     """Summary table: one row per (scenario, model) with mean +/- half-width."""
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "scenario",
-                "model",
-                "spearman",
-                "spearman_ci95",
-                "kendall",
-                "kendall_ci95",
-                "rmse",
-                "rmse_ci95",
-                "rmse_vs_true_mean",
-                "rmse_vs_true_mean_ci95",
-            ]
-        )
+        writer.writerow(["scenario", "model", *(f"{m}{s}" for m in METRICS for s in ("", "_ci95"))])
         for scenario, agg in result.aggregates:
-            vs = agg.rmse_vs_true_mean
-            writer.writerow(
-                [
-                    scenario,
-                    agg.model_name,
-                    f"{agg.spearman.mean:.17g}",
-                    f"{agg.spearman.half_width:.17g}",
-                    f"{agg.kendall.mean:.17g}",
-                    f"{agg.kendall.half_width:.17g}",
-                    f"{agg.rmse.mean:.17g}",
-                    f"{agg.rmse.half_width:.17g}",
-                    "" if vs is None else f"{vs.mean:.17g}",
-                    "" if vs is None else f"{vs.half_width:.17g}",
-                ]
-            )
+            row = [scenario, agg.model_name]
+            for metric in METRICS:
+                stat = getattr(agg, metric)
+                row += (
+                    ["", ""] if stat is None else [f"{stat.mean:.17g}", f"{stat.half_width:.17g}"]
+                )
+            writer.writerow(row)

@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .bench import (
+    RESULTS_VERSION,
     BenchConfig,
     config_to_dict,
     run_bench,
@@ -57,6 +58,7 @@ from .scorer import TrainConfig, forward
 EVAL_VERSION = "cairo-eval-v1"
 DATASET_VERSION = "cairo-dataset-v1"
 PREDICTIONS_VERSION = "cairo-predictions-v1"
+PLOT_DATA_VERSION = "cairo-plot-data-v1"
 
 
 class CliError(RuntimeError):
@@ -73,6 +75,7 @@ def _table(cls) -> dict[str, tuple[type, object]]:
 
 
 _TARGET = {"target_column": (str, TARGET_COLUMN)}
+_HYPER = _table(FitHyper)
 
 # Each command's options: every key is a flag and an allowed --config key,
 # except dict-valued ones (bench's per-model overrides), which only a
@@ -82,7 +85,7 @@ OPTIONS = {
     "fit": {
         "model": (str, None),
         **_TARGET,
-        **_table(FitHyper),
+        **_HYPER,
         "seed": (int, TrainConfig.seed),
         "calibration_fraction": (float, None),
     },
@@ -93,6 +96,14 @@ OPTIONS = {
 
 
 def _coerce(key: str, kind, value):
+    if kind is dict:  # bench's {model: {FitHyper field: value}}; BenchConfig rejects unknown keys
+        return {
+            model: {
+                k: _coerce(f"{model}.{k}", _HYPER[k][0], v) if k in _HYPER else v
+                for k, v in kv.items()
+            }
+            for model, kv in value.items()
+        }
     if typing.get_origin(kind) is tuple:  # comma-separated on the command line
         if isinstance(value, str):
             value = [v for v in value.split(",") if v]
@@ -102,6 +113,8 @@ def _coerce(key: str, kind, value):
         isinstance(value, bool) or (isinstance(value, float) and not value.is_integer())
     ):
         raise CliError(f"{key} must be an integer, got {value!r}")
+    if kind is float and isinstance(value, bool):
+        raise CliError(f"{key} must be a number, got {value!r}")
     return kind(value)
 
 
@@ -175,7 +188,7 @@ def _emit_plot_data(model, ds, path: Path, config: dict) -> None:
         scores = predict_model(model, ds.features)
         calibrated = scores
     write_numeric_csv(path, ["score", "target", "calibrated"], [scores, ds.targets, calibrated])
-    _write_sidecar(path, "cairo-plot-data-v1", config)
+    _write_sidecar(path, PLOT_DATA_VERSION, config)
 
 
 def _load_feature_matrix(path: str, target_column: str, names: tuple[str, ...]) -> np.ndarray:
@@ -250,7 +263,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     result = run_bench(cfg, max_workers=args.threads)
     write_results_json(result, out_dir / "results.json")
     write_table_csv(result, out_dir / "table1.csv")
-    _write_sidecar(out_dir / "table1.csv", "cairo-bench-v1", config_to_dict(cfg))
+    _write_sidecar(out_dir / "table1.csv", RESULTS_VERSION, config_to_dict(cfg))
     print(f"bench complete: {len(result.raw)} model-repetitions; results in {out_dir}")
     return 0
 

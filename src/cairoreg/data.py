@@ -23,8 +23,8 @@ class DataError(ValueError):
     pass
 
 
-def make_rng(seed: int) -> np.random.Generator:
-    """Counter-based generator for a 64-bit seed; the only RNG entry point.
+def make_rng(seed: int | np.random.SeedSequence) -> np.random.Generator:
+    """Counter-based generator for a 64-bit seed or a SeedSequence; the only RNG entry point.
 
     Every stochastic operation takes one of these explicitly. Parallel
     repetitions fork by constructing a fresh generator from a derived seed.

@@ -6,7 +6,7 @@ variant (tie-corrected), computed in O(n log n) by inversion counting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -33,6 +33,10 @@ class EvalReport:
                 raise MetricError(f"{name} out of range: {v}")
         if not np.isfinite(self.rmse) or self.rmse < 0:
             raise MetricError(f"invalid rmse: {self.rmse}")
+
+
+# the report's metric names, in output order
+METRICS = tuple(f.name for f in fields(EvalReport))[1:]
 
 
 def _check(a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -150,16 +154,8 @@ def aggregate(reports: Sequence[EvalReport]) -> AggregateReport:
     names = {r.model_name for r in reports}
     if len(names) != 1:
         raise MetricError(f"reports mix models: {sorted(names)}")
-    vs_true = None
-    if all(r.rmse_vs_true_mean is not None for r in reports):
-        vs_true = _aggregate_values(
-            np.array([r.rmse_vs_true_mean for r in reports])
-        )
-    return AggregateReport(
-        model_name=reports[0].model_name,
-        repetitions=len(reports),
-        spearman=_aggregate_values(np.array([r.spearman for r in reports])),
-        kendall=_aggregate_values(np.array([r.kendall for r in reports])),
-        rmse=_aggregate_values(np.array([r.rmse for r in reports])),
-        rmse_vs_true_mean=vs_true,
-    )
+    stats = {}
+    for metric in METRICS:
+        values = [getattr(r, metric) for r in reports]
+        stats[metric] = None if None in values else _aggregate_values(np.array(values))
+    return AggregateReport(model_name=reports[0].model_name, repetitions=len(reports), **stats)

@@ -78,11 +78,11 @@ class FitHyper:
 def variant_train_config(variant: str, seed: int, hyper: FitHyper) -> TrainConfig:
     """Training configuration of one named variant under the given hyperparameters."""
     return TrainConfig(
-        epochs=int(hyper.epochs),
-        batch_size=int(hyper.batch_size),
+        epochs=hyper.epochs,
+        batch_size=hyper.batch_size,
         seed=seed,
-        loss=variant_loss_spec(variant, float(hyper.sigma), float(hyper.temperature)),
-        learning_rate=float(hyper.learning_rate),
+        loss=variant_loss_spec(variant, hyper.sigma, hyper.temperature),
+        learning_rate=hyper.learning_rate,
     )
 
 

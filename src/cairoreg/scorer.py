@@ -3,6 +3,11 @@
 The network is score(x) = w3 . relu(W2 relu(W1 x + b1) + b2) + b3. Width
 defaults to 32 x 16. Training minimizes any LossSpec objective batchwise;
 pairwise losses only ever see pairs inside one batch.
+
+All parameters live in one float64 vector, in the order W1 (h1 x d),
+b1 (h1), W2 (h2 x h1), b2 (h2), w3 (h2), b3 (one entry), with matrices
+row-major. Gradients and Adam's moments are vectors in the same layout,
+so an Adam step is one elementwise update.
 """
 
 from __future__ import annotations
@@ -12,48 +17,46 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, make_rng
 from .losses import LossSpec, PointwiseMse, evaluate_loss, is_ranking_loss
-
-_FIELDS = ("W1", "b1", "W2", "b2", "w3", "b3")
 
 MODEL_VERSION = "cairo-mlp-v1"
 
 
+def _layout(dims: tuple[int, int, int]) -> list[tuple[str, tuple[int, ...]]]:
+    """Each layer's name and shape, in vector order; () marks the scalar b3."""
+    d, h1, h2 = dims
+    return [
+        ("W1", (h1, d)), ("b1", (h1,)), ("W2", (h2, h1)), ("b2", (h2,)), ("w3", (h2,)), ("b3", ())
+    ]
+
+
 @dataclass(frozen=True)
 class MlpParams:
-    W1: np.ndarray  # (h1, d)
-    b1: np.ndarray  # (h1,)
-    W2: np.ndarray  # (h2, h1)
-    b2: np.ndarray  # (h2,)
-    w3: np.ndarray  # (h2,)
-    b3: float
+    """The parameter vector and dims = (d, h1, h2).
 
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.W1.shape[1], self.W1.shape[0], self.W2.shape[0]
+    W1, b1, W2, b2 and w3 are views into the vector; b3 reads as a float.
+    """
 
+    vector: np.ndarray
+    dims: tuple[int, int, int]
 
-def _arrays(p: MlpParams) -> list[np.ndarray]:
-    return [np.asarray(getattr(p, name), dtype=np.float64) for name in _FIELDS]
-
-
-def _params_from_arrays(arrs: list[np.ndarray]) -> MlpParams:
-    return MlpParams(
-        W1=arrs[0], b1=arrs[1], W2=arrs[2], b2=arrs[3], w3=arrs[4], b3=float(arrs[5])
-    )
+    def __post_init__(self) -> None:
+        pos = 0
+        for name, shape in _layout(self.dims):
+            view = self.vector[pos : pos + math.prod(shape)].reshape(shape)
+            object.__setattr__(self, name, view if shape else float(view))
+            pos += view.size
+        if self.vector.shape != (pos,):
+            raise ValueError(f"parameter vector has shape {self.vector.shape}, dims need ({pos},)")
 
 
 def flatten_params(p: MlpParams) -> np.ndarray:
-    return np.concatenate([a.ravel() for a in _arrays(p)])
+    return p.vector.copy()
 
 
 def unflatten_params(vec: np.ndarray, like: MlpParams) -> MlpParams:
-    arrs, pos = [], 0
-    for a in _arrays(like):
-        arrs.append(np.asarray(vec[pos : pos + a.size]).reshape(a.shape))
-        pos += a.size
-    return _params_from_arrays(arrs)
+    return MlpParams(vec, like.dims)
 
 
 def init_params(d: int, seed: int, hidden: tuple[int, int] = (32, 16)) -> MlpParams:
@@ -61,20 +64,14 @@ def init_params(d: int, seed: int, hidden: tuple[int, int] = (32, 16)) -> MlpPar
     if d < 1:
         raise ValueError("input dimension must be >= 1")
     h1, h2 = hidden
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = make_rng(seed)
 
     def glorot(fan_out: int, fan_in: int) -> np.ndarray:
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         return rng.uniform(-bound, bound, size=(fan_out, fan_in))
 
-    return MlpParams(
-        W1=glorot(h1, d),
-        b1=np.zeros(h1),
-        W2=glorot(h2, h1),
-        b2=np.zeros(h2),
-        w3=glorot(1, h2)[0],
-        b3=0.0,
-    )
+    layers = [glorot(h1, d), np.zeros(h1), glorot(h2, h1), np.zeros(h2), glorot(1, h2), 0.0]
+    return MlpParams(np.concatenate(layers, axis=None), (d, h1, h2))
 
 
 @dataclass(frozen=True)
@@ -103,8 +100,8 @@ def forward(params: MlpParams, X: np.ndarray) -> tuple[np.ndarray, ForwardCache]
 def backward(cache: ForwardCache, grad_scores: np.ndarray) -> MlpParams:
     """Exact gradient of sum_i grad_scores_i * score_i w.r.t. every parameter.
 
-    The ReLU subgradient at 0 is taken as 0. Returns gradients packed in an
-    MlpParams container.
+    The ReLU subgradient at 0 is taken as 0. Returns the gradient vector
+    packed in an MlpParams container.
     """
     g = np.asarray(grad_scores, dtype=np.float64)
     if g.shape != (cache.X.shape[0],):
@@ -114,14 +111,15 @@ def backward(cache: ForwardCache, grad_scores: np.ndarray) -> MlpParams:
     dZ2 = dH2 * (cache.Z2 > 0.0)
     dH1 = dZ2 @ p.W2
     dZ1 = dH1 * (cache.Z1 > 0.0)
-    return MlpParams(
-        W1=dZ1.T @ cache.X,
-        b1=dZ1.sum(axis=0),
-        W2=dZ2.T @ cache.H1,
-        b2=dZ2.sum(axis=0),
-        w3=cache.H2.T @ g,
-        b3=float(g.sum()),
-    )
+    layers = [  # in vector order
+        dZ1.T @ cache.X,
+        dZ1.sum(axis=0),
+        dZ2.T @ cache.H1,
+        dZ2.sum(axis=0),
+        cache.H2.T @ g,
+        g.sum(),
+    ]
+    return MlpParams(np.concatenate(layers, axis=None), p.dims)
 
 
 # Adam's moment decay rates and denominator guard; the learning rate is
@@ -133,39 +131,31 @@ ADAM_EPSILON = 1e-8
 
 @dataclass(frozen=True)
 class AdamState:
-    m: MlpParams
-    v: MlpParams
+    m: np.ndarray
+    v: np.ndarray
     step: int
     learning_rate: float
 
 
 def init_adam(params: MlpParams, learning_rate: float) -> AdamState:
-    zeros = _params_from_arrays([np.zeros_like(a) for a in _arrays(params)])
+    zeros = np.zeros_like(params.vector)
     return AdamState(m=zeros, v=zeros, step=0, learning_rate=learning_rate)
 
 
 def adam_step(
     params: MlpParams, grads: MlpParams, state: AdamState
 ) -> tuple[MlpParams, AdamState]:
-    """One bias-corrected Adam update; purely functional."""
+    """One bias-corrected Adam update of the whole parameter vector; purely functional."""
     t = state.step + 1
-    new_p, new_m, new_v = [], [], []
-    for p, g, m, v in zip(_arrays(params), _arrays(grads), _arrays(state.m), _arrays(state.v)):
-        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g**2
-        m_hat = m / (1.0 - ADAM_BETA1**t)
-        v_hat = v / (1.0 - ADAM_BETA2**t)
-        new_p.append(p - state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON))
-        new_m.append(m)
-        new_v.append(v)
+    g = grads.vector
+    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * g**2
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    step = state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
     return (
-        _params_from_arrays(new_p),
-        AdamState(
-            m=_params_from_arrays(new_m),
-            v=_params_from_arrays(new_v),
-            step=t,
-            learning_rate=state.learning_rate,
-        ),
+        MlpParams(params.vector - step, params.dims),
+        AdamState(m=m, v=v, step=t, learning_rate=state.learning_rate),
     )
 
 
@@ -205,9 +195,7 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[MlpParams, list[float]]:
     history: list[float] = []
 
     for epoch in range(cfg.epochs):
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence([cfg.seed, epoch]))
-        )
+        rng = make_rng(np.random.SeedSequence([cfg.seed, epoch]))
         order = rng.permutation(ds.n)
         batch_losses = []
         for batch, start in enumerate(range(0, ds.n, cfg.batch_size)):
@@ -232,28 +220,26 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[MlpParams, list[float]]:
 
 def mlp_to_dict(params: MlpParams) -> dict:
     """Flat JSON-ready dict; matrices stored row-major, shapes implied by dims."""
-    d, h1, h2 = params.dims
-    return {
-        "version": MODEL_VERSION,
-        "dims": [d, h1, h2],
-        "W1": params.W1.ravel().tolist(),
-        "b1": params.b1.tolist(),
-        "W2": params.W2.ravel().tolist(),
-        "b2": params.b2.tolist(),
-        "w3": params.w3.tolist(),
-        "b3": params.b3,
-    }
+    out = {"version": MODEL_VERSION, "dims": list(params.dims)}
+    for name, shape in _layout(params.dims):
+        layer = getattr(params, name)
+        out[name] = layer.ravel().tolist() if shape else layer
+    return out
 
 
 def mlp_from_dict(obj: dict) -> MlpParams:
+    """Inverse of mlp_to_dict; every layer's length must match dims."""
     if obj.get("version") != MODEL_VERSION:
         raise ValueError(f"unsupported scorer version: {obj.get('version')!r}")
-    d, h1, h2 = obj["dims"]
-    return MlpParams(
-        W1=np.asarray(obj["W1"], dtype=np.float64).reshape(h1, d),
-        b1=np.asarray(obj["b1"], dtype=np.float64),
-        W2=np.asarray(obj["W2"], dtype=np.float64).reshape(h2, h1),
-        b2=np.asarray(obj["b2"], dtype=np.float64),
-        w3=np.asarray(obj["w3"], dtype=np.float64),
-        b3=float(obj["b3"]),
-    )
+    dims = tuple(obj["dims"])
+    layers = []
+    for name, shape in _layout(dims):
+        layer = np.asarray(obj[name], dtype=np.float64)
+        want = (math.prod(shape),) if shape else ()
+        if layer.shape != want:
+            raise ValueError(
+                f"corrupt bundle: scorer layer {name} has shape {layer.shape}, "
+                f"dims {list(dims)} need {want}"
+            )
+        layers.append(layer)
+    return MlpParams(np.concatenate(layers, axis=None), dims)

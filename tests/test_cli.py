@@ -277,13 +277,20 @@ class TestConfigFile:
     def test_integer_options_are_not_truncated(self, tmp_path, capsys):
         data = _simulate(tmp_path)
         fit = ["fit", "--data", str(data), "--model", "ranknet", "--out", str(tmp_path / "m.json")]
+        bench = ["bench", "--scenarios", "normal", "--models", "ranknet", "--n", "200"]
+        bench += ["--repetitions", "1", "--out-dir", str(tmp_path / "bench")]
         cfg = tmp_path / "cfg.json"
-        for bad in ({"epochs": 2.7}, {"seed": 1.9}, {"batch_size": True}):
+        for command, bad, message in (
+            (fit, {"epochs": 2.7}, "epochs must be an integer"),
+            (fit, {"seed": 1.9}, "seed must be an integer"),
+            (fit, {"batch_size": True}, "batch_size must be an integer"),
+            (fit, {"sigma": True}, "sigma must be a number"),
+            (bench, {"overrides": {"ranknet": {"epochs": 1.7}}}, "epochs must be an integer"),
+        ):
             cfg.write_text(json.dumps(bad))
             capsys.readouterr()
-            assert main([*fit, "--config", str(cfg)]) == 1, bad
-            key = next(iter(bad))
-            assert f"{key} must be an integer" in capsys.readouterr().err
+            assert main([*command, "--config", str(cfg)]) == 1, bad
+            assert message in capsys.readouterr().err
         cfg.write_text(json.dumps({"epochs": 2.0}))
         assert main([*fit, "--config", str(cfg)]) == 0
         assert json.loads((tmp_path / "m.json").read_text())["config"]["epochs"] == 2

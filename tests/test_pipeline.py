@@ -123,10 +123,16 @@ class TestPredictionInput:
 
     def test_bundle_standardizer_must_match_scorer(self, normal_model):
         _, model = normal_model
-        obj = model_to_dict(model)
-        obj["standardizer"]["mean"] = obj["standardizer"]["mean"][:2]
-        with pytest.raises(ValueError, match="standardizer lengths"):
-            model_from_dict(obj)
+        for section, edits, match in (
+            ("standardizer", {"mean": lambda v: v[:2]}, "standardizer lengths"),
+            # b1 one entry too long, b2 one too short: the total length still fits dims
+            ("scorer", {"b1": lambda v: v + [0.5], "b2": lambda v: v[:-1]}, "scorer layer b1"),
+        ):
+            obj = model_to_dict(model)
+            for key, edit in edits.items():
+                obj[section][key] = edit(obj[section][key])
+            with pytest.raises(ValueError, match=match):
+                model_from_dict(obj)
 
     def test_bundle_feature_names_must_match_scorer(self, normal_model):
         _, model = normal_model

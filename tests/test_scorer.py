@@ -9,6 +9,7 @@ from cairoreg.losses import (
     WeightVariant,
 )
 from cairoreg.scorer import (
+    MlpParams,
     TrainConfig,
     adam_step,
     backward,
@@ -33,6 +34,12 @@ class TestInit:
         assert p.w3.shape == (16,)
         assert isinstance(p.b3, float)
         assert p.dims == (10, 32, 16)
+        # the layers are views into one vector, in this order
+        layers = [p.W1, p.b1, p.W2, p.b2, p.w3, p.b3]
+        np.testing.assert_array_equal(np.concatenate(layers, axis=None), p.vector)
+        assert all(np.shares_memory(layer, p.vector) for layer in layers[:5])
+        with pytest.raises(ValueError, match="parameter vector"):
+            MlpParams(np.append(p.vector, 0.0), p.dims)
 
     def test_deterministic(self):
         a = init_params(5, seed=7)
@@ -59,21 +66,15 @@ class TestInit:
 class TestForward:
     def test_zero_weights_give_output_bias(self):
         p = init_params(3, seed=0)
-        zero = unflatten_params(np.zeros(flatten_params(p).size), p)
-        zero = type(zero)(W1=zero.W1, b1=zero.b1, W2=zero.W2, b2=zero.b2, w3=zero.w3, b3=4.5)
+        vec = np.zeros(flatten_params(p).size)
+        vec[-1] = 4.5  # b3
+        zero = MlpParams(vec, p.dims)
         scores, _ = forward(zero, np.random.default_rng(0).normal(size=(6, 3)))
         np.testing.assert_array_equal(scores, np.full(6, 4.5))
 
     def test_hand_computed_single_unit_chain(self):
-        p = init_params(1, seed=0, hidden=(1, 1))
-        p = type(p)(
-            W1=np.array([[2.0]]),
-            b1=np.array([0.5]),
-            W2=np.array([[3.0]]),
-            b2=np.array([-1.0]),
-            w3=np.array([2.0]),
-            b3=1.0,
-        )
+        # W1, b1, W2, b2, w3, b3
+        p = MlpParams(np.array([2.0, 0.5, 3.0, -1.0, 2.0, 1.0]), (1, 1, 1))
         scores, _ = forward(p, np.array([[1.0]]))
         # relu(2*1+0.5)=2.5 -> relu(3*2.5-1)=6.5 -> 2*6.5+1
         assert scores[0] == 14.0
@@ -129,7 +130,8 @@ class TestBackward:
         # huge positive biases keep every relu active, so the map is affine
         rng = np.random.default_rng(4)
         p = init_params(3, seed=5, hidden=(4, 2))
-        p = type(p)(W1=p.W1, b1=p.b1 + 100.0, W2=p.W2, b2=p.b2 + 1000.0, w3=p.w3, b3=0.0)
+        layers = [p.W1, p.b1 + 100.0, p.W2, p.b2 + 1000.0, p.w3, 0.0]
+        p = MlpParams(np.concatenate(layers, axis=None), p.dims)
         X = rng.normal(size=(7, 3))
         cot = rng.normal(size=7)
         _, cache = forward(p, X)
@@ -175,6 +177,32 @@ class TestAdam:
         a2, s2 = adam_step(p, g, s)
         np.testing.assert_array_equal(flatten_params(a1), flatten_params(a2))
         assert s1.step == s2.step == 1
+
+    def test_matches_per_layer_textbook_update(self):
+        # Kingma & Ba's Adam, written out layer by layer with their default constants
+        lr, beta1, beta2, eps = 0.01, 0.9, 0.999, 1e-8
+        names = ("W1", "b1", "W2", "b2", "w3", "b3")
+        rng = np.random.default_rng(11)
+        p = init_params(3, seed=12, hidden=(4, 3))
+        p = unflatten_params(rng.normal(size=p.vector.size), p)
+        want = {k: np.asarray(getattr(p, k)) for k in names}
+        m = {k: np.zeros_like(a) for k, a in want.items()}
+        v = {k: np.zeros_like(a) for k, a in want.items()}
+        state = init_adam(p, lr)
+        for t in range(1, 6):
+            g = unflatten_params(rng.normal(scale=t, size=p.vector.size), p)
+            p, state = adam_step(p, g, state)
+            for k in names:
+                gk = np.asarray(getattr(g, k))
+                m[k] = beta1 * m[k] + (1.0 - beta1) * gk
+                v[k] = beta2 * v[k] + (1.0 - beta2) * gk**2
+                m_hat = m[k] / (1.0 - beta1**t)
+                v_hat = v[k] / (1.0 - beta2**t)
+                want[k] = want[k] - lr * m_hat / (np.sqrt(v_hat) + eps)
+            for got, ref in ((p.vector, want), (state.m, m), (state.v, v)):
+                ref_vec = np.concatenate([ref[k] for k in names], axis=None)
+                assert got.tobytes() == ref_vec.tobytes(), t
+        assert state.step == 5
 
 
 def _linear_ds(n=500, seed=7):
