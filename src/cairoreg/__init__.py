@@ -21,10 +21,9 @@ from .pipeline import (
     CairoModel,
     MseBaselineModel,
     cairo_fit,
-    cairo_predict,
     load_model,
     mse_fit,
-    mse_predict,
+    predict_model,
     save_model,
 )
 from .scorer import MlpParams, TrainConfig, train
@@ -51,15 +50,14 @@ __all__ = [
     "aggregate",
     "audit_autocalibration",
     "cairo_fit",
-    "cairo_predict",
     "generate",
     "kendall",
     "load_csv",
     "load_model",
     "make_rng",
     "mse_fit",
-    "mse_predict",
     "pav_fit",
+    "predict_model",
     "rmse",
     "save_model",
     "spearman",

@@ -96,26 +96,31 @@ OPTIONS = {
 
 
 def _coerce(key: str, kind, value):
+    """The option's value as its type; a value that does not fit raises CliError naming its key."""
     if kind is dict:  # bench's {model: {FitHyper field: value}}; BenchConfig rejects unknown keys
+        if not isinstance(value, dict) or not all(isinstance(kv, dict) for kv in value.values()):
+            raise CliError(f"{key} must map model names to objects of FitHyper keys, got {value!r}")
         return {
             model: {
-                k: _coerce(f"{model}.{k}", _HYPER[k][0], v) if k in _HYPER else v
+                k: _coerce(f"{key}.{model}.{k}", _HYPER[k][0], v) if k in _HYPER else v
                 for k, v in kv.items()
             }
             for model, kv in value.items()
         }
-    if typing.get_origin(kind) is tuple:  # comma-separated on the command line
-        if isinstance(value, str):
-            value = [v for v in value.split(",") if v]
-        element = typing.get_args(kind)[0]
-        return tuple(element(v) for v in value)
-    if kind is int and (
-        isinstance(value, bool) or (isinstance(value, float) and not value.is_integer())
+    wanted = {bool: "true or false", int: "an integer", float: "a number"}.get(kind)
+    if wanted and (
+        isinstance(value, bool) != (kind is bool)
+        or (kind is int and isinstance(value, float) and not value.is_integer())
     ):
-        raise CliError(f"{key} must be an integer, got {value!r}")
-    if kind is float and isinstance(value, bool):
-        raise CliError(f"{key} must be a number, got {value!r}")
-    return kind(value)
+        raise CliError(f"{key} must be {wanted}, got {value!r}")
+    try:
+        if typing.get_origin(kind) is tuple:  # comma-separated on the command line
+            if isinstance(value, str):
+                value = [v for v in value.split(",") if v]
+            return tuple(_coerce(key, typing.get_args(kind)[0], v) for v in value)
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"{key}: {exc}") from None
 
 
 def _resolve(args: argparse.Namespace) -> dict:

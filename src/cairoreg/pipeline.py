@@ -141,33 +141,13 @@ def cairo_fit(
     )
 
 
-def _check_features(model: Model, X: np.ndarray) -> np.ndarray:
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    expected = model.scorer.dims[0]
-    if X.ndim != 2 or X.shape[1] != expected:
-        raise ValueError(
-            f"dimension mismatch: model expects {expected} features, data has {X.shape[-1]}"
-        )
-    if not np.all(np.isfinite(X)):
-        raise ValueError("non-finite feature value")
-    return X
-
-
-def cairo_predict(model: CairoModel, X: np.ndarray) -> np.ndarray:
-    X = _check_features(model, X)
-    scores, _ = forward(model.scorer, model.standardizer.transform(X))
-    return calibration_predict(model.calibration, scores)
-
-
 def mse_fit(train_ds: Dataset, cfg: TrainConfig) -> MseBaselineModel:
     """Identical architecture and loop, squared error on standardized targets."""
     st = fit_standardizer(train_ds)
     y_mean = float(train_ds.targets.mean())
     y_std = float(train_ds.targets.std()) or 1.0
-    std_train = Dataset(
-        features=st.transform(train_ds.features),
-        targets=(train_ds.targets - y_mean) / y_std,
-        feature_names=list(train_ds.feature_names),
+    std_train = replace(
+        apply_standardizer(st, train_ds), targets=(train_ds.targets - y_mean) / y_std
     )
     params, _ = train(std_train, replace(cfg, loss=PointwiseMse()))
     return MseBaselineModel(
@@ -177,12 +157,6 @@ def mse_fit(train_ds: Dataset, cfg: TrainConfig) -> MseBaselineModel:
         target_std=y_std,
         feature_names=tuple(train_ds.feature_names),
     )
-
-
-def mse_predict(model: MseBaselineModel, X: np.ndarray) -> np.ndarray:
-    X = _check_features(model, X)
-    scores, _ = forward(model.scorer, model.standardizer.transform(X))
-    return scores * model.target_std + model.target_mean
 
 
 Model = CairoModel | MseBaselineModel
@@ -209,9 +183,19 @@ def fit_variant(
 
 
 def predict_model(model: Model, X: np.ndarray) -> np.ndarray:
+    """Scorer on standardized features, then the calibration map or the targets' std and mean."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    expected = model.scorer.dims[0]
+    if X.ndim != 2 or X.shape[1] != expected:
+        raise ValueError(
+            f"dimension mismatch: model expects {expected} features, data has {X.shape[-1]}"
+        )
+    if not np.all(np.isfinite(X)):
+        raise ValueError("non-finite feature value")
+    scores, _ = forward(model.scorer, model.standardizer.transform(X))
     if isinstance(model, CairoModel):
-        return cairo_predict(model, X)
-    return mse_predict(model, X)
+        return calibration_predict(model.calibration, scores)
+    return scores * model.target_std + model.target_mean
 
 
 def _loss_to_dict(spec: LossSpec) -> dict:
@@ -281,21 +265,18 @@ def model_from_dict(obj: dict) -> Model:
         raise ValueError(
             f"corrupt bundle: feature_names must list the scorer's {d} distinct column names"
         )
+    shared = {"scorer": params, "standardizer": st, "feature_names": tuple(names)}
     if obj.get("kind") == "cairo":
         return CairoModel(
-            scorer=params,
+            **shared,
             calibration=calibration_from_dict(obj["calibration"]),
-            standardizer=st,
             spec=_loss_from_dict(obj["loss"]),
-            feature_names=tuple(names),
         )
     if obj.get("kind") == "nn-mse":
         return MseBaselineModel(
-            scorer=params,
-            standardizer=st,
+            **shared,
             target_mean=float(obj["target_mean"]),
             target_std=float(obj["target_std"]),
-            feature_names=tuple(names),
         )
     raise ValueError(f"unknown model kind: {obj.get('kind')!r}")
 

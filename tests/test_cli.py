@@ -8,6 +8,7 @@ import pytest
 from cairoreg.bench import BenchConfig
 from cairoreg.cli import OPTIONS, build_parser, main
 from cairoreg.data import TARGET_COLUMN, load_csv
+from cairoreg.isotonic import predict as calibration_predict
 from cairoreg.losses import PairwiseSurrogate, SoftGini
 from cairoreg.pipeline import load_model, predict_model
 from cairoreg.scorer import TrainConfig
@@ -223,11 +224,22 @@ class TestFitPredictEval:
 
     def test_emit_plot_data(self, tmp_path):
         data = _simulate(tmp_path)
-        plot_path = tmp_path / "plot.csv"
-        _fit(tmp_path, data, extra=("--emit-plot-data", str(plot_path)))
-        rows = list(csv.reader(plot_path.open()))
-        assert rows[0] == ["score", "target", "calibrated"]
-        assert len(rows) == 121
+        ds = load_csv(data)
+        for model_name in ("ranknet", "nn-mse"):
+            plot_path = tmp_path / f"{model_name}.plot.csv"
+            model_path = _fit(tmp_path, data, model_name, ("--emit-plot-data", str(plot_path)))
+            rows = list(csv.reader(plot_path.open()))
+            assert rows[0] == ["score", "target", "calibrated"]
+            assert len(rows) == 121
+            score, target, calibrated = np.array(rows[1:], dtype=np.float64).T
+            model = load_model(model_path)
+            want = predict_model(model, ds.features)
+            np.testing.assert_array_equal(target, ds.targets)
+            np.testing.assert_array_equal(calibrated, want)
+            if model_name == "nn-mse":
+                np.testing.assert_array_equal(score, want)
+            else:  # the ranking score, which the calibration map takes to the prediction
+                np.testing.assert_array_equal(calibration_predict(model.calibration, score), want)
 
 
 class TestConfigFile:
@@ -279,13 +291,31 @@ class TestConfigFile:
         fit = ["fit", "--data", str(data), "--model", "ranknet", "--out", str(tmp_path / "m.json")]
         bench = ["bench", "--scenarios", "normal", "--models", "ranknet", "--n", "200"]
         bench += ["--repetitions", "1", "--out-dir", str(tmp_path / "bench")]
+        bare_bench = ["bench", "--out-dir", str(tmp_path / "bench")]  # no flag hides the config
+        simulate = ["simulate", "--n", "50", "--out", str(tmp_path / "sim.csv")]
         cfg = tmp_path / "cfg.json"
+        overrides_shape = "overrides must map model names to objects of FitHyper keys"
         for command, bad, message in (
             (fit, {"epochs": 2.7}, "epochs must be an integer"),
             (fit, {"seed": 1.9}, "seed must be an integer"),
             (fit, {"batch_size": True}, "batch_size must be an integer"),
             (fit, {"sigma": True}, "sigma must be a number"),
-            (bench, {"overrides": {"ranknet": {"epochs": 1.7}}}, "epochs must be an integer"),
+            (fit, {"learning_rate": "abc"}, "learning_rate: could not convert"),
+            (simulate, {"raw_lognormal": "false"}, "raw_lognormal must be true or false"),
+            (bare_bench, {"n": "abc"}, "n: invalid literal for int()"),
+            (bare_bench, {"scenarios": ["bogus"]}, "scenarios: 'bogus' is not a valid Scenario"),
+            (
+                bench,
+                {"overrides": {"ranknet": {"epochs": 1.7}}},
+                "overrides.ranknet.epochs must be an integer",
+            ),
+            (
+                bench,
+                {"overrides": {"ranknet": {"epochs": "abc"}}},
+                "overrides.ranknet.epochs: invalid literal for int()",
+            ),
+            (bench, {"overrides": {"ranknet": 5}}, overrides_shape),
+            (bench, {"overrides": [1]}, overrides_shape),
         ):
             cfg.write_text(json.dumps(bad))
             capsys.readouterr()

@@ -1,5 +1,6 @@
-"""The package runs on numpy alone: no module of it loads a test dependency."""
+"""The package runs on numpy alone, and exports exactly the names its __init__ imports."""
 
+import ast
 import pkgutil
 import subprocess
 import sys
@@ -25,3 +26,17 @@ def test_modules_load_no_test_dependency():
         [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True
     )
     assert run.stdout.strip() == "[]"
+
+
+def test_all_lists_exactly_the_imported_public_names():
+    tree = ast.parse(Path(cairoreg.__file__).read_text(encoding="utf-8"))
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+    ]
+    assert sorted(cairoreg.__all__) == sorted(n for n in imported if not n.startswith("_"))
+    namespace: dict = {}
+    exec("from cairoreg import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(cairoreg.__all__)

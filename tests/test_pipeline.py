@@ -8,13 +8,11 @@ from cairoreg.losses import PairwiseSurrogate, PointwiseMse, SoftGini, WeightVar
 from cairoreg.pipeline import (
     CairoModel,
     cairo_fit,
-    cairo_predict,
     fit_variant,
     load_model,
     model_from_dict,
     model_to_dict,
     mse_fit,
-    mse_predict,
     predict_model,
     save_model,
     variant_loss_spec,
@@ -46,8 +44,8 @@ class TestCairoFit:
         ds = generate(ScenarioSpec(Scenario.NORMAL, n=200, d=3, seed=2))
         loss = SoftGini(0.1)
         test_X = make_rng(3).standard_normal((20, 3))
-        a = cairo_predict(cairo_fit(ds, loss, _quick_cfg(seed=5)), test_X)
-        b = cairo_predict(cairo_fit(ds, loss, _quick_cfg(seed=5)), test_X)
+        a = predict_model(cairo_fit(ds, loss, _quick_cfg(seed=5)), test_X)
+        b = predict_model(cairo_fit(ds, loss, _quick_cfg(seed=5)), test_X)
         np.testing.assert_array_equal(a, b)
 
     def test_rejects_pointwise_loss(self):
@@ -68,7 +66,7 @@ class TestCairoFit:
 class TestCairoPredict:
     def test_training_rows_map_to_fitted_values(self, normal_model):
         ds, model = normal_model
-        preds = cairo_predict(model, ds.features)
+        preds = predict_model(model, ds.features)
         scores, _ = forward(model.scorer, model.standardizer.transform(ds.features))
         from cairoreg.isotonic import predict as cal_predict
 
@@ -78,27 +76,27 @@ class TestCairoPredict:
         ds, model = normal_model
         X = make_rng(7).standard_normal((200, ds.d))
         scores, _ = forward(model.scorer, model.standardizer.transform(X))
-        preds = cairo_predict(model, X)
+        preds = predict_model(model, X)
         order = np.argsort(scores)
         assert np.all(np.diff(preds[order]) >= 0)
 
     def test_equal_rows_equal_predictions(self, normal_model):
         ds, model = normal_model
         x = ds.features[:1]
-        preds = cairo_predict(model, np.vstack([x, x]))
+        preds = predict_model(model, np.vstack([x, x]))
         assert preds[0] == preds[1]
 
     def test_bounded_by_fitted_range(self, normal_model):
         ds, model = normal_model
         X = 100.0 * make_rng(8).standard_normal((50, ds.d))
-        preds = cairo_predict(model, X)
+        preds = predict_model(model, X)
         lo, hi = model.calibration.fitted[0], model.calibration.fitted[-1]
         assert np.all(preds >= lo) and np.all(preds <= hi)
 
     def test_shape_mismatch(self, normal_model):
         _, model = normal_model
         with pytest.raises(ValueError):
-            cairo_predict(model, np.zeros((3, 99)))
+            predict_model(model, np.zeros((3, 99)))
 
 
 class TestPredictionInput:
@@ -117,9 +115,9 @@ class TestPredictionInput:
         ds, fitted = models
         X = ds.features[:5].copy()
         X[2, 1] = np.nan
-        for model, predict in zip(fitted, (cairo_predict, mse_predict)):
+        for model in fitted:
             with pytest.raises(ValueError, match="non-finite feature"):
-                predict(model, X)
+                predict_model(model, X)
 
     def test_bundle_standardizer_must_match_scorer(self, normal_model):
         _, model = normal_model
@@ -151,20 +149,20 @@ class TestMseBaseline:
         ds = Dataset(features=X, targets=y)
         train_ds, test_ds = split(ds, SplitSpec(0.7, seed=0))
         model = mse_fit(train_ds, TrainConfig(epochs=60, batch_size=64, seed=0))
-        yhat = mse_predict(model, test_ds.features)
+        yhat = predict_model(model, test_ds.features)
         assert np.sqrt(np.mean((yhat - test_ds.targets) ** 2)) < 0.15
 
     def test_deterministic(self):
         ds = generate(ScenarioSpec(Scenario.NORMAL, n=150, d=3, seed=6))
         X = make_rng(11).standard_normal((10, 3))
-        a = mse_predict(mse_fit(ds, _quick_cfg(seed=1)), X)
-        b = mse_predict(mse_fit(ds, _quick_cfg(seed=1)), X)
+        a = predict_model(mse_fit(ds, _quick_cfg(seed=1)), X)
+        b = predict_model(mse_fit(ds, _quick_cfg(seed=1)), X)
         np.testing.assert_array_equal(a, b)
 
     def test_prediction_shape(self):
         ds = generate(ScenarioSpec(Scenario.NORMAL, n=100, d=3, seed=7))
         model = mse_fit(ds, _quick_cfg())
-        assert mse_predict(model, ds.features[:17]).shape == (17,)
+        assert predict_model(model, ds.features[:17]).shape == (17,)
 
 
 class TestVariants:
@@ -209,7 +207,7 @@ class TestSerialization:
         save_model(model, path, config={"note": 1})
         back = load_model(path)
         np.testing.assert_array_equal(
-            cairo_predict(back, ds.features), cairo_predict(model, ds.features)
+            predict_model(back, ds.features), predict_model(model, ds.features)
         )
         assert back.spec == model.spec
         assert back.feature_names == model.feature_names == ("x1", "x2", "x3", "x4")
@@ -221,7 +219,7 @@ class TestSerialization:
         assert obj["version"] == "cairo-model-v2"
         back = model_from_dict(obj)
         np.testing.assert_array_equal(
-            mse_predict(back, ds.features), mse_predict(model, ds.features)
+            predict_model(back, ds.features), predict_model(model, ds.features)
         )
         assert back.feature_names == model.feature_names == ("x1", "x2", "x3")
 
