@@ -33,7 +33,7 @@ from .bench import (
 )
 from .data import (
     TARGET_COLUMN,
-    TRUE_MEAN_COLUMN,
+    feature_columns,
     load_csv,
     read_numeric_csv,
     select_columns,
@@ -198,8 +198,7 @@ def _emit_plot_data(model, ds, path: Path, config: dict) -> None:
 
 def _load_feature_matrix(path: str, target_column: str, names: tuple[str, ...]) -> np.ndarray:
     header, parsed = read_numeric_csv(path)
-    drop = {target_column, TRUE_MEAN_COLUMN}
-    keep = [j for j, name in enumerate(header) if name not in drop]
+    keep = feature_columns(header, target_column)
     return select_columns([header[j] for j in keep], parsed[:, keep], names)
 
 

@@ -201,6 +201,11 @@ def select_columns(header: list[str], matrix: np.ndarray, names: Sequence[str]) 
     return matrix if idx == list(range(matrix.shape[1])) else matrix[:, idx]
 
 
+def feature_columns(header: list[str], target_column: str) -> list[int]:
+    """Indices of the feature columns: every column but the target and "__true_mean"."""
+    return [j for j, name in enumerate(header) if name not in (target_column, TRUE_MEAN_COLUMN)]
+
+
 def load_csv(path: str | Path, target_column: str = TARGET_COLUMN) -> Dataset:
     """Load a numeric CSV into a Dataset.
 
@@ -215,7 +220,7 @@ def load_csv(path: str | Path, target_column: str = TARGET_COLUMN) -> Dataset:
 
     t_idx = header.index(target_column)
     m_idx = header.index(TRUE_MEAN_COLUMN) if TRUE_MEAN_COLUMN in header else None
-    feat_idx = [j for j in range(len(header)) if j != t_idx and j != m_idx]
+    feat_idx = feature_columns(header, target_column)
     return Dataset(
         features=parsed[:, feat_idx],
         targets=parsed[:, t_idx],

@@ -27,6 +27,8 @@ class CalibrationMap:
         fitted = np.asarray(self.fitted, dtype=np.float64)
         if knots.ndim != 1 or knots.size < 1 or knots.shape != fitted.shape:
             raise ValueError("knots and fitted must be equal-length nonempty vectors")
+        if not (np.all(np.isfinite(knots)) and np.all(np.isfinite(fitted))):
+            raise ValueError("knots and fitted values must be finite")
         if np.any(np.diff(knots) <= 0):
             raise ValueError("knots must be strictly increasing")
         if np.any(np.diff(fitted) < 0):
@@ -120,7 +122,7 @@ def calibration_to_dict(cmap: CalibrationMap) -> dict:
 def calibration_from_dict(obj: dict) -> CalibrationMap:
     if obj.get("version") != CALIBRATION_VERSION:
         raise ValueError(f"unsupported calibration version: {obj.get('version')!r}")
-    return CalibrationMap(
-        knots=np.asarray(obj["knots"], dtype=np.float64),
-        fitted=np.asarray(obj["fitted"], dtype=np.float64),
-    )
+    try:
+        return CalibrationMap(knots=obj["knots"], fitted=obj["fitted"])
+    except ValueError as exc:
+        raise ValueError(f"corrupt bundle: calibration: {exc}") from None

@@ -1,7 +1,7 @@
 """Evaluation statistics: RMSE, Spearman's rho, Kendall's tau, aggregation.
 
-Both rank correlations use mid-ranks under ties; kendall is the tau-b
-variant (tie-corrected), computed in O(n log n) by inversion counting.
+Both rank correlations use mid-ranks under ties; kendall is the tau-b variant
+(tie-corrected), O(n log^2 n) by merge-sort inversion counting: log2(n) sorts.
 """
 
 from __future__ import annotations
@@ -44,6 +44,8 @@ def _check(a, b) -> tuple[np.ndarray, np.ndarray]:
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1 or a.size < 1:
         raise MetricError("inputs must be equal-length 1-d vectors")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise MetricError("non-finite input")
     return a, b
 
 
@@ -66,38 +68,35 @@ def spearman(a: np.ndarray, b: np.ndarray) -> float:
     return float((ra @ rb) / denom)
 
 
-def _pair_ties(sorted_v: np.ndarray) -> float:
-    _, counts = np.unique(sorted_v, return_counts=True)
-    return float(np.sum(counts * (counts - 1)) / 2)
+def _dense_ranks(v: np.ndarray) -> tuple[np.ndarray, int]:
+    """0-based dense ranks of v, and the number of tied pairs among its values."""
+    _, ranks, counts = np.unique(v, return_inverse=True, return_counts=True)
+    return ranks, int(np.sum(counts * (counts - 1)) // 2)
 
 
-def _count_inversions(values: list[float]) -> int:
-    def merge_sort(lst: list[float]) -> tuple[list[float], int]:
-        if len(lst) <= 1:
-            return lst, 0
-        mid = len(lst) // 2
-        left, inv_l = merge_sort(lst[:mid])
-        right, inv_r = merge_sort(lst[mid:])
-        merged: list[float] = []
-        inv = inv_l + inv_r
-        i = j = 0
-        while i < len(left) and j < len(right):
-            if left[i] <= right[j]:
-                merged.append(left[i])
-                i += 1
-            else:
-                merged.append(right[j])
-                j += 1
-                inv += len(left) - i
-        merged.extend(left[i:])
-        merged.extend(right[j:])
-        return merged, inv
+def _discordant_pairs(keys: np.ndarray) -> int:
+    """Pairs i < j with keys[i] > keys[j], for integer keys in [0, n), by bottom-up merge sort.
 
-    return merge_sort(values)[1]
+    Keys offset by block * n let one sort and two searchsorted calls merge every block of a level.
+    """
+    n = keys.size
+    position = np.arange(n)
+    discordant = 0
+    width = 1
+    while width < n:
+        block = position // (2 * width) * n
+        right = position // width % 2 == 1
+        blocked = block + keys
+        left = blocked[~right]  # sorted: each run is sorted and blocks ascend
+        ends = np.searchsorted(left, block[right] + n)  # where each block's left run ends
+        discordant += int(np.sum(ends - np.searchsorted(left, blocked[right], "right")))
+        keys = np.sort(blocked) - block
+        width *= 2
+    return discordant
 
 
 def kendall(a: np.ndarray, b: np.ndarray) -> float:
-    """Tie-corrected tau-b via merge-sort inversion counting.
+    """Tie-corrected tau-b via merge-sort inversion counting (Knight 1966).
 
     Equals the plain concordant-minus-discordant U-statistic when no ties
     are present.
@@ -106,16 +105,13 @@ def kendall(a: np.ndarray, b: np.ndarray) -> float:
     n = a.size
     if n < 2:
         raise MetricError("need at least 2 points")
-    order = np.lexsort((b, a))
-    a_sorted, b_sorted = a[order], b[order]
+    ra, ties_a = _dense_ranks(a)
+    rb, ties_b = _dense_ranks(b)
+    joint = ra * n + rb  # equal exactly for pairwise-equal (a, b)
+    _, ties_ab = _dense_ranks(joint)
+    discordant = _discordant_pairs(np.sort(joint) % n)  # b's ranks in (a, b) order
 
     total = n * (n - 1) / 2
-    ties_a = _pair_ties(a_sorted)
-    ties_b = _pair_ties(np.sort(b))
-    joint = a_sorted + 1j * b_sorted  # pairwise-equal (a, b) runs
-    ties_ab = _pair_ties(joint)
-    discordant = _count_inversions(b_sorted.tolist())
-
     denom = np.sqrt((total - ties_a) * (total - ties_b))
     if denom == 0.0:
         raise MetricError("undefined correlation: constant input")

@@ -255,6 +255,8 @@ def model_from_dict(obj: dict) -> Model:
             f"corrupt bundle: standardizer lengths {st.mean.shape}, {st.std.shape} "
             f"do not match the scorer's {d} input features"
         )
+    if not (np.all(np.isfinite(st.mean)) and np.all(np.isfinite(st.std) & (st.std > 0))):
+        raise ValueError("corrupt bundle: standardizer needs finite means and finite stds > 0")
     names = obj.get("feature_names")
     if (
         not isinstance(names, list)
@@ -273,11 +275,11 @@ def model_from_dict(obj: dict) -> Model:
             spec=_loss_from_dict(obj["loss"]),
         )
     if obj.get("kind") == "nn-mse":
-        return MseBaselineModel(
-            **shared,
-            target_mean=float(obj["target_mean"]),
-            target_std=float(obj["target_std"]),
-        )
+        mean = float(obj["target_mean"])
+        std = float(obj["target_std"])
+        if not (np.isfinite(mean) and np.isfinite(std) and std > 0):
+            raise ValueError("corrupt bundle: needs a finite target_mean and finite target_std > 0")
+        return MseBaselineModel(**shared, target_mean=mean, target_std=std)
     raise ValueError(f"unknown model kind: {obj.get('kind')!r}")
 
 

@@ -241,5 +241,7 @@ def mlp_from_dict(obj: dict) -> MlpParams:
                 f"corrupt bundle: scorer layer {name} has shape {layer.shape}, "
                 f"dims {list(dims)} need {want}"
             )
+        if not np.all(np.isfinite(layer)):
+            raise ValueError(f"corrupt bundle: scorer layer {name} holds a non-finite value")
         layers.append(layer)
     return MlpParams(np.concatenate(layers, axis=None), dims)

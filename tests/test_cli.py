@@ -242,6 +242,42 @@ class TestFitPredictEval:
                 np.testing.assert_array_equal(calibration_predict(model.calibration, score), want)
 
 
+@pytest.fixture(scope="module")
+def small_bundles(tmp_path_factory):
+    """A 2-epoch ranknet and nn-mse fitted on 300 heavy-tail rows, with their data."""
+    tmp = tmp_path_factory.mktemp("bundles")
+    data = _simulate(tmp, n=300, scenario="heavy")
+    return data, {m: _fit(tmp, data, m, ("--epochs", "2")) for m in ("ranknet", "nn-mse")}
+
+
+@pytest.mark.parametrize(
+    "model, path, value",
+    [
+        ("ranknet", ("calibration", "fitted", 3), float("nan")),
+        ("ranknet", ("calibration", "knots", 3), float("nan")),
+        ("ranknet", ("standardizer", "std", 0), 0.0),
+        ("ranknet", ("standardizer", "mean", 0), float("inf")),
+        ("ranknet", ("scorer", "W1", 0), float("nan")),
+        ("nn-mse", ("target_mean",), float("nan")),
+        ("nn-mse", ("target_std",), 0.0),
+    ],
+    ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else None,
+)
+def test_corrupt_bundle_values_fail_to_load(small_bundles, tmp_path, capsys, model, path, value):
+    data, bundles = small_bundles
+    obj = json.loads(bundles[model].read_text())
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    mutant = tmp_path / "mutant.json"
+    mutant.write_text(json.dumps(obj))
+    capsys.readouterr()
+    out = tmp_path / "p.csv"
+    assert main(["predict", "--model", str(mutant), "--data", str(data), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: corrupt bundle:")
+
+
 class TestConfigFile:
     def test_flags_take_precedence(self, tmp_path):
         data = _simulate(tmp_path)

@@ -11,6 +11,7 @@ from cairoreg.data import (
     make_rng,
     split,
     write_csv,
+    write_numeric_csv,
 )
 
 
@@ -71,6 +72,21 @@ def test_write_load_round_trip(tmp_path):
     np.testing.assert_allclose(back.features, ds.features, atol=1e-12, rtol=0)
     np.testing.assert_allclose(back.targets, ds.targets, atol=1e-12, rtol=0)
     np.testing.assert_allclose(back.true_mean, ds.true_mean, atol=1e-12, rtol=0)
+
+
+def test_write_numeric_csv_golden_bytes(tmp_path):
+    f = tmp_path / "g.csv"
+    header = ["a,b", 'q"t', "n"]
+    columns = [np.array([-0.0, 5e-324, 1e308]), [0.1, 1 / 3, 7.0], [3, -12, 2**40]]
+    write_numeric_csv(f, header, columns)
+    assert f.read_bytes() == (
+        b'"a,b","q""t",n\r\n'
+        b"-0,0.10000000000000001,3\r\n"
+        b"4.9406564584124654e-324,0.33333333333333331,-12\r\n"
+        b"1e+308,7,1099511627776\r\n"
+    )
+    write_numeric_csv(f, header, [np.array([])] * 3)
+    assert f.read_bytes() == b'"a,b","q""t",n\r\n'
 
 
 def test_dataset_rejects_nan():

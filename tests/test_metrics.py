@@ -1,9 +1,33 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from oracles import kendall_reference
 from scipy import stats
 
 from cairoreg.metrics import EvalReport, MetricError, aggregate, kendall, rmse, spearman
+
+# kendall merges runs of width 2^k, so sizes at and next to powers of two are edges
+_EDGES = [2**k + d for k in range(1, 9) for d in (-1, 0, 1)]
+SIZES = st.one_of(st.integers(2, 300), st.sampled_from([n for n in _EDGES if 2 <= n <= 300]))
+
+
+def _vector(rng, n, tied):
+    """A few repeated integers (sometimes one constant) when tied, else continuous values."""
+    if tied:
+        return rng.integers(0, rng.integers(1, 6), size=n).astype(np.float64)
+    return rng.standard_t(2, size=n)
+
+
+@pytest.mark.parametrize("metric", [rmse, spearman, kendall])
+@pytest.mark.parametrize(
+    "bad", [[1.0, np.nan, 3.0, 4.0], [np.nan, np.nan, 3.0, 4.0], [1.0, 2.0, np.inf, 4.0]]
+)
+def test_non_finite_input_rejected(metric, bad):
+    good = np.array([4.0, 3.0, 2.0, 1.0])
+    for a, b in ((np.array(bad), good), (good, np.array(bad))):
+        with pytest.raises(MetricError, match="non-finite input"):
+            metric(a, b)
 
 
 class TestRmse:
@@ -64,15 +88,18 @@ class TestKendall:
         got = kendall(np.array([1.0, 2.0, 3.0]), np.array([1.0, 3.0, 2.0]))
         assert got == pytest.approx(1 / 3, abs=1e-15)
 
-    def test_matches_quadratic_reference_with_ties(self):
-        rng = np.random.default_rng(2)
-        for _ in range(100):
-            n = int(rng.integers(3, 60))
-            a = rng.integers(0, 5, size=n).astype(float)
-            b = rng.integers(0, 5, size=n).astype(float)
-            if np.unique(a).size < 2 or np.unique(b).size < 2:
-                continue
-            assert kendall(a, b) == pytest.approx(kendall_reference(a, b), abs=1e-14)
+    @given(n=SIZES, seed=st.integers(0, 2**32 - 1), a_tied=st.booleans(), b_tied=st.booleans())
+    def test_matches_quadratic_reference_with_ties(self, n, seed, a_tied, b_tied):
+        rng = np.random.default_rng(seed)
+        a, b = _vector(rng, n, a_tied), _vector(rng, n, b_tied)
+        try:
+            want = kendall_reference(a, b)
+        except MetricError:
+            with pytest.raises(MetricError, match="undefined correlation"):
+                kendall(a, b)
+            return
+        # both form the same integer counts and divide them through the same formula
+        assert kendall(a, b) == want
 
     def test_matches_scipy_tau_b(self):
         rng = np.random.default_rng(3)
