@@ -14,11 +14,10 @@ import csv
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
-from enum import Enum
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .data import SplitSpec, split
+from .data import SplitSpec, config_to_dict, split
 from .dgp import Scenario, ScenarioSpec, generate
 from .metrics import METRICS, AggregateReport, EvalReport, aggregate, kendall, rmse, spearman
 from .pipeline import VARIANTS, FitHyper, fit_variant, predict_model, variant_train_config
@@ -139,19 +138,6 @@ def run_bench(cfg: BenchConfig, max_workers: int | None = None) -> BenchResult:
             if len(reports) >= 2:
                 aggregates.append((scenario.value, aggregate(reports)))
     return BenchResult(config=cfg, raw=raw, aggregates=aggregates)
-
-
-def config_to_dict(cfg) -> dict:
-    """JSON-ready fields of a config dataclass, with enum members as their values."""
-
-    def plain(value):
-        if isinstance(value, Enum):
-            return value.value
-        if isinstance(value, tuple):
-            return [plain(v) for v in value]
-        return value
-
-    return {key: plain(value) for key, value in asdict(cfg).items()}
 
 
 def result_to_dict(result: BenchResult) -> dict:

@@ -17,7 +17,7 @@ import argparse
 import json
 import sys
 import typing
-from dataclasses import MISSING, fields
+from dataclasses import fields
 from enum import Enum
 from pathlib import Path
 
@@ -26,13 +26,16 @@ import numpy as np
 from .bench import (
     RESULTS_VERSION,
     BenchConfig,
-    config_to_dict,
     run_bench,
     write_results_json,
     write_table_csv,
 )
 from .data import (
     TARGET_COLUMN,
+    _coerce,
+    _plain,
+    _table,
+    config_to_dict,
     feature_columns,
     load_csv,
     read_numeric_csv,
@@ -65,15 +68,6 @@ class CliError(RuntimeError):
     pass
 
 
-def _table(cls) -> dict[str, tuple[type, object]]:
-    """Options of a config dataclass: field name -> (type, default)."""
-    hints = typing.get_type_hints(cls)
-    return {
-        f.name: (hints[f.name], f.default if f.default_factory is MISSING else f.default_factory())
-        for f in fields(cls)
-    }
-
-
 _TARGET = {"target_column": (str, TARGET_COLUMN)}
 _HYPER = _table(FitHyper)
 
@@ -95,32 +89,21 @@ OPTIONS = {
 }
 
 
-def _coerce(key: str, kind, value):
-    """The option's value as its type; a value that does not fit raises CliError naming its key."""
-    if kind is dict:  # bench's {model: {FitHyper field: value}}; BenchConfig rejects unknown keys
-        if not isinstance(value, dict) or not all(isinstance(kv, dict) for kv in value.values()):
-            raise CliError(f"{key} must map model names to objects of FitHyper keys, got {value!r}")
-        return {
-            model: {
-                k: _coerce(f"{key}.{model}.{k}", _HYPER[k][0], v) if k in _HYPER else v
-                for k, v in kv.items()
-            }
-            for model, kv in value.items()
+def _option(key: str, kind, value):
+    """_coerce, plus bench's overrides {model: {FitHyper key: value}}; BenchConfig checks keys."""
+    if kind is not dict:
+        if typing.get_origin(kind) is tuple and isinstance(value, str):  # comma-separated flag
+            value = [v for v in value.split(",") if v]
+        return _coerce(key, kind, value)
+    if not isinstance(value, dict) or not all(isinstance(kv, dict) for kv in value.values()):
+        raise CliError(f"{key} must map model names to objects of FitHyper keys, got {value!r}")
+    return {
+        model: {
+            k: _coerce(f"{key}.{model}.{k}", _HYPER[k][0], v) if k in _HYPER else v
+            for k, v in kv.items()
         }
-    wanted = {bool: "true or false", int: "an integer", float: "a number"}.get(kind)
-    if wanted and (
-        isinstance(value, bool) != (kind is bool)
-        or (kind is int and isinstance(value, float) and not value.is_integer())
-    ):
-        raise CliError(f"{key} must be {wanted}, got {value!r}")
-    try:
-        if typing.get_origin(kind) is tuple:  # comma-separated on the command line
-            if isinstance(value, str):
-                value = [v for v in value.split(",") if v]
-            return tuple(_coerce(key, typing.get_args(kind)[0], v) for v in value)
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"{key}: {exc}") from None
+        for model, kv in value.items()
+    }
 
 
 def _resolve(args: argparse.Namespace) -> dict:
@@ -139,7 +122,7 @@ def _resolve(args: argparse.Namespace) -> dict:
         value = getattr(args, key, None)
         if value is None:
             value = file_cfg.get(key, default)
-        out[key] = None if value is None else _coerce(key, kind, value)
+        out[key] = None if value is None else _option(key, kind, value)
     return out
 
 
@@ -273,11 +256,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _shown(value) -> str:
-    if isinstance(value, Enum):
-        return str(value.value)
-    if isinstance(value, tuple):
-        return ",".join(_shown(v) for v in value)
-    return str(value)
+    value = _plain(value)
+    return ",".join(map(str, value)) if isinstance(value, list) else str(value)
 
 
 def _command(sub, name: str, func, help: str) -> argparse.ArgumentParser:

@@ -1,16 +1,21 @@
-"""Datasets, deterministic randomness, splitting, standardization, CSV I/O.
+"""Datasets, deterministic randomness, splitting, standardization, file I/O.
 
 A Dataset bundles a feature matrix with its target vector and, for
 synthetic data, the true conditional mean of each row. All arrays are
 float64 and frozen after construction so datasets can be shared freely.
+
+The JSON codec for dataclasses, which the CLI options, bench results and
+model bundles share, is here too: config_to_dict and config_from_dict.
 """
 
 from __future__ import annotations
 
 import csv
+import typing
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +26,72 @@ TRUE_MEAN_COLUMN = "__true_mean"
 
 class DataError(ValueError):
     pass
+
+
+def _table(cls) -> dict[str, tuple[type, object]]:
+    """Fields of a dataclass: field name -> (type, default)."""
+    hints = typing.get_type_hints(cls)
+    return {
+        f.name: (hints[f.name], f.default if f.default_factory is MISSING else f.default_factory())
+        for f in fields(cls)
+    }
+
+
+def _plain(value):
+    """value as JSON holds it: an enum member as its value, a tuple or an array as a list."""
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return value
+
+
+def config_to_dict(cfg) -> dict:
+    """JSON-ready fields of a dataclass, in field order."""
+    return {key: _plain(value) for key, value in asdict(cfg).items()}
+
+
+def _coerce(key: str, kind, value):
+    """value as the type kind; a value that does not fit raises DataError naming key.
+
+    A JSON boolean is never a number, a str takes only text, and an np.ndarray
+    or a tuple is read from a list.
+    """
+    if kind is np.ndarray:
+        if isinstance(value, list) and all(type(v) in (int, float) for v in value):
+            return np.array(value, dtype=np.float64)
+        raise DataError(f"{key} must be a list of numbers")
+    wanted = {bool: "true or false", int: "an integer", float: "a number", str: "text"}.get(kind)
+    if wanted and (
+        value is None
+        or isinstance(value, bool) != (kind is bool)
+        or (kind is str and not isinstance(value, str))
+        or (kind is int and isinstance(value, float) and not value.is_integer())
+    ):
+        raise DataError(f"{key} must be {wanted}, got {value!r}")
+    if typing.get_origin(kind) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise DataError(f"{key} must be a list, got {value!r}")
+        return tuple(_coerce(key, typing.get_args(kind)[0], v) for v in value)
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{key}: {exc}") from None
+
+
+def config_from_dict(cls, obj, path: str):
+    """Inverse of config_to_dict for the JSON object at the dotted path; other keys are ignored."""
+    if not isinstance(obj, dict):
+        raise DataError(f"{path} must be an object, got {type(obj).__name__}")
+    values = {
+        key: _coerce(f"{path}.{key}", kind, obj.get(key)) for key, (kind, _) in _table(cls).items()
+    }
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def make_rng(seed: int | np.random.SeedSequence) -> np.random.Generator:
@@ -128,6 +199,12 @@ class Standardizer:
     mean: np.ndarray
     std: np.ndarray
 
+    def __post_init__(self) -> None:
+        if self.mean.shape != self.std.shape:
+            raise DataError(f"standardizer lengths {self.mean.shape}, {self.std.shape} differ")
+        if not (np.isfinite(self.mean).all() and np.all(np.isfinite(self.std) & (self.std > 0))):
+            raise DataError("standardizer needs finite means and finite stds > 0")
+
     def transform(self, X: np.ndarray) -> np.ndarray:
         return (np.asarray(X, dtype=np.float64) - self.mean) / self.std
 
@@ -180,8 +257,9 @@ def read_numeric_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
                 raise DataError(
                     f"non-numeric cell {cell!r} at row {i}, column {header[j]!r}"
                 ) from None
-        if not np.all(np.isfinite(parsed[i])):
-            raise DataError(f"non-finite value at row {i}")
+    finite = np.isfinite(parsed).all(axis=1)
+    if not finite.all():
+        raise DataError(f"non-finite value at row {int(np.argmin(finite))}")
     return header, parsed
 
 

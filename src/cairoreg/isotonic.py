@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-CALIBRATION_VERSION = "cairo-iso-v1"
-
 
 @dataclass(frozen=True)
 class CalibrationMap:
@@ -109,20 +107,3 @@ def audit_autocalibration(
     return AutoCalibrationReport(
         block_count=int(levels.size), max_abs_block_residual=float(residual)
     )
-
-
-def calibration_to_dict(cmap: CalibrationMap) -> dict:
-    return {
-        "version": CALIBRATION_VERSION,
-        "knots": cmap.knots.tolist(),
-        "fitted": cmap.fitted.tolist(),
-    }
-
-
-def calibration_from_dict(obj: dict) -> CalibrationMap:
-    if obj.get("version") != CALIBRATION_VERSION:
-        raise ValueError(f"unsupported calibration version: {obj.get('version')!r}")
-    try:
-        return CalibrationMap(knots=obj["knots"], fitted=obj["fitted"])
-    except ValueError as exc:
-        raise ValueError(f"corrupt bundle: calibration: {exc}") from None

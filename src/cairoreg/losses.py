@@ -40,8 +40,8 @@ class PairwiseSurrogate:
     sigma: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.sigma > 0.0:
-            raise ValueError("sigma must be positive")
+        if not 0.0 < self.sigma < np.inf:
+            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
 
 
 @dataclass(frozen=True)
@@ -55,8 +55,8 @@ class SoftGini:
     temperature: float = 0.1
 
     def __post_init__(self) -> None:
-        if not self.temperature > 0.0:
-            raise ValueError("temperature must be positive")
+        if not 0.0 < self.temperature < np.inf:
+            raise ValueError(f"temperature must be finite and positive, got {self.temperature}")
 
 
 @dataclass(frozen=True)
@@ -96,8 +96,8 @@ def surrogate_pairwise_loss(
     O(n * PAIR_BLOCK_ROWS) memory.
     """
     y, s = _check_pair(y, s)
-    if not sigma > 0.0:
-        raise ValueError("sigma must be positive")
+    if not 0.0 < sigma < np.inf:
+        raise ValueError(f"sigma must be finite and positive, got {sigma}")
     n = y.size
     order = np.argsort(y, kind="stable")
     ys = y[order]

@@ -5,6 +5,10 @@ against raw targets, then fits the monotone calibration map on the
 training scores. Targets are never standardized on the ranking path: the
 calibration stage restores their scale. The baseline standardizes targets
 during training and undoes that at prediction time.
+
+A model bundle is one JSON object. Its standardizer, calibration map and
+loss spec are written and read by the dataclass codec in data, and
+model_from_dict alone reports a bad entry, naming its dotted JSON path.
 """
 
 from __future__ import annotations
@@ -16,10 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, SplitSpec, Standardizer, apply_standardizer, fit_standardizer, split
+from .data import _coerce, config_from_dict, config_to_dict
 from .isotonic import (
     CalibrationMap,
-    calibration_from_dict,
-    calibration_to_dict,
     pav_fit,
 )
 from .isotonic import predict as calibration_predict
@@ -34,6 +37,7 @@ from .losses import (
 from .scorer import MlpParams, TrainConfig, forward, mlp_from_dict, mlp_to_dict, train
 
 BUNDLE_VERSION = "cairo-model-v2"
+CALIBRATION_VERSION = "cairo-iso-v1"
 
 # CLI variant flag -> display name used in reports
 VARIANTS = {
@@ -198,42 +202,27 @@ def predict_model(model: Model, X: np.ndarray) -> np.ndarray:
     return scores * model.target_std + model.target_mean
 
 
-def _loss_to_dict(spec: LossSpec) -> dict:
-    if isinstance(spec, PairwiseSurrogate):
-        return {
-            "objective": "pairwise-surrogate",
-            "variant": spec.variant.value,
-            "sigma": spec.sigma,
-        }
-    if isinstance(spec, SoftGini):
-        return {"objective": "soft-gini", "temperature": spec.temperature}
-    return {"objective": "pointwise-mse"}
-
-
-def _loss_from_dict(obj: dict) -> LossSpec:
-    kind = obj.get("objective")
-    if kind == "pairwise-surrogate":
-        return PairwiseSurrogate(WeightVariant(obj["variant"]), float(obj["sigma"]))
-    if kind == "soft-gini":
-        return SoftGini(float(obj["temperature"]))
-    if kind == "pointwise-mse":
-        return PointwiseMse()
-    raise ValueError(f"unknown loss objective: {kind!r}")
+# The bundle's "objective" name of each loss spec; the spec's fields follow it.
+LOSS_OBJECTIVES = {
+    "pairwise-surrogate": PairwiseSurrogate,
+    "soft-gini": SoftGini,
+    "pointwise-mse": PointwiseMse,
+}
 
 
 def model_to_dict(model: Model, config: dict | None = None) -> dict:
-    st = model.standardizer
     out = {
         "version": BUNDLE_VERSION,
         "config": config or {},
         "scorer": mlp_to_dict(model.scorer),
-        "standardizer": {"mean": st.mean.tolist(), "std": st.std.tolist()},
+        "standardizer": config_to_dict(model.standardizer),
         "feature_names": list(model.feature_names),
     }
     if isinstance(model, CairoModel):
+        objective = next(k for k, cls in LOSS_OBJECTIVES.items() if isinstance(model.spec, cls))
         out["kind"] = "cairo"
-        out["calibration"] = calibration_to_dict(model.calibration)
-        out["loss"] = _loss_to_dict(model.spec)
+        out["calibration"] = {"version": CALIBRATION_VERSION, **config_to_dict(model.calibration)}
+        out["loss"] = {"objective": objective, **config_to_dict(model.spec)}
     else:
         out["kind"] = "nn-mse"
         out["target_mean"] = model.target_mean
@@ -242,45 +231,41 @@ def model_to_dict(model: Model, config: dict | None = None) -> dict:
 
 
 def model_from_dict(obj: dict) -> Model:
+    """Inverse of model_to_dict; a bad entry raises ValueError naming its dotted JSON path."""
     if obj.get("version") != BUNDLE_VERSION:
         raise ValueError(f"unsupported model version: {obj.get('version')!r}")
-    st = Standardizer(
-        mean=np.asarray(obj["standardizer"]["mean"], dtype=np.float64),
-        std=np.asarray(obj["standardizer"]["std"], dtype=np.float64),
-    )
-    params = mlp_from_dict(obj["scorer"])
-    d = params.dims[0]
-    if st.mean.shape != (d,) or st.std.shape != (d,):
-        raise ValueError(
-            f"corrupt bundle: standardizer lengths {st.mean.shape}, {st.std.shape} "
-            f"do not match the scorer's {d} input features"
-        )
-    if not (np.all(np.isfinite(st.mean)) and np.all(np.isfinite(st.std) & (st.std > 0))):
-        raise ValueError("corrupt bundle: standardizer needs finite means and finite stds > 0")
-    names = obj.get("feature_names")
-    if (
-        not isinstance(names, list)
-        or len(names) != d
-        or not all(isinstance(c, str) for c in names)
-        or len(set(names)) != d
-    ):
-        raise ValueError(
-            f"corrupt bundle: feature_names must list the scorer's {d} distinct column names"
-        )
-    shared = {"scorer": params, "standardizer": st, "feature_names": tuple(names)}
-    if obj.get("kind") == "cairo":
-        return CairoModel(
-            **shared,
-            calibration=calibration_from_dict(obj["calibration"]),
-            spec=_loss_from_dict(obj["loss"]),
-        )
-    if obj.get("kind") == "nn-mse":
-        mean = float(obj["target_mean"])
-        std = float(obj["target_std"])
-        if not (np.isfinite(mean) and np.isfinite(std) and std > 0):
-            raise ValueError("corrupt bundle: needs a finite target_mean and finite target_std > 0")
-        return MseBaselineModel(**shared, target_mean=mean, target_std=std)
-    raise ValueError(f"unknown model kind: {obj.get('kind')!r}")
+    try:
+        params = mlp_from_dict(obj.get("scorer"))
+        d = params.dims[0]
+        st = config_from_dict(Standardizer, obj.get("standardizer"), "standardizer")
+        if st.mean.shape != (d,):
+            raise ValueError(f"standardizer has {st.mean.size} columns, the scorer takes {d}")
+        names = _coerce("feature_names", tuple[str, ...], obj.get("feature_names"))
+        if len(names) != d or len(set(names)) != d:
+            raise ValueError(f"feature_names must list the scorer's {d} distinct column names")
+        shared = {"scorer": params, "standardizer": st, "feature_names": names}
+        if obj.get("kind") == "cairo":
+            section = obj.get("calibration")
+            calibration = config_from_dict(CalibrationMap, section, "calibration")
+            if section.get("version") != CALIBRATION_VERSION:
+                raise ValueError(f"calibration.version {section.get('version')!r} is unsupported")
+            loss = obj.get("loss")
+            objective = loss.get("objective") if isinstance(loss, dict) else None
+            if not isinstance(objective, str) or objective not in LOSS_OBJECTIVES:
+                raise ValueError(f"loss needs an objective in {list(LOSS_OBJECTIVES)}: {loss!r}")
+            spec = config_from_dict(LOSS_OBJECTIVES[objective], loss, "loss")
+            return CairoModel(**shared, calibration=calibration, spec=spec)
+        if obj.get("kind") == "nn-mse":
+            mean = _coerce("target_mean", float, obj.get("target_mean"))
+            std = _coerce("target_std", float, obj.get("target_std"))
+            if not np.isfinite(mean):
+                raise ValueError(f"target_mean must be finite, got {mean}")
+            if not 0.0 < std < np.inf:
+                raise ValueError(f"target_std must be finite and > 0, got {std}")
+            return MseBaselineModel(**shared, target_mean=mean, target_std=std)
+        raise ValueError(f"kind: unknown model kind {obj.get('kind')!r}")
+    except ValueError as exc:
+        raise ValueError(f"corrupt bundle: {exc}") from None
 
 
 def save_model(model: Model, path: str | Path, config: dict | None = None) -> None:

@@ -59,8 +59,8 @@ class SoftRankConfig:
     temperature: float
 
     def __post_init__(self) -> None:
-        if not self.temperature > 0.0:
-            raise ValueError("temperature must be positive")
+        if not 0.0 < self.temperature < np.inf:
+            raise ValueError(f"temperature must be finite and positive, got {self.temperature}")
 
 
 def softrank(

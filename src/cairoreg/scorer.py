@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, make_rng
+from .data import Dataset, _coerce, make_rng
 from .losses import LossSpec, PointwiseMse, evaluate_loss, is_ranking_loss
 
 MODEL_VERSION = "cairo-mlp-v1"
@@ -174,6 +174,8 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if is_ranking_loss(self.loss) and self.batch_size < 2:
             raise ValueError("pairwise losses need batch_size >= 2")
+        if not 0.0 <= self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
 
 
 def train(ds: Dataset, cfg: TrainConfig) -> tuple[MlpParams, list[float]]:
@@ -228,20 +230,23 @@ def mlp_to_dict(params: MlpParams) -> dict:
 
 
 def mlp_from_dict(obj: dict) -> MlpParams:
-    """Inverse of mlp_to_dict; every layer's length must match dims."""
+    """Inverse of mlp_to_dict; a ValueError names the bad entry by its bundle path, scorer.<key>."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"scorer must be an object, got {type(obj).__name__}")
     if obj.get("version") != MODEL_VERSION:
-        raise ValueError(f"unsupported scorer version: {obj.get('version')!r}")
-    dims = tuple(obj["dims"])
+        raise ValueError(f"scorer.version: unsupported scorer version: {obj.get('version')!r}")
+    dims = _coerce("scorer.dims", tuple[int, ...], obj.get("dims"))
+    if len(dims) != 3 or min(dims) < 1:
+        raise ValueError(f"scorer.dims must be three integers >= 1, got {list(dims)}")
     layers = []
     for name, shape in _layout(dims):
-        layer = np.asarray(obj[name], dtype=np.float64)
-        want = (math.prod(shape),) if shape else ()
-        if layer.shape != want:
+        key = f"scorer.{name}"
+        layer = _coerce(key, np.ndarray if shape else float, obj.get(name))
+        if np.size(layer) != math.prod(shape):
             raise ValueError(
-                f"corrupt bundle: scorer layer {name} has shape {layer.shape}, "
-                f"dims {list(dims)} need {want}"
+                f"{key} has {np.size(layer)} entries, dims {list(dims)} need {math.prod(shape)}"
             )
         if not np.all(np.isfinite(layer)):
-            raise ValueError(f"corrupt bundle: scorer layer {name} holds a non-finite value")
+            raise ValueError(f"{key} holds a non-finite value")
         layers.append(layer)
     return MlpParams(np.concatenate(layers, axis=None), dims)

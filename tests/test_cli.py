@@ -278,6 +278,114 @@ def test_corrupt_bundle_values_fail_to_load(small_bundles, tmp_path, capsys, mod
     assert capsys.readouterr().err.startswith("error: corrupt bundle:")
 
 
+# What a mutation sets an entry to: every JSON kind, and the two non-finite floats.
+_WRONG_VALUES = (True, "x", None, {}, float("nan"), float("inf"))
+
+
+def _mutations(bundle):
+    """(path, edit) for every mutation of a bundle; edit changes a copy of it in place.
+
+    Each entry is deleted or set to each of _WRONG_VALUES, each list is made one
+    entry longer and one shorter, and the calibration knots and fitted values get
+    their ends swapped. Lists are mutated at their first and last entry. config
+    and the entries of feature_names are left out: renaming a feature makes a
+    valid bundle for other columns.
+    """
+
+    def at(obj, path):
+        for key in path:
+            obj = obj[key]
+        return obj
+
+    def walk(node, path):
+        if isinstance(node, list):
+            keys = sorted({0, len(node) - 1}) if node and path != ("feature_names",) else []
+            yield path, lambda b, p=path: at(b, p).append(at(b, p)[-1])
+            yield path, lambda b, p=path: at(b, p).pop()
+            if path[-1] in ("knots", "fitted"):
+                yield path, lambda b, p=path: at(b, p).insert(0, at(b, p).pop())
+        elif isinstance(node, dict):
+            keys = [k for k in node if path or k != "config"]
+        else:
+            return
+        for key in keys:
+            child = (*path, key)
+            yield child, lambda b, p=path, k=key: at(b, p).pop(k)
+            for value in _WRONG_VALUES:
+                yield child, lambda b, p=path, k=key, v=value: at(b, p).__setitem__(k, v)
+            yield from walk(node[key], child)
+
+    yield from walk(bundle, ())
+
+
+@pytest.fixture(scope="module")
+def probe_bundles(tmp_path_factory):
+    """2-epoch bundles of three variants fitted on 600 heavy-tail rows with d=4, with their data."""
+    tmp = tmp_path_factory.mktemp("probe")
+    data = _simulate(tmp, n=600, d=4, scenario="heavy")
+    models = ("ranknet", "gininet-softrank", "nn-mse")
+    return data, {m: _fit(tmp, data, m, ("--epochs", "2")) for m in models}
+
+
+@pytest.mark.parametrize("model", ["ranknet", "gininet-softrank", "nn-mse"])
+def test_every_bundle_mutant_predicts_the_same_or_names_its_path(
+    probe_bundles, tmp_path, capsys, model
+):
+    data, bundles = probe_bundles
+    text = bundles[model].read_text()
+    out, mutant = tmp_path / "p.csv", tmp_path / "mutant.json"
+    predict = ["predict", "--model", str(mutant), "--data", str(data), "--out", str(out)]
+    mutant.write_text(text)
+    assert main(predict) == 0
+    want = out.read_bytes()
+    bad = []
+    for path, edit in _mutations(json.loads(text)):
+        bundle = json.loads(text)
+        edit(bundle)
+        mutant.write_text(json.dumps(bundle))
+        out.unlink(missing_ok=True)
+        capsys.readouterr()
+        rc = main(predict)
+        err = capsys.readouterr().err
+        if rc == 0:
+            if out.read_bytes() != want:
+                bad.append((path, "exit 0 with different predictions"))
+            continue
+        # the error names the mutated entry, an object holding it, or an entry inside it
+        named = err.removeprefix("error: corrupt bundle: ").split(" ")[0].rstrip(":").split(".")
+        depth = min(len(named), len(path))
+        on_path = err.startswith("error: corrupt bundle: ") and named[:depth] == [
+            str(k) for k in path[:depth]
+        ]
+        version = path[-1] == "version" and "unsupported" in err
+        if rc != 1 or not (on_path or version):
+            bad.append((path, rc, err.strip()))
+    assert not bad, bad[:10]
+
+
+@pytest.mark.parametrize(
+    "model, flag, value",
+    [
+        ("gininet-softrank", "--temperature", "inf"),
+        ("ranknet", "--sigma", "inf"),
+        ("ranknet", "--learning-rate", "-0.01"),
+        ("ranknet", "--learning-rate", "nan"),
+        ("ranknet", "--learning-rate", "inf"),
+    ],
+)
+def test_non_finite_or_negative_hyperparameter_fails_naming_it(
+    tmp_path, capsys, model, flag, value
+):
+    data = _simulate(tmp_path)
+    out = tmp_path / "m.json"
+    capsys.readouterr()
+    args = ["fit", "--data", str(data), "--model", model, "--epochs", "1", "--out", str(out)]
+    assert main([*args, flag, value]) == 1
+    option = flag.removeprefix("--").replace("-", "_")
+    assert capsys.readouterr().err.startswith(f"error: {option} must be finite")
+    assert not out.exists()
+
+
 class TestConfigFile:
     def test_flags_take_precedence(self, tmp_path):
         data = _simulate(tmp_path)

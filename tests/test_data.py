@@ -1,11 +1,18 @@
+import json
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+from cairoreg.bench import BenchConfig
 from cairoreg.data import (
     DataError,
     Dataset,
     SplitSpec,
+    Standardizer,
     apply_standardizer,
+    config_from_dict,
+    config_to_dict,
     fit_standardizer,
     load_csv,
     make_rng,
@@ -13,6 +20,10 @@ from cairoreg.data import (
     write_csv,
     write_numeric_csv,
 )
+from cairoreg.dgp import Scenario, ScenarioSpec
+from cairoreg.isotonic import CalibrationMap
+from cairoreg.losses import PairwiseSurrogate, PointwiseMse, SoftGini, WeightVariant
+from cairoreg.pipeline import FitHyper
 
 
 def test_load_csv_basic(tmp_path):
@@ -36,6 +47,17 @@ def test_load_csv_non_numeric_cell_names_row_and_column(tmp_path):
     f = tmp_path / "d.csv"
     f.write_text("x1,y\n0,1\nabc,2\n")
     with pytest.raises(DataError, match=r"row 1.*'x1'"):
+        load_csv(f, "y")
+
+
+def test_load_csv_non_finite_value_names_row(tmp_path):
+    f = tmp_path / "d.csv"
+    f.write_text("x1,y\n0,1\n1,inf\n2,nan\n")
+    with pytest.raises(DataError, match="non-finite value at row 1$"):
+        load_csv(f, "y")
+    # the cells are parsed before finiteness is checked, so a later bad cell is reported
+    f.write_text("x1,y\n0,1\n1,inf\nabc,3\n")
+    with pytest.raises(DataError, match=r"non-numeric cell 'abc' at row 2"):
         load_csv(f, "y")
 
 
@@ -181,3 +203,34 @@ def test_make_rng_reproducible():
     c = make_rng(124).standard_normal(5)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        ScenarioSpec(
+            Scenario.GAMMA_TAIL, n=300, d=7, seed=11, lognormal_scale=0.7, raw_lognormal=True
+        ),
+        FitHyper(epochs=3, batch_size=17, learning_rate=0.1 + 0.2, sigma=2.5, temperature=1e-3),
+        BenchConfig(
+            scenarios=(Scenario.NORMAL, Scenario.HEAVY_TAIL),
+            models=("ranknet", "nn-mse"),
+            learning_rate=3e-4,
+            overrides={"nn-mse": {"epochs": 400}, "ranknet": {"sigma": 0.5}},
+        ),
+        PairwiseSurrogate(WeightVariant.ABSOLUTE_GAP, 0.1 + 0.2),
+        SoftGini(1 / 3),
+        PointwiseMse(),
+        Standardizer(np.array([0.1 + 0.2, -1e-300, 5.0]), np.array([1 / 3, 2.0, 1e300])),
+        CalibrationMap(np.array([-1.5, 1 / 3, 2.0]), np.array([0.1 + 0.2, 0.4, 1e17])),
+    ],
+    ids=lambda obj: type(obj).__name__,
+)
+def test_codec_round_trip_is_exact(obj):
+    text = json.dumps(config_to_dict(obj))
+    back = config_from_dict(type(obj), json.loads(text), "obj")
+    assert json.dumps(config_to_dict(back)) == text
+    for f in fields(obj):
+        assert type(getattr(back, f.name)) is type(getattr(obj, f.name)), f.name
+    if not isinstance(obj, (Standardizer, CalibrationMap)):  # arrays have no plain ==
+        assert back == obj

@@ -1,16 +1,16 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
 from oracles import pav_oracle
 from scipy.optimize import isotonic_regression as scipy_isotonic
 
+from cairoreg.data import config_from_dict, config_to_dict
 from cairoreg.isotonic import (
     AutoCalibrationReport,
     CalibrationMap,
     audit_autocalibration,
-    calibration_from_dict,
-    calibration_to_dict,
     pav_fit,
     predict,
 )
@@ -165,8 +165,7 @@ class TestPavOracle:
 class TestSerialization:
     def test_round_trip(self):
         cmap = pav_fit(np.arange(10.0), np.random.default_rng(6).normal(size=10))
-        obj = calibration_to_dict(cmap)
-        assert obj["version"] == "cairo-iso-v1"
-        back = calibration_from_dict(obj)
+        obj = json.loads(json.dumps(config_to_dict(cmap)))
+        back = config_from_dict(CalibrationMap, obj, "calibration")
         np.testing.assert_array_equal(back.knots, cmap.knots)
         np.testing.assert_array_equal(back.fitted, cmap.fitted)

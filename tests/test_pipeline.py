@@ -124,7 +124,7 @@ class TestPredictionInput:
         for section, edits, match in (
             ("standardizer", {"mean": lambda v: v[:2]}, "standardizer lengths"),
             # b1 one entry too long, b2 one too short: the total length still fits dims
-            ("scorer", {"b1": lambda v: v + [0.5], "b2": lambda v: v[:-1]}, "scorer layer b1"),
+            ("scorer", {"b1": lambda v: v + [0.5], "b2": lambda v: v[:-1]}, "scorer.b1 has"),
         ):
             obj = model_to_dict(model)
             for key, edit in edits.items():
@@ -211,6 +211,7 @@ class TestSerialization:
         )
         assert back.spec == model.spec
         assert back.feature_names == model.feature_names == ("x1", "x2", "x3", "x4")
+        assert model_to_dict(model)["calibration"]["version"] == "cairo-iso-v1"
 
     def test_mse_round_trip(self, tmp_path):
         ds = generate(ScenarioSpec(Scenario.NORMAL, n=100, d=3, seed=9))
