@@ -101,7 +101,7 @@ def _run_repetition(cfg: BenchConfig, scenario: Scenario, rep: int) -> list[Repe
             )
         except Exception as exc:
             raise BenchError(
-                f"repetition failed: scenario={scenario.value} model={model_name} rep={rep}"
+                f"repetition failed: scenario={scenario.value} model={model_name} rep={rep}: {exc}"
             ) from exc
         out.append(
             RepetitionResult(

@@ -111,9 +111,12 @@ def _resolve(args: argparse.Namespace) -> dict:
     table = OPTIONS[args.command]
     file_cfg = {}
     if args.config is not None:
-        file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        try:
+            file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise CliError(f"config file {args.config} is not JSON: {exc}") from None
         if not isinstance(file_cfg, dict):
-            raise CliError("config file must hold a JSON object")
+            raise CliError(f"config file {args.config} must hold a JSON object")
         unknown = set(file_cfg) - set(table)
         if unknown:
             raise CliError(f"unknown config keys: {sorted(unknown)}")

@@ -313,10 +313,10 @@ def write_numeric_csv(path: str | Path, header: list[str], columns: list[np.ndar
     Cells carry 17 significant digits, so every float64 reads back exactly.
     """
     rows = zip(*(np.asarray(c, dtype=np.float64).tolist() for c in columns))
+    line = ",".join(["%.17g"] * len(columns)) + "\r\n"
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([f"{v:.17g}" for v in row] for row in rows)
+        csv.writer(fh).writerow(header)
+        fh.writelines(line % row for row in rows)
 
 
 def write_csv(ds: Dataset, path: str | Path) -> None:

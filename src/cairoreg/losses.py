@@ -6,8 +6,9 @@ the target gap, or by the gap in the batch's target mid-distribution, and
 divides by n(n-1). The two ranking kernels, the surrogate here and
 softrank in ranks, sort their input once and walk the strict lower
 triangle of pairs in blocks of PAIR_BLOCK_ROWS rows, so they hold no
-n x n temporaries. Their dense forms, and the hard pairwise losses the
-surrogate bounds, are test oracles in tests/oracles.py.
+n x n temporaries; soft-Gini passes its cotangent to softrank, so one
+walk gives its value and gradient. Their dense forms, and the hard
+pairwise losses the surrogate bounds, are test oracles in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -150,14 +151,13 @@ def soft_gini_loss(y: np.ndarray, s: np.ndarray, temperature: float) -> LossValu
     """Smoothed negative rank covariance -(2/n^2) sum (y_i - mean y) softrank_i.
 
     Centering the targets drops only an additive constant, keeping the
-    value comparable across batches; the gradient is exact through the
-    softrank jacobian.
+    value comparable across batches; the gradient is exact: softrank
+    returns the cotangent's VJP from the walk that gives the soft ranks.
     """
     y, s = _check_pair(y, s)
-    n = y.size
-    cotangent = -(2.0 / n**2) * (y - y.mean())
-    values, jacobian_apply = softrank(s, SoftRankConfig(temperature))
-    return LossValueGrad(float(cotangent @ values), jacobian_apply(cotangent))
+    cotangent = -(2.0 / y.size**2) * (y - y.mean())
+    values, grad = softrank(s, SoftRankConfig(temperature), cotangent)
+    return LossValueGrad(float(cotangent @ values), grad)
 
 
 def mse_loss(y: np.ndarray, s: np.ndarray) -> LossValueGrad:

@@ -202,11 +202,10 @@ def predict_model(model: Model, X: np.ndarray) -> np.ndarray:
     return scores * model.target_std + model.target_mean
 
 
-# The bundle's "objective" name of each loss spec; the spec's fields follow it.
+# The bundle's "objective" name of each ranking loss spec; the spec's fields follow it.
 LOSS_OBJECTIVES = {
     "pairwise-surrogate": PairwiseSurrogate,
     "soft-gini": SoftGini,
-    "pointwise-mse": PointwiseMse,
 }
 
 
@@ -232,6 +231,8 @@ def model_to_dict(model: Model, config: dict | None = None) -> dict:
 
 def model_from_dict(obj: dict) -> Model:
     """Inverse of model_to_dict; a bad entry raises ValueError naming its dotted JSON path."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"a model bundle is a JSON object, not a {type(obj).__name__}")
     if obj.get("version") != BUNDLE_VERSION:
         raise ValueError(f"unsupported model version: {obj.get('version')!r}")
     try:
@@ -273,4 +274,8 @@ def save_model(model: Model, path: str | Path, config: dict | None = None) -> No
 
 
 def load_model(path: str | Path) -> Model:
-    return model_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"model bundle {path} is not JSON: {exc}") from None
+    return model_from_dict(obj)

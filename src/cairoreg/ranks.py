@@ -3,8 +3,8 @@
 Ties everywhere follow the mid-rank convention: tied entries share the
 average of the ranks they span, which keeps rank/covariance identities
 valid for discrete scores. softrank sorts the scores once and walks the
-strict lower triangle of pairs in blocks of PAIR_BLOCK_ROWS rows; the
-upper triangle follows from sigmoid(-x) = 1 - sigmoid(x).
+strict lower triangle of pairs once, in blocks of PAIR_BLOCK_ROWS rows, for
+the soft ranks and a VJP; sigmoid(-x) = 1 - sigmoid(x) gives the upper one.
 """
 
 from __future__ import annotations
@@ -64,62 +64,52 @@ class SoftRankConfig:
 
 
 def softrank(
-    scores: np.ndarray, cfg: SoftRankConfig
-) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    scores: np.ndarray, cfg: SoftRankConfig, cotangent: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray | Callable[[np.ndarray], np.ndarray]]:
     """Smooth ranks softrank_i = 1 + sum_{j != i} sigmoid((s_i - s_j)/tau).
 
-    Returns the soft ranks and a jacobian-apply closure mapping a cotangent
-    v to v^T (d softrank / d scores). The soft ranks sum to n(n+1)/2 for
-    every input and converge to mid-ranks as tau -> 0 on tie-free input.
-    Both walk the strict lower triangle of the sorted scores in blocks of
-    PAIR_BLOCK_ROWS rows: O(n^2) time and O(n * PAIR_BLOCK_ROWS) memory.
+    Returns the soft ranks and, for a cotangent v, v^T (d softrank / d scores);
+    without v, a closure that maps v to it. The soft ranks sum to n(n+1)/2
+    for every input and converge to mid-ranks as tau -> 0 on tie-free input.
+    One walk over the strict lower triangle of the sorted scores, in blocks
+    of PAIR_BLOCK_ROWS rows, gives both: O(n^2) time, O(n * PAIR_BLOCK_ROWS) memory.
     """
     s = _check_scores(scores)
-    tau = cfg.temperature
     n = s.size
+    if cotangent is None:
+        return softrank(s, cfg, np.zeros(n))[0], lambda v: softrank(s, cfg, v)[1]
+    if np.shape(cotangent) != (n,):
+        raise ValueError(f"cotangent must have shape ({n},)")
+    tau = cfg.temperature
     order = np.argsort(s, kind="stable")
     scaled = s[order] / tau
+    v = np.asarray(cotangent, dtype=np.float64)[order]
 
-    def lower_blocks():
-        """Per row block [r0, r1) of the sorted scores, over columns j < r1:
-        e = exp(-(s_i - s_j)/tau) and p = sigmoid((s_i - s_j)/tau), p zero for j >= i."""
-        for r0 in range(0, n, PAIR_BLOCK_ROWS):
-            r1 = min(r0 + PAIR_BLOCK_ROWS, n)
-            e = scaled[:r1] - scaled[r0:r1, None]  # <= 0 below the diagonal
-            square = e[:, r0:]  # holds the diagonal; p is masked on and above it
-            np.minimum(square, 0.0, out=square)  # so that exp cannot overflow there
-            np.exp(e, out=e)
-            p = e + 1.0
-            np.reciprocal(p, out=p)
-            p[:, r0:] *= np.arange(r0, r1) < np.arange(r0, r1)[:, None]
-            yield r0, r1, e, p
-
-    # In sorted order, sigmoid((s_i - s_j)/tau) is p_ij below the diagonal
-    # and 1 - p_ji above it.
+    # In sorted order, with e = exp(-(s_i - s_j)/tau), sigmoid((s_i - s_j)/tau)
+    # is p_ij = 1/(1 + e) below the diagonal and 1 - p_ji above it. As
+    # d softrank_i / d s_k is -(1/tau) sig'((s_i-s_k)/tau) off the diagonal and
+    # (1/tau) sum_j sig'((s_i-s_j)/tau) on it and sig' is even, with D the lower
+    # triangle of sig' = e p^2, v^T J = (v (D 1 + D^T 1) - D v - D^T v)/tau.
     below = np.zeros(n)
     above = np.zeros(n)
-    for r0, r1, _, p in lower_blocks():
+    out = np.zeros(n)
+    for r0 in range(0, n, PAIR_BLOCK_ROWS):
+        r1 = min(r0 + PAIR_BLOCK_ROWS, n)  # rows [r0, r1) over the columns j < r1
+        e = scaled[:r1] - scaled[r0:r1, None]  # <= 0 below the diagonal
+        square = e[:, r0:]  # holds the diagonal; p is masked on and above it
+        np.minimum(square, 0.0, out=square)  # so that exp cannot overflow there
+        np.exp(e, out=e)
+        p = e + 1.0
+        np.reciprocal(p, out=p)
+        p[:, r0:] *= np.arange(r0, r1) < np.arange(r0, r1)[:, None]
         below[r0:r1] += p.sum(axis=1)
         above[:r1] += p.sum(axis=0)
+        p *= p
+        p *= e  # now D
+        out[r0:r1] += p.sum(axis=1) * v[r0:r1] - p @ v[:r1]
+        out[:r1] += p.sum(axis=0) * v[:r1] - v[r0:r1] @ p
     values = np.empty(n)
     values[order] = (n - np.arange(n)) + below - above
-
-    # d softrank_i / d s_k is -(1/tau) sig'((s_i-s_k)/tau) off the diagonal and
-    # (1/tau) sum_j sig'((s_i-s_j)/tau) on it; sig' is even, so with D the
-    # lower triangle of sig' = e p^2, v^T J = (v (D 1 + D^T 1) - D v - D^T v)/tau.
-    def jacobian_apply(cotangent: np.ndarray) -> np.ndarray:
-        v = np.asarray(cotangent, dtype=np.float64)
-        if v.shape != (n,):
-            raise ValueError(f"cotangent must have shape ({n},)")
-        v = v[order]
-        out = np.zeros(n)
-        for r0, r1, e, p in lower_blocks():
-            p *= p
-            p *= e
-            out[r0:r1] += p.sum(axis=1) * v[r0:r1] - p @ v[:r1]
-            out[:r1] += p.sum(axis=0) * v[:r1] - v[r0:r1] @ p
-        grad = np.empty(n)
-        grad[order] = out / tau
-        return grad
-
-    return values, jacobian_apply
+    grad = np.empty(n)
+    grad[order] = out / tau
+    return values, grad

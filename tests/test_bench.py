@@ -58,8 +58,11 @@ class TestRunBench:
 
     def test_failed_repetition_identifies_cell(self):
         cfg = _smoke_cfg(overrides={"ranknet": {"batch_size": 1}})
-        with pytest.raises(BenchError, match=r"scenario=normal model=ranknet rep=0"):
-            run_bench(cfg)
+        # the cause is in the message itself, which a process pool passes back intact
+        want = r"scenario=normal model=ranknet rep=0: pairwise losses need batch_size >= 2"
+        for max_workers in (1, 2):
+            with pytest.raises(BenchError, match=want):
+                run_bench(cfg, max_workers=max_workers)
 
     def test_forked_seeds_differ_across_reps(self):
         result = run_bench(

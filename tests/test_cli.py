@@ -260,6 +260,7 @@ def small_bundles(tmp_path_factory):
         ("ranknet", ("scorer", "W1", 0), float("nan")),
         ("nn-mse", ("target_mean",), float("nan")),
         ("nn-mse", ("target_std",), 0.0),
+        ("ranknet", ("loss",), {"objective": "pointwise-mse"}),  # a cairo model ranks
     ],
     ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else None,
 )
@@ -276,6 +277,32 @@ def test_corrupt_bundle_values_fail_to_load(small_bundles, tmp_path, capsys, mod
     out = tmp_path / "p.csv"
     assert main(["predict", "--model", str(mutant), "--data", str(data), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: corrupt bundle:")
+
+
+@pytest.mark.parametrize(
+    "option, text, says, names_file",
+    [
+        ("--model", "[1]", "a model bundle is a JSON object, not a list", False),
+        ("--model", "{", "is not JSON: Expecting property name", True),
+        ("--config", "{", "is not JSON: Expecting property name", True),
+        ("--config", "[1]", "must hold a JSON object", True),
+    ],
+    ids=["bundle-list", "bundle-not-json", "config-not-json", "config-list"],
+)
+def test_file_that_is_not_a_json_object_fails_saying_so(
+    small_bundles, tmp_path, capsys, option, text, says, names_file
+):
+    data, bundles = small_bundles
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    model = bad if option == "--model" else bundles["ranknet"]
+    predict = ["predict", "--model", str(model), "--data", str(data)]
+    config = ["--config", str(bad)] if option == "--config" else []
+    capsys.readouterr()
+    assert main([*predict, *config, "--out", str(tmp_path / "p.csv")]) == 1
+    err = capsys.readouterr().err
+    assert says in err
+    assert (str(bad) in err) == names_file
 
 
 # What a mutation sets an entry to: every JSON kind, and the two non-finite floats.

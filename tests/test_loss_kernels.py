@@ -73,6 +73,9 @@ def test_softrank_matches_oracle(n, seed, s_tied, log_tau):
     values_again, jac_again = softrank(s, cfg)
     assert values_again.tobytes() == values.tobytes()
     assert jac_again(v).tobytes() == grad.tobytes()
+    values_fused, grad_fused = softrank(s, cfg, v)  # one walk for both
+    assert values_fused.tobytes() == values.tobytes()
+    assert grad_fused.tobytes() == grad.tobytes()
 
 
 @given(n=SIZES, seed=SEEDS, s_tied=st.booleans(), log_tau=LOG_SCALE)

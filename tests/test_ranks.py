@@ -129,3 +129,11 @@ class TestSoftRank:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):
             softrank(np.array([np.inf, 0.0]), SoftRankConfig(0.1))
+
+    @pytest.mark.parametrize("cotangent", [np.zeros(2), np.zeros(4), np.zeros((3, 1)), 1.0])
+    def test_rejects_wrong_shape_cotangent(self, cotangent):
+        s, cfg = np.array([0.0, 1.0, 2.0]), SoftRankConfig(0.1)
+        _, jac = softrank(s, cfg)
+        for call in (lambda: jac(cotangent), lambda: softrank(s, cfg, cotangent)):
+            with pytest.raises(ValueError, match=r"cotangent must have shape \(3,\)"):
+                call()
