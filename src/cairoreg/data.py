@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import typing
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from enum import Enum
 from pathlib import Path
@@ -227,36 +227,36 @@ def apply_standardizer(st: Standardizer, ds: Dataset) -> Dataset:
     )
 
 
+def _cells(rows: Iterator[list[str]], header: list[str]) -> Iterator[float]:
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise DataError(f"row {i} has {len(row)} cells, expected {len(header)}")
+        for name, cell in zip(header, row):
+            try:
+                yield float(cell)
+            except ValueError:
+                raise DataError(f"non-numeric cell {cell!r} at row {i}, column {name!r}") from None
+
+
 def read_numeric_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
     """Parse a fully numeric CSV with a header row into (column names, float64 matrix).
 
-    Non-numeric cells and missing values are hard errors reported with row
-    index and column name; so is a column name that appears twice.
+    One pass reads the file, holding no list of its rows. A non-numeric cell, a
+    missing or non-finite value and a repeated column name are hard errors; the
+    messages count data rows from 0 after the header, skipping blank lines.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"missing file: {path}")
     with path.open(newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    rows = [r for r in rows if r]
-    if not rows:
-        raise DataError(f"empty CSV: {path}")
-    header, body = rows[0], rows[1:]
-    duplicated = [name for name, count in Counter(header).items() if count > 1]
-    if duplicated:
-        raise DataError(f"duplicate column names {duplicated} in {path}")
-
-    parsed = np.empty((len(body), len(header)), dtype=np.float64)
-    for i, row in enumerate(body):
-        if len(row) != len(header):
-            raise DataError(f"row {i} has {len(row)} cells, expected {len(header)}")
-        for j, cell in enumerate(row):
-            try:
-                parsed[i, j] = float(cell)
-            except ValueError:
-                raise DataError(
-                    f"non-numeric cell {cell!r} at row {i}, column {header[j]!r}"
-                ) from None
+        rows = filter(None, csv.reader(fh))
+        header = next(rows, None)
+        if header is None:
+            raise DataError(f"empty CSV: {path}")
+        duplicated = [name for name, count in Counter(header).items() if count > 1]
+        if duplicated:
+            raise DataError(f"duplicate column names {duplicated} in {path}")
+        parsed = np.fromiter(_cells(rows, header), np.float64).reshape(-1, len(header))
     finite = np.isfinite(parsed).all(axis=1)
     if not finite.all():
         raise DataError(f"non-finite value at row {int(np.argmin(finite))}")

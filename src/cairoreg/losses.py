@@ -46,7 +46,7 @@ class PairwiseSurrogate:
 
 
 @dataclass(frozen=True)
-class SoftGini:
+class SoftGini(SoftRankConfig):
     """Negative covariance between targets and soft ranks of the scores.
 
     The 0.1 default temperature keeps gradients alive when scores are O(1),
@@ -54,10 +54,6 @@ class SoftGini:
     """
 
     temperature: float = 0.1
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.temperature < np.inf:
-            raise ValueError(f"temperature must be finite and positive, got {self.temperature}")
 
 
 @dataclass(frozen=True)
@@ -136,7 +132,7 @@ def surrogate_pairwise_loss(
                 w = f[rows, None] - f[:c1]
                 np.abs(w, out=w)
             w[:, c0:] *= pairs
-            value += float(np.vdot(w, x))
+            value += float(np.einsum("ij,ij->", w, x))  # fixed order for any BLAS thread count
             slope *= w
         grad[:c1] += slope.sum(axis=0)
         grad[rows] -= slope.sum(axis=1)

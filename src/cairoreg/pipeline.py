@@ -8,7 +8,8 @@ during training and undoes that at prediction time.
 
 A model bundle is one JSON object. Its standardizer, calibration map and
 loss spec are written and read by the dataclass codec in data, and
-model_from_dict alone reports a bad entry, naming its dotted JSON path.
+model_from_dict alone reports a bad entry, naming its dotted JSON path;
+load_model adds the file's path.
 """
 
 from __future__ import annotations
@@ -275,7 +276,8 @@ def save_model(model: Model, path: str | Path, config: dict | None = None) -> No
 
 def load_model(path: str | Path) -> Model:
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        return model_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
     except json.JSONDecodeError as exc:
         raise ValueError(f"model bundle {path} is not JSON: {exc}") from None
-    return model_from_dict(obj)
+    except ValueError as exc:
+        raise ValueError(f"{exc} (in {path})") from None

@@ -7,14 +7,20 @@ losses, the exact-rank Gini loss and the Kendall identity check state
 the identities the surrogates are built on; pav_oracle and
 kendall_reference solve by exhaustive enumeration what pav_fit and
 kendall compute in O(n log n). None of them runs in a fit.
+read_numeric_csv_oracle is the list-of-rows CSV reader that the streaming
+read_numeric_csv replaced.
 """
 
 from __future__ import annotations
 
+import csv
+from collections import Counter
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
+from cairoreg.data import DataError
 from cairoreg.isotonic import _check_fit_inputs
 from cairoreg.losses import LossValueGrad, WeightVariant, _check_pair
 from cairoreg.metrics import MetricError, _check
@@ -213,3 +219,39 @@ def kendall_reference(a: np.ndarray, b: np.ndarray) -> float:
     if denom == 0.0:
         raise MetricError("undefined correlation: constant input")
     return float((con - dis) / denom)
+
+
+def read_numeric_csv_oracle(path: str | Path) -> tuple[list[str], np.ndarray]:
+    """Parse a fully numeric CSV with a header row into (column names, float64 matrix).
+
+    Non-numeric cells and missing values are hard errors reported with row
+    index and column name; so is a column name that appears twice.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise DataError(f"missing file: {path}")
+    with path.open(newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    rows = [r for r in rows if r]
+    if not rows:
+        raise DataError(f"empty CSV: {path}")
+    header, body = rows[0], rows[1:]
+    duplicated = [name for name, count in Counter(header).items() if count > 1]
+    if duplicated:
+        raise DataError(f"duplicate column names {duplicated} in {path}")
+
+    parsed = np.empty((len(body), len(header)), dtype=np.float64)
+    for i, row in enumerate(body):
+        if len(row) != len(header):
+            raise DataError(f"row {i} has {len(row)} cells, expected {len(header)}")
+        for j, cell in enumerate(row):
+            try:
+                parsed[i, j] = float(cell)
+            except ValueError:
+                raise DataError(
+                    f"non-numeric cell {cell!r} at row {i}, column {header[j]!r}"
+                ) from None
+    finite = np.isfinite(parsed).all(axis=1)
+    if not finite.all():
+        raise DataError(f"non-finite value at row {int(np.argmin(finite))}")
+    return header, parsed

@@ -1,8 +1,14 @@
 import json
+import tempfile
+import tracemalloc
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from oracles import read_numeric_csv_oracle
 
 from cairoreg.bench import BenchConfig
 from cairoreg.data import (
@@ -16,6 +22,7 @@ from cairoreg.data import (
     fit_standardizer,
     load_csv,
     make_rng,
+    read_numeric_csv,
     split,
     write_csv,
     write_numeric_csv,
@@ -109,6 +116,90 @@ def test_write_numeric_csv_golden_bytes(tmp_path):
     )
     write_numeric_csv(f, header, [np.array([])] * 3)
     assert f.read_bytes() == b'"a,b","q""t",n\r\n'
+
+
+# Cells float() accepts with a finite value, including three that np.loadtxt
+# rejects: 1_000, a fullwidth digit and an Arabic-Indic digit.
+_FINITE_CELLS = ["0", "-0", "1.5", " 1.5", "1.5 ", "+1", ".5", "5.", "1e3", "1_000", "１", "١"]
+_OTHER_CELLS = ["abc", "1d5", "0x10", "", "--1", "1.0j", "NaN", "Infinity", "-inf", "1e400"]
+
+
+@st.composite
+def _csv_texts(draw):
+    """CSV text: a header, then rows of many kinds, in any line endings.
+
+    The header's names are distinct but for one in five. The body mixes
+    blank lines and good rows, which hold one finite number per column,
+    some of them quoted, with up to two odd rows: a good row with one cell
+    from _OTHER_CELLS, with an empty trailing cell or without its last cell,
+    or any number of good cells.
+    """
+    width = draw(st.integers(1, 4))
+    names = ["a", "b", "x 1", "__target", '"a,b"', '"q""t"']
+    header = draw(st.lists(st.sampled_from(names), min_size=width, max_size=width, unique=True))
+    if width > 1 and draw(st.integers(0, 4)) == 0:
+        header[-1] = header[0]
+    finite = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False).map(repr), st.sampled_from(_FINITE_CELLS)
+    )
+    cell = st.builds(lambda text, quoted: f'"{text}"' if quoted else text, finite, st.booleans())
+    good = st.lists(cell, min_size=width, max_size=width)
+    bad_cell = st.builds(
+        lambda row, j, bad: row[:j] + [bad] + row[j + 1 :],
+        good,
+        st.integers(0, width - 1),
+        st.sampled_from(_OTHER_CELLS),
+    )
+    odd = st.one_of(
+        bad_cell,
+        good.map(lambda row: row + [""]),
+        good.map(lambda row: row[:-1]),
+        st.lists(cell, max_size=width + 2),
+    )
+    body = draw(st.lists(st.one_of(good, st.just([])), max_size=8))
+    for _ in range(draw(st.integers(0, 2))):
+        body.insert(draw(st.integers(0, len(body))), draw(odd))
+    lines = [",".join(row) for row in [header, *body]]
+    ends = st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines))
+    text = "".join(line + end for line, end in zip(lines, draw(ends)))
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+def _read(reader, path):
+    """(header, matrix bytes and shape) or the DataError message."""
+    try:
+        header, matrix = reader(path)
+    except DataError as exc:
+        return str(exc)
+    return header, matrix.shape, matrix.tobytes()
+
+
+@given(text=_csv_texts())
+@example(text="")
+@example(text="\r\n\n\r")
+@example(text="a,b\r\n")
+@example(text="a,b,a\n1,2,3\n")
+@example(text="a,b\n1\n2,3\n")
+@example(text="a,b\n1,2\n\n-0,1_000\r\n")
+def test_read_numeric_csv_matches_the_list_of_rows_oracle(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert _read(read_numeric_csv, path) == _read(read_numeric_csv_oracle, path)
+
+
+def test_read_numeric_csv_peak_memory_is_near_its_result(tmp_path):
+    rng = make_rng(3)
+    path = tmp_path / "wide.csv"
+    write_numeric_csv(path, [f"x{j}" for j in range(12)], list(rng.normal(size=(12, 20_000))))
+    tracemalloc.start()
+    try:
+        _, matrix = read_numeric_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert matrix.shape == (20_000, 12)
+    assert peak < 3 * matrix.nbytes, f"peak {peak / matrix.nbytes:.1f}x the result"
 
 
 def test_dataset_rejects_nan():

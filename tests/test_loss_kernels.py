@@ -5,13 +5,18 @@ tie-free targets and scores, all three weight variants, and temperatures
 and sigmas over four decades.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 from oracles import softrank_oracle, surrogate_pairwise_loss_oracle
 
+import cairoreg
 from cairoreg.losses import WeightVariant, soft_gini_loss, surrogate_pairwise_loss
 from cairoreg.ranks import PAIR_BLOCK_ROWS, SoftRankConfig, softrank
 
@@ -107,3 +112,39 @@ def test_full_batch_memory():
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20, f"peak {peak / 2**20:.0f} MB"
+
+
+# Prints each surrogate's value and gradient bits for heavy-tailed targets at
+# two batch sizes. Its blocks hold 64 x 256 and 64 x 4200 pair terms, from
+# where a threaded BLAS dot product sums in an order set by its thread count.
+_SURROGATE_BITS = """
+import hashlib
+import numpy as np
+from cairoreg.losses import WeightVariant, surrogate_pairwise_loss
+for n in (256, 4200):
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        y, s = rng.standard_t(2, size=n), rng.normal(size=n)
+        for variant in WeightVariant:
+            got = surrogate_pairwise_loss(y, s, variant, 1.0)
+            print(n, seed, variant.value, got.value.hex(), hashlib.sha256(got.grad).hexdigest())
+"""
+
+
+def test_surrogate_bits_do_not_depend_on_the_blas_thread_count():
+    src = str(Path(cairoreg.__path__[0]).parent)
+
+    def bits(threads):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": str(threads)}
+        run = subprocess.run(
+            [sys.executable, "-c", _SURROGATE_BITS],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        return run.stdout.splitlines()
+
+    one, two = bits(1), bits(2)
+    assert len(one) == 18
+    assert one == two, [(a, b) for a, b in zip(one, two) if a != b]
