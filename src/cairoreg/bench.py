@@ -51,6 +51,8 @@ class BenchConfig:
     def __post_init__(self) -> None:
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
         unknown = set(self.models) - set(VARIANTS)
         if unknown:
             raise ValueError(f"unknown models: {sorted(unknown)}")

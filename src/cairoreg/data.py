@@ -56,13 +56,15 @@ def config_to_dict(cfg) -> dict:
 def _coerce(key: str, kind, value):
     """value as the type kind; a value that does not fit raises DataError naming key.
 
-    A JSON boolean is never a number, a str takes only text, and an np.ndarray
-    or a tuple is read from a list.
+    A JSON boolean is never a number, a str takes only text, an np.ndarray is
+    read from a list of finite numbers, and a tuple from a list.
     """
     if kind is np.ndarray:
         if isinstance(value, list) and all(type(v) in (int, float) for v in value):
-            return np.array(value, dtype=np.float64)
-        raise DataError(f"{key} must be a list of numbers")
+            array = np.array(value, dtype=np.float64)
+            if np.isfinite(array).all():
+                return array
+        raise DataError(f"{key} must be a list of finite numbers")
     wanted = {bool: "true or false", int: "an integer", float: "a number", str: "text"}.get(kind)
     if wanted and (
         value is None
@@ -175,6 +177,8 @@ class SplitSpec:
     def __post_init__(self) -> None:
         if not 0.0 < self.train_fraction < 1.0:
             raise DataError("train_fraction must lie in (0, 1)")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
 
 
 def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
@@ -243,20 +247,28 @@ def read_numeric_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
 
     One pass reads the file, holding no list of its rows. A non-numeric cell, a
     missing or non-finite value and a repeated column name are hard errors; the
-    messages count data rows from 0 after the header, skipping blank lines.
+    messages count data rows from 0 after the header, skipping blank lines. A
+    file that is not UTF-8 or that csv cannot parse fails naming the file line
+    the reader stopped at.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"missing file: {path}")
     with path.open(newline="", encoding="utf-8") as fh:
-        rows = filter(None, csv.reader(fh))
-        header = next(rows, None)
-        if header is None:
-            raise DataError(f"empty CSV: {path}")
-        duplicated = [name for name, count in Counter(header).items() if count > 1]
-        if duplicated:
-            raise DataError(f"duplicate column names {duplicated} in {path}")
-        parsed = np.fromiter(_cells(rows, header), np.float64).reshape(-1, len(header))
+        reader = csv.reader(fh)
+        rows = filter(None, reader)
+        try:
+            header = next(rows, None)
+            if header is None:
+                raise DataError(f"empty CSV: {path}")
+            duplicated = [name for name, count in Counter(header).items() if count > 1]
+            if duplicated:
+                raise DataError(f"duplicate column names {duplicated} in {path}")
+            parsed = np.fromiter(_cells(rows, header), np.float64).reshape(-1, len(header))
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise DataError(
+                f"cannot read {path}, stopped at line {reader.line_num}: {exc}"
+            ) from None
     finite = np.isfinite(parsed).all(axis=1)
     if not finite.all():
         raise DataError(f"non-finite value at row {int(np.argmin(finite))}")

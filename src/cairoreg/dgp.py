@@ -47,6 +47,8 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if self.n < 2 or self.d < 1:
             raise ValueError("need n >= 2 and d >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.lognormal_scale > 0.0:
             raise ValueError("lognormal_scale must be positive")
 

@@ -6,10 +6,10 @@ training scores. Targets are never standardized on the ranking path: the
 calibration stage restores their scale. The baseline standardizes targets
 during training and undoes that at prediction time.
 
-A model bundle is one JSON object. Its standardizer, calibration map and
-loss spec are written and read by the dataclass codec in data, and
-model_from_dict alone reports a bad entry, naming its dotted JSON path;
-load_model adds the file's path.
+A model bundle is one JSON object whose one version is BUNDLE_VERSION. Its
+scorer, standardizer, calibration map and loss spec are written and read by
+the dataclass codec in data, and model_from_dict alone reports a bad entry,
+naming its dotted JSON path; load_model adds the file's path.
 """
 
 from __future__ import annotations
@@ -35,10 +35,9 @@ from .losses import (
     WeightVariant,
     is_ranking_loss,
 )
-from .scorer import MlpParams, TrainConfig, forward, mlp_from_dict, mlp_to_dict, train
+from .scorer import MlpParams, TrainConfig, forward, train
 
-BUNDLE_VERSION = "cairo-model-v2"
-CALIBRATION_VERSION = "cairo-iso-v1"
+BUNDLE_VERSION = "cairo-model-v3"
 
 # CLI variant flag -> display name used in reports
 VARIANTS = {
@@ -214,14 +213,14 @@ def model_to_dict(model: Model, config: dict | None = None) -> dict:
     out = {
         "version": BUNDLE_VERSION,
         "config": config or {},
-        "scorer": mlp_to_dict(model.scorer),
+        "scorer": config_to_dict(model.scorer),
         "standardizer": config_to_dict(model.standardizer),
         "feature_names": list(model.feature_names),
     }
     if isinstance(model, CairoModel):
         objective = next(k for k, cls in LOSS_OBJECTIVES.items() if isinstance(model.spec, cls))
         out["kind"] = "cairo"
-        out["calibration"] = {"version": CALIBRATION_VERSION, **config_to_dict(model.calibration)}
+        out["calibration"] = config_to_dict(model.calibration)
         out["loss"] = {"objective": objective, **config_to_dict(model.spec)}
     else:
         out["kind"] = "nn-mse"
@@ -237,7 +236,7 @@ def model_from_dict(obj: dict) -> Model:
     if obj.get("version") != BUNDLE_VERSION:
         raise ValueError(f"unsupported model version: {obj.get('version')!r}")
     try:
-        params = mlp_from_dict(obj.get("scorer"))
+        params = config_from_dict(MlpParams, obj.get("scorer"), "scorer")
         d = params.dims[0]
         st = config_from_dict(Standardizer, obj.get("standardizer"), "standardizer")
         if st.mean.shape != (d,):
@@ -247,10 +246,7 @@ def model_from_dict(obj: dict) -> Model:
             raise ValueError(f"feature_names must list the scorer's {d} distinct column names")
         shared = {"scorer": params, "standardizer": st, "feature_names": names}
         if obj.get("kind") == "cairo":
-            section = obj.get("calibration")
-            calibration = config_from_dict(CalibrationMap, section, "calibration")
-            if section.get("version") != CALIBRATION_VERSION:
-                raise ValueError(f"calibration.version {section.get('version')!r} is unsupported")
+            calibration = config_from_dict(CalibrationMap, obj.get("calibration"), "calibration")
             loss = obj.get("loss")
             objective = loss.get("objective") if isinstance(loss, dict) else None
             if not isinstance(objective, str) or objective not in LOSS_OBJECTIVES:

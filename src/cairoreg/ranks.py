@@ -10,7 +10,6 @@ the soft ranks and a VJP; sigmoid(-x) = 1 - sigmoid(x) gives the upper one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -65,11 +64,11 @@ class SoftRankConfig:
 
 def softrank(
     scores: np.ndarray, cfg: SoftRankConfig, cotangent: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray | Callable[[np.ndarray], np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Smooth ranks softrank_i = 1 + sum_{j != i} sigmoid((s_i - s_j)/tau).
 
-    Returns the soft ranks and, for a cotangent v, v^T (d softrank / d scores);
-    without v, a closure that maps v to it. The soft ranks sum to n(n+1)/2
+    Returns the soft ranks and, for a cotangent v (zeros by default),
+    v^T (d softrank / d scores). The soft ranks sum to n(n+1)/2
     for every input and converge to mid-ranks as tau -> 0 on tie-free input.
     One walk over the strict lower triangle of the sorted scores, in blocks
     of PAIR_BLOCK_ROWS rows, gives both: O(n^2) time, O(n * PAIR_BLOCK_ROWS) memory.
@@ -77,7 +76,7 @@ def softrank(
     s = _check_scores(scores)
     n = s.size
     if cotangent is None:
-        return softrank(s, cfg, np.zeros(n))[0], lambda v: softrank(s, cfg, v)[1]
+        cotangent = np.zeros(n)
     if np.shape(cotangent) != (n,):
         raise ValueError(f"cotangent must have shape ({n},)")
     tau = cfg.temperature

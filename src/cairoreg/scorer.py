@@ -7,7 +7,8 @@ pairwise losses only ever see pairs inside one batch.
 All parameters live in one float64 vector, in the order W1 (h1 x d),
 b1 (h1), W2 (h2 x h1), b2 (h2), w3 (h2), b3 (one entry), with matrices
 row-major. Gradients and Adam's moments are vectors in the same layout,
-so an Adam step is one elementwise update.
+so an Adam step is one elementwise update. A model bundle stores the
+vector in this layout too, next to dims.
 """
 
 from __future__ import annotations
@@ -17,10 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, _coerce, make_rng
+from .data import Dataset, make_rng
 from .losses import LossSpec, PointwiseMse, evaluate_loss, is_ranking_loss
-
-MODEL_VERSION = "cairo-mlp-v1"
 
 
 def _layout(dims: tuple[int, int, int]) -> list[tuple[str, tuple[int, ...]]]:
@@ -42,13 +41,17 @@ class MlpParams:
     dims: tuple[int, int, int]
 
     def __post_init__(self) -> None:
+        if len(self.dims) != 3 or min(self.dims) < 1:
+            raise ValueError(f"dims must be three integers >= 1, got {list(self.dims)}")
+        layout = _layout(self.dims)
+        size = sum(math.prod(shape) for _, shape in layout)
+        if self.vector.shape != (size,):
+            raise ValueError(f"parameter vector has shape {self.vector.shape}, dims need ({size},)")
         pos = 0
-        for name, shape in _layout(self.dims):
+        for name, shape in layout:
             view = self.vector[pos : pos + math.prod(shape)].reshape(shape)
             object.__setattr__(self, name, view if shape else float(view))
             pos += view.size
-        if self.vector.shape != (pos,):
-            raise ValueError(f"parameter vector has shape {self.vector.shape}, dims need ({pos},)")
 
 
 def flatten_params(p: MlpParams) -> np.ndarray:
@@ -97,6 +100,22 @@ def forward(params: MlpParams, X: np.ndarray) -> tuple[np.ndarray, ForwardCache]
     return scores, ForwardCache(X=X, Z1=Z1, H1=H1, Z2=Z2, H2=H2, params=params)
 
 
+# Rows per chunk of backward's weight-gradient products. OpenBLAS splits a
+# product's sum over the batch across its threads once the batch is long
+# enough, which changes the bits with the thread count; chunks of this many
+# rows, summed in order, keep a fit's bits the same for any thread count.
+# A batch of at most this many rows is one product, as before chunking.
+BATCH_CHUNK_ROWS = 1024
+
+
+def _batch_sum(dZ: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """dZ.T @ A, summed over BATCH_CHUNK_ROWS-row chunks in order."""
+    out = dZ[:BATCH_CHUNK_ROWS].T @ A[:BATCH_CHUNK_ROWS]
+    for r0 in range(BATCH_CHUNK_ROWS, dZ.shape[0], BATCH_CHUNK_ROWS):
+        out += dZ[r0 : r0 + BATCH_CHUNK_ROWS].T @ A[r0 : r0 + BATCH_CHUNK_ROWS]
+    return out
+
+
 def backward(cache: ForwardCache, grad_scores: np.ndarray) -> MlpParams:
     """Exact gradient of sum_i grad_scores_i * score_i w.r.t. every parameter.
 
@@ -112,9 +131,9 @@ def backward(cache: ForwardCache, grad_scores: np.ndarray) -> MlpParams:
     dH1 = dZ2 @ p.W2
     dZ1 = dH1 * (cache.Z1 > 0.0)
     layers = [  # in vector order
-        dZ1.T @ cache.X,
+        _batch_sum(dZ1, cache.X),
         dZ1.sum(axis=0),
-        dZ2.T @ cache.H1,
+        _batch_sum(dZ2, cache.H1),
         dZ2.sum(axis=0),
         cache.H2.T @ g,
         g.sum(),
@@ -172,6 +191,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if is_ranking_loss(self.loss) and self.batch_size < 2:
             raise ValueError("pairwise losses need batch_size >= 2")
         if not 0.0 <= self.learning_rate < math.inf:
@@ -218,35 +239,3 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[MlpParams, list[float]]:
             batch_losses.append(value)
         history.append(float(np.mean(batch_losses)) if batch_losses else float("nan"))
     return params, history
-
-
-def mlp_to_dict(params: MlpParams) -> dict:
-    """Flat JSON-ready dict; matrices stored row-major, shapes implied by dims."""
-    out = {"version": MODEL_VERSION, "dims": list(params.dims)}
-    for name, shape in _layout(params.dims):
-        layer = getattr(params, name)
-        out[name] = layer.ravel().tolist() if shape else layer
-    return out
-
-
-def mlp_from_dict(obj: dict) -> MlpParams:
-    """Inverse of mlp_to_dict; a ValueError names the bad entry by its bundle path, scorer.<key>."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"scorer must be an object, got {type(obj).__name__}")
-    if obj.get("version") != MODEL_VERSION:
-        raise ValueError(f"scorer.version: unsupported scorer version: {obj.get('version')!r}")
-    dims = _coerce("scorer.dims", tuple[int, ...], obj.get("dims"))
-    if len(dims) != 3 or min(dims) < 1:
-        raise ValueError(f"scorer.dims must be three integers >= 1, got {list(dims)}")
-    layers = []
-    for name, shape in _layout(dims):
-        key = f"scorer.{name}"
-        layer = _coerce(key, np.ndarray if shape else float, obj.get(name))
-        if np.size(layer) != math.prod(shape):
-            raise ValueError(
-                f"{key} has {np.size(layer)} entries, dims {list(dims)} need {math.prod(shape)}"
-            )
-        if not np.all(np.isfinite(layer)):
-            raise ValueError(f"{key} holds a non-finite value")
-        layers.append(layer)
-    return MlpParams(np.concatenate(layers, axis=None), dims)

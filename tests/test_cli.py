@@ -89,7 +89,7 @@ class TestFitPredictEval:
         data = _simulate(tmp_path)
         model_path = _fit(tmp_path, data)
         obj = json.loads(model_path.read_text())
-        assert obj["version"] == "cairo-model-v2"
+        assert obj["version"] == "cairo-model-v3"
         assert obj["config"]["model"] == "ranknet"
         assert obj["config"]["epochs"] == 4
 
@@ -208,6 +208,22 @@ class TestFitPredictEval:
             assert main(args) == 1, args
             assert "duplicate column names" in capsys.readouterr().err, args
 
+    @pytest.mark.parametrize("fault", ["undecodable-byte", "oversized-field"])
+    def test_unreadable_csv_fails_naming_the_file(self, tmp_path, capsys, fault):
+        data = _simulate(tmp_path, n=500, d=8)  # 10 columns with __target and __true_mean
+        model_path = _fit(tmp_path, data, extra=("--epochs", "1"))
+        lines = data.read_bytes().split(b"\n")
+        if fault == "undecodable-byte":
+            lines[400] = b"\xff" + lines[400][1:]
+        else:  # over csv's default field size limit of 131072 characters
+            lines[400] = b"1" * 131073 + lines[400]
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\n".join(lines))
+        capsys.readouterr()
+        args = ["predict", "--model", str(model_path), "--data", str(bad)]
+        assert main([*args, "--out", str(tmp_path / "p.csv")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot read {bad}, stopped at line ")
+
     def test_missing_file_is_runtime_error(self, tmp_path):
         rc = main(
             [
@@ -257,7 +273,7 @@ def small_bundles(tmp_path_factory):
         ("ranknet", ("calibration", "knots", 3), float("nan")),
         ("ranknet", ("standardizer", "std", 0), 0.0),
         ("ranknet", ("standardizer", "mean", 0), float("inf")),
-        ("ranknet", ("scorer", "W1", 0), float("nan")),
+        ("ranknet", ("scorer", "vector", 0), float("nan")),
         ("nn-mse", ("target_mean",), float("nan")),
         ("nn-mse", ("target_std",), 0.0),
         ("ranknet", ("loss",), {"objective": "pointwise-mse"}),  # a cairo model ranks
@@ -411,6 +427,22 @@ def test_non_finite_or_negative_hyperparameter_fails_naming_it(
     option = flag.removeprefix("--").replace("-", "_")
     assert capsys.readouterr().err.startswith(f"error: {option} must be finite")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "fit", "bench"])
+def test_negative_seed_fails_naming_its_option(tmp_path, capsys, command):
+    data, out = _simulate(tmp_path), str(tmp_path / "out")
+    args, option = {
+        "simulate": (["simulate", "--seed", "-1", "--out", out], "seed"),
+        "fit": (
+            ["fit", "--data", str(data), "--model", "ranknet", "--seed", "-1", "--out", out],
+            "seed",
+        ),
+        "bench": (["bench", "--base-seed", "-1", "--out-dir", out], "base_seed"),
+    }[command]
+    capsys.readouterr()
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith(f"error: {option} must be >= 0, got -1")
 
 
 class TestConfigFile:

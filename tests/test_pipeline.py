@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -17,7 +20,7 @@ from cairoreg.pipeline import (
     save_model,
     variant_loss_spec,
 )
-from cairoreg.scorer import TrainConfig, forward
+from cairoreg.scorer import TrainConfig, flatten_params, forward
 
 
 def _quick_cfg(**kw):
@@ -123,8 +126,8 @@ class TestPredictionInput:
         _, model = normal_model
         for section, edits, match in (
             ("standardizer", {"mean": lambda v: v[:2]}, "standardizer lengths"),
-            # b1 one entry too long, b2 one too short: the total length still fits dims
-            ("scorer", {"b1": lambda v: v + [0.5], "b2": lambda v: v[:-1]}, "scorer.b1 has"),
+            ("scorer", {"vector": lambda v: v[:-1]}, r"scorer: parameter vector has shape"),
+            ("scorer", {"dims": lambda v: v[:2]}, r"scorer: dims must be three integers"),
         ):
             obj = model_to_dict(model)
             for key, edit in edits.items():
@@ -211,13 +214,15 @@ class TestSerialization:
         )
         assert back.spec == model.spec
         assert back.feature_names == model.feature_names == ("x1", "x2", "x3", "x4")
-        assert model_to_dict(model)["calibration"]["version"] == "cairo-iso-v1"
+        # the scorer section is the parameter vector in its documented layout, with dims
+        want = {"vector": flatten_params(model.scorer).tolist(), "dims": [4, 32, 16]}
+        assert model_to_dict(model)["scorer"] == want
 
     def test_mse_round_trip(self, tmp_path):
         ds = generate(ScenarioSpec(Scenario.NORMAL, n=100, d=3, seed=9))
         model = mse_fit(ds, _quick_cfg())
         obj = model_to_dict(model)
-        assert obj["version"] == "cairo-model-v2"
+        assert obj["version"] == "cairo-model-v3"
         back = model_from_dict(obj)
         np.testing.assert_array_equal(
             predict_model(back, ds.features), predict_model(model, ds.features)
@@ -227,3 +232,13 @@ class TestSerialization:
     def test_version_guard(self):
         with pytest.raises(ValueError, match="version"):
             model_from_dict({"version": "other"})
+
+    def test_v2_bundle_must_be_refitted(self, normal_model, tmp_path):
+        _, model = normal_model
+        path = tmp_path / "v2.json"
+        save_model(model, path)
+        obj = json.loads(path.read_text())
+        path.write_text(json.dumps({**obj, "version": "cairo-model-v2"}))
+        says = f"unsupported model version: 'cairo-model-v2' (in {path})"
+        with pytest.raises(ValueError, match=re.escape(says)):
+            load_model(path)

@@ -1,7 +1,14 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from cairoreg.data import Dataset
+import cairoreg
+from cairoreg.data import Dataset, config_from_dict, config_to_dict
 from cairoreg.losses import (
     PairwiseSurrogate,
     PointwiseMse,
@@ -9,16 +16,16 @@ from cairoreg.losses import (
     WeightVariant,
 )
 from cairoreg.scorer import (
+    BATCH_CHUNK_ROWS,
     MlpParams,
     TrainConfig,
+    _batch_sum,
     adam_step,
     backward,
     flatten_params,
     forward,
     init_adam,
     init_params,
-    mlp_from_dict,
-    mlp_to_dict,
     train,
     unflatten_params,
 )
@@ -278,6 +285,56 @@ class TestTrain:
         with pytest.raises(ValueError, match="batch_size >= 2"):
             TrainConfig(batch_size=1, loss=PairwiseSurrogate())
 
+    def test_fit_bits_do_not_depend_on_the_blas_thread_count(self):
+        src = str(Path(cairoreg.__path__[0]).parent)
+
+        def fits(threads):
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": str(threads)}
+            run = subprocess.run(
+                [sys.executable, "-c", _FIT_BITS],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            return run.stdout.splitlines()
+
+        one, two = fits(1), fits(2)
+        assert len(one) == 12
+        assert one == two, [(a[:40], b[:40]) for a, b in zip(one, two) if a != b]
+
+
+# Fits every variant for one epoch on 4200 heavy-tail rows at three batch sizes
+# and prints the loss history of its scorer's training on the standardized rows
+# and a hash of its bundle. A 4200-row batch is long enough for a threaded BLAS
+# to split the sum over the batch of an unchunked weight-gradient product.
+_FIT_BITS = """
+import hashlib, json
+from cairoreg.data import apply_standardizer, fit_standardizer
+from cairoreg.dgp import Scenario, ScenarioSpec, generate
+from cairoreg.pipeline import VARIANTS, FitHyper, fit_variant, model_to_dict, variant_train_config
+from cairoreg.scorer import train
+ds = generate(ScenarioSpec(Scenario.HEAVY_TAIL, n=4200, seed=3))
+std = apply_standardizer(fit_standardizer(ds), ds)
+for batch_size in (256, 1024, 4200):
+    for variant in VARIANTS:
+        cfg = variant_train_config(variant, 0, FitHyper(epochs=1, batch_size=batch_size))
+        _, history = train(std, cfg)
+        bundle = json.dumps(model_to_dict(fit_variant(variant, ds, cfg))).encode()
+        print(batch_size, variant, [h.hex() for h in history], hashlib.sha256(bundle).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("rows", [1, BATCH_CHUNK_ROWS, BATCH_CHUNK_ROWS + 1, 2500])
+def test_batch_sum_is_the_product(rows):
+    rng = np.random.default_rng(rows)
+    dZ, A = rng.normal(size=(rows, 16)), rng.normal(size=(rows, 32))
+    got, want = _batch_sum(dZ, A), dZ.T @ A
+    if rows <= BATCH_CHUNK_ROWS:  # one chunk: the same product, bit for bit
+        assert got.tobytes() == want.tobytes()
+    bound = 2 * rows * np.finfo(np.float64).eps * (np.abs(dZ).T @ np.abs(A))
+    assert np.all(np.abs(got - want) <= bound)
+
 
 class TestEndToEndGradients:
     """Parameter gradients through forward+loss match finite differences."""
@@ -319,22 +376,13 @@ class TestEndToEndGradients:
 class TestSerialization:
     def test_round_trip(self):
         p = init_params(6, seed=12)
-        obj = mlp_to_dict(p)
-        assert obj["version"] == "cairo-mlp-v1"
-        assert obj["dims"] == [6, 32, 16]
-        back = mlp_from_dict(obj)
+        obj = config_to_dict(p)
+        assert obj == {"vector": flatten_params(p).tolist(), "dims": [6, 32, 16]}
+        back = config_from_dict(MlpParams, obj, "scorer")
         np.testing.assert_array_equal(flatten_params(back), flatten_params(p))
 
     def test_json_round_trip_exact(self):
-        import json
-
         p = init_params(2, seed=13, hidden=(3, 2))
-        back = mlp_from_dict(json.loads(json.dumps(mlp_to_dict(p))))
+        obj = json.loads(json.dumps(config_to_dict(p)))
+        back = config_from_dict(MlpParams, obj, "scorer")
         np.testing.assert_array_equal(flatten_params(back), flatten_params(p))
-
-    def test_version_check(self):
-        p = init_params(2, seed=0)
-        obj = mlp_to_dict(p)
-        obj["version"] = "bogus"
-        with pytest.raises(ValueError, match="version"):
-            mlp_from_dict(obj)
