@@ -12,19 +12,16 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .data import SplitSpec, config_to_dict, split
+from .data import SplitSpec, _coerce, _table, config_to_dict, split
 from .dgp import Scenario, ScenarioSpec, generate
 from .metrics import METRICS, AggregateReport, EvalReport, aggregate, kendall, rmse, spearman
 from .pipeline import VARIANTS, FitHyper, fit_variant, predict_model, variant_train_config
 
 RESULTS_VERSION = "cairo-bench-v1"
-
-_HYPER_KEYS = tuple(f.name for f in fields(FitHyper))
 
 
 class BenchError(RuntimeError):
@@ -32,7 +29,9 @@ class BenchError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class BenchConfig:
+class BenchConfig(FitHyper):
+    """A bench run; the FitHyper fields are the hyperparameters every model shares."""
+
     scenarios: tuple[Scenario, ...] = tuple(Scenario)
     models: tuple[str, ...] = tuple(VARIANTS)
     n: int = ScenarioSpec.n
@@ -40,11 +39,6 @@ class BenchConfig:
     repetitions: int = 5
     base_seed: int = 0
     train_fraction: float = 0.7
-    epochs: int = FitHyper.epochs
-    batch_size: int = FitHyper.batch_size
-    learning_rate: float = FitHyper.learning_rate
-    sigma: float = FitHyper.sigma
-    temperature: float = FitHyper.temperature
     # per-model overrides of the FitHyper fields, e.g. {"nn-mse": {"epochs": 400}}
     overrides: dict = field(default_factory=dict)
 
@@ -56,23 +50,35 @@ class BenchConfig:
         unknown = set(self.models) - set(VARIANTS)
         if unknown:
             raise ValueError(f"unknown models: {sorted(unknown)}")
-        for model, kv in self.overrides.items():
+        overrides = self.overrides
+        if not isinstance(overrides, dict) or not all(
+            isinstance(kv, dict) for kv in overrides.values()
+        ):
+            raise ValueError(
+                f"overrides must map model names to objects of FitHyper keys, got {overrides!r}"
+            )
+        hyper = _table(FitHyper)
+        for model, kv in overrides.items():
             if model not in VARIANTS:
                 raise ValueError(f"override for unknown model: {model!r}")
-            bad = set(kv) - set(_HYPER_KEYS)
+            bad = set(kv) - set(hyper)
             if bad:
                 raise ValueError(f"unknown override keys for {model!r}: {sorted(bad)}")
+        typed = {
+            model: {k: _coerce(f"overrides.{model}.{k}", hyper[k][0], v) for k, v in kv.items()}
+            for model, kv in overrides.items()
+        }
+        object.__setattr__(self, "overrides", typed)
 
     def hyper(self, model: str) -> FitHyper:
         """One model's training hyperparameters: the shared values, then its overrides."""
-        shared = {key: getattr(self, key) for key in _HYPER_KEYS}
+        shared = {f.name: getattr(self, f.name) for f in fields(FitHyper)}
         return FitHyper(**{**shared, **self.overrides.get(model, {})})
 
 
 @dataclass(frozen=True)
 class RepetitionResult:
     scenario: str
-    model: str  # display name
     rep: int
     report: EvalReport
 
@@ -105,23 +111,17 @@ def _run_repetition(cfg: BenchConfig, scenario: Scenario, rep: int) -> list[Repe
             raise BenchError(
                 f"repetition failed: scenario={scenario.value} model={model_name} rep={rep}: {exc}"
             ) from exc
-        out.append(
-            RepetitionResult(
-                scenario=scenario.value, model=VARIANTS[model_name], rep=rep, report=report
-            )
-        )
+        out.append(RepetitionResult(scenario=scenario.value, rep=rep, report=report))
     return out
 
 
-def run_bench(cfg: BenchConfig, max_workers: int | None = None) -> BenchResult:
+def run_bench(cfg: BenchConfig, max_workers: int = 1) -> BenchResult:
     """Run every (scenario, repetition), aggregate per (scenario, model).
 
-    max_workers defaults to the CAIRO_THREADS environment variable (1 if
-    unset). Workers receive forked seeds; results are ordered by task
-    index, so the report is identical for any worker count.
+    Above one worker, the repetitions run on a process pool. Workers receive
+    forked seeds; results are ordered by task index, so the report is
+    identical for any worker count.
     """
-    if max_workers is None:
-        max_workers = int(os.environ.get("CAIRO_THREADS", "1"))
     tasks = [(scenario, rep) for scenario in cfg.scenarios for rep in range(cfg.repetitions)]
     if max_workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=min(max_workers, len(tasks))) as pool:
@@ -133,10 +133,8 @@ def run_bench(cfg: BenchConfig, max_workers: int | None = None) -> BenchResult:
     aggregates = []
     for scenario in cfg.scenarios:
         for model_name in cfg.models:
-            display = VARIANTS[model_name]
-            reports = [
-                r.report for r in raw if r.scenario == scenario.value and r.model == display
-            ]
+            cell = (scenario.value, VARIANTS[model_name])
+            reports = [r.report for r in raw if (r.scenario, r.report.model_name) == cell]
             if len(reports) >= 2:
                 aggregates.append((scenario.value, aggregate(reports)))
     return BenchResult(config=cfg, raw=raw, aggregates=aggregates)
@@ -157,7 +155,7 @@ def result_to_dict(result: BenchResult) -> dict:
         "raw": [
             {
                 "scenario": r.scenario,
-                "model": r.model,
+                "model": r.report.model_name,
                 "rep": r.rep,
                 **{metric: getattr(r.report, metric) for metric in METRICS},
             }

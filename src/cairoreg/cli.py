@@ -45,7 +45,7 @@ from .data import (
 )
 from .dgp import ScenarioSpec, generate
 from .isotonic import predict as calibration_predict
-from .metrics import rmse, spearman, kendall
+from .metrics import METRICS, EvalReport, kendall, rmse, spearman
 from .pipeline import (
     VARIANTS,
     CairoModel,
@@ -69,7 +69,6 @@ class CliError(RuntimeError):
 
 
 _TARGET = {"target_column": (str, TARGET_COLUMN)}
-_HYPER = _table(FitHyper)
 
 # Each command's options: every key is a flag and an allowed --config key,
 # except dict-valued ones (bench's per-model overrides), which only a
@@ -79,7 +78,7 @@ OPTIONS = {
     "fit": {
         "model": (str, None),
         **_TARGET,
-        **_HYPER,
+        **_table(FitHyper),
         "seed": (int, TrainConfig.seed),
         "calibration_fraction": (float, None),
     },
@@ -90,20 +89,12 @@ OPTIONS = {
 
 
 def _option(key: str, kind, value):
-    """_coerce, plus bench's overrides {model: {FitHyper key: value}}; BenchConfig checks keys."""
-    if kind is not dict:
-        if typing.get_origin(kind) is tuple and isinstance(value, str):  # comma-separated flag
-            value = [v for v in value.split(",") if v]
-        return _coerce(key, kind, value)
-    if not isinstance(value, dict) or not all(isinstance(kv, dict) for kv in value.values()):
-        raise CliError(f"{key} must map model names to objects of FitHyper keys, got {value!r}")
-    return {
-        model: {
-            k: _coerce(f"{key}.{model}.{k}", _HYPER[k][0], v) if k in _HYPER else v
-            for k, v in kv.items()
-        }
-        for model, kv in value.items()
-    }
+    """_coerce, reading a tuple flag as comma-separated text; a dict is its dataclass's to check."""
+    if kind is dict:
+        return value
+    if typing.get_origin(kind) is tuple and isinstance(value, str):
+        value = [v for v in value.split(",") if v]
+    return _coerce(key, kind, value)
 
 
 def _resolve(args: argparse.Namespace) -> dict:
@@ -125,7 +116,8 @@ def _resolve(args: argparse.Namespace) -> dict:
         value = getattr(args, key, None)
         if value is None:
             value = file_cfg.get(key, default)
-        out[key] = None if value is None else _option(key, kind, value)
+        # a null stands for "unset" only where that is the default
+        out[key] = None if value is None and default is None else _option(key, kind, value)
     return out
 
 
@@ -228,21 +220,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
         "model": args.model and str(args.model),
         "pred": args.pred and str(args.pred),
     }
-    payload = {
-        "version": EVAL_VERSION,
-        "config": config,
-        "model": model_label,
-        "spearman": spearman(ds.targets, yhat),
-        "kendall": kendall(ds.targets, yhat),
-        "rmse": rmse(ds.targets, yhat),
-    }
-    if ds.true_mean is not None:
-        payload["rmse_vs_true_mean"] = rmse(ds.true_mean, yhat)
-    _write_json(Path(args.out), payload)
-    print(
-        f"spearman={payload['spearman']:.4f} kendall={payload['kendall']:.4f} "
-        f"rmse={payload['rmse']:.4f}"
+    report = EvalReport(
+        model_label,
+        spearman(ds.targets, yhat),
+        kendall(ds.targets, yhat),
+        rmse(ds.targets, yhat),
+        None if ds.true_mean is None else rmse(ds.true_mean, yhat),
     )
+    metrics = {m: getattr(report, m) for m in METRICS if getattr(report, m) is not None}
+    _write_json(
+        Path(args.out),
+        {"version": EVAL_VERSION, "config": config, "model": report.model_name, **metrics},
+    )
+    print(f"spearman={report.spearman:.4f} kendall={report.kendall:.4f} rmse={report.rmse:.4f}")
     return 0
 
 
@@ -315,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = _command(sub, "bench", cmd_bench, "run the synthetic comparison harness")
-    p.add_argument("--threads", type=int, default=None, help="overrides CAIRO_THREADS")
+    p.add_argument("--threads", type=int, default=1, help="worker processes; default: 1")
     p.add_argument("--out-dir", required=True)
     return parser
 

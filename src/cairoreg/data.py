@@ -10,6 +10,7 @@ model bundles share, is here too: config_to_dict and config_from_dict.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import typing
 from collections import Counter
@@ -61,9 +62,10 @@ def _coerce(key: str, kind, value):
     """
     if kind is np.ndarray:
         if isinstance(value, list) and all(type(v) in (int, float) for v in value):
-            array = np.array(value, dtype=np.float64)
-            if np.isfinite(array).all():
-                return array
+            with contextlib.suppress(OverflowError):  # an integer beyond float64's range
+                array = np.array(value, dtype=np.float64)
+                if np.isfinite(array).all():
+                    return array
         raise DataError(f"{key} must be a list of finite numbers")
     wanted = {bool: "true or false", int: "an integer", float: "a number", str: "text"}.get(kind)
     if wanted and (
@@ -79,7 +81,7 @@ def _coerce(key: str, kind, value):
         return tuple(_coerce(key, typing.get_args(kind)[0], v) for v in value)
     try:
         return kind(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{key}: {exc}") from None
 
 
@@ -242,14 +244,30 @@ def _cells(rows: Iterator[list[str]], header: list[str]) -> Iterator[float]:
                 raise DataError(f"non-numeric cell {cell!r} at row {i}, column {name!r}") from None
 
 
+def _undecodable(path: Path) -> str:
+    """The line and column of the first byte of path that is not UTF-8, and why.
+
+    The text layer decodes in chunks, so a decode error gives no line. No
+    UTF-8 multibyte sequence holds a line-break byte, so decoding line by
+    line finds the same byte.
+    """
+    for number, line in enumerate(path.read_bytes().splitlines(), 1):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            column, byte = exc.start + 1, line[exc.start]
+            return f"line {number}, column {column}: byte 0x{byte:02x} is not UTF-8 ({exc.reason})"
+    return "a byte that is not UTF-8"  # the file changed after the failed read
+
+
 def read_numeric_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
     """Parse a fully numeric CSV with a header row into (column names, float64 matrix).
 
     One pass reads the file, holding no list of its rows. A non-numeric cell, a
     missing or non-finite value and a repeated column name are hard errors; the
     messages count data rows from 0 after the header, skipping blank lines. A
-    file that is not UTF-8 or that csv cannot parse fails naming the file line
-    the reader stopped at.
+    file that is not UTF-8 fails naming the line and column of its first bad
+    byte, and one that csv cannot parse naming the line the reader stopped at.
     """
     path = Path(path)
     if not path.exists():
@@ -265,7 +283,9 @@ def read_numeric_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
             if duplicated:
                 raise DataError(f"duplicate column names {duplicated} in {path}")
             parsed = np.fromiter(_cells(rows, header), np.float64).reshape(-1, len(header))
-        except (UnicodeDecodeError, csv.Error) as exc:
+        except UnicodeDecodeError:
+            raise DataError(f"cannot read {path}, stopped at {_undecodable(path)}") from None
+        except csv.Error as exc:
             raise DataError(
                 f"cannot read {path}, stopped at line {reader.line_num}: {exc}"
             ) from None

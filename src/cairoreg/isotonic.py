@@ -96,7 +96,7 @@ def audit_autocalibration(
     """Max deviation of within-level-set target means from the predicted value.
 
     Meaningful only on the training pair the map was fitted to, where it is
-    ~0 up to float rounding.
+    rounding error relative to max|y|: it grows with the targets' scale.
     """
     s, y = _check_fit_inputs(scores, targets)
     preds = predict(cmap, s)

@@ -31,8 +31,10 @@ class EvalReport:
             v = getattr(self, name)
             if not np.isfinite(v) or abs(v) > 1.0 + 1e-12:
                 raise MetricError(f"{name} out of range: {v}")
-        if not np.isfinite(self.rmse) or self.rmse < 0:
-            raise MetricError(f"invalid rmse: {self.rmse}")
+        for name in ("rmse", "rmse_vs_true_mean"):
+            v = getattr(self, name)
+            if v is not None and (not np.isfinite(v) or v < 0):
+                raise MetricError(f"invalid {name}: {v}")
 
 
 # the report's metric names, in output order

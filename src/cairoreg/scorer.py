@@ -205,8 +205,8 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[MlpParams, list[float]]:
     Shuffling is reseeded per epoch from (cfg.seed, epoch) so runs are
     bitwise reproducible. Trailing batches with a single row are dropped
     for pairwise losses, which are undefined there. Raises ValueError,
-    naming the epoch and batch, at the first non-finite loss value or
-    score gradient.
+    naming the epoch and batch, at the first non-finite score, loss value
+    or score gradient.
     """
     if ds.n < 1:
         raise ValueError("empty dataset")
@@ -227,6 +227,10 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[MlpParams, list[float]]:
                 continue
             X, y = ds.features[idx], ds.targets[idx]
             scores, cache = forward(params, X)
+            if not np.isfinite(scores).all():
+                raise ValueError(
+                    f"training diverged at epoch {epoch}, batch {batch}: non-finite score"
+                )
             value, grad_scores = evaluate_loss(cfg.loss, y, scores)
             if not math.isfinite(value):
                 raise ValueError(f"training diverged at epoch {epoch}, batch {batch}: loss {value}")

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from cairoreg.bench import (
     write_table_csv,
 )
 from cairoreg.dgp import Scenario
+from cairoreg.pipeline import FitHyper
 
 
 def _smoke_cfg(**kw):
@@ -32,7 +34,7 @@ class TestRunBench:
     def test_smoke_run_emits_one_report_per_cell(self):
         result = run_bench(_smoke_cfg())
         assert len(result.raw) == 3 * 2  # scenarios x models, 1 rep
-        cells = {(r.scenario, r.model) for r in result.raw}
+        cells = {(r.scenario, r.report.model_name) for r in result.raw}
         assert len(cells) == 6
         assert result.aggregates == []  # aggregation needs >= 2 reps
 
@@ -78,6 +80,24 @@ class TestRunBench:
             BenchConfig(overrides={"nope": {}})
         with pytest.raises(ValueError, match="unknown override keys"):
             BenchConfig(overrides={"ranknet": {"bogus": 1}})
+
+    def test_overrides_are_typed_at_construction(self):
+        for kv, path in (({"sigma": True}, "sigma must be"), ({"epochs": 1.7}, "epochs must be")):
+            with pytest.raises(ValueError, match=f"^overrides.ranknet.{path}"):
+                BenchConfig(overrides={"ranknet": kv})
+        for overrides in ({"ranknet": 5}, [1]):
+            with pytest.raises(ValueError, match="^overrides must map model names to objects"):
+                BenchConfig(overrides=overrides)
+        cfg = BenchConfig(overrides={"ranknet": {"epochs": 2.0, "sigma": 1}})
+        hyper = cfg.hyper("ranknet")
+        assert (type(hyper.epochs), type(hyper.sigma)) == (int, float)
+        assert cfg.overrides == {"ranknet": {"epochs": 2, "sigma": 1.0}}
+
+    def test_shared_hyperparameters_are_fit_hyper_fields(self):
+        assert fields(BenchConfig)[: len(fields(FitHyper))] == fields(FitHyper)
+        cfg = BenchConfig(epochs=7, sigma=0.5, overrides={"nn-mse": {"epochs": 400}})
+        assert cfg.hyper("ranknet") == FitHyper(epochs=7, sigma=0.5)
+        assert cfg.hyper("nn-mse") == FitHyper(epochs=400, sigma=0.5)
 
 
 class TestOutputs:

@@ -142,6 +142,21 @@ class TestFitPredictEval:
         assert 0 <= report["rmse"] and np.isfinite(report["rmse"])
         assert "rmse_vs_true_mean" in report  # simulated data carries the true mean
 
+    def test_eval_rejects_a_non_finite_metric(self, tmp_path, capsys):
+        # targets near 1e200 against their negatives: the squared errors overflow
+        big = tmp_path / "big.csv"
+        pred = tmp_path / "pred.csv"
+        y = (1e200 * (1.0 + np.arange(20) / 20)).tolist()
+        big.write_text("x1,__target\n" + "".join(f"{i},{v!r}\n" for i, v in enumerate(y)))
+        pred.write_text("prediction\n" + "".join(f"{-v!r}\n" for v in y))
+        out = tmp_path / "report.json"
+        capsys.readouterr()
+        with np.errstate(over="ignore"):
+            rc = main(["eval", "--data", str(big), "--pred", str(pred), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: invalid rmse: inf")
+        assert not out.exists()
+
     def test_eval_requires_exactly_one_source(self, tmp_path):
         data = _simulate(tmp_path)
         rc = main(["eval", "--data", str(data), "--out", str(tmp_path / "r.json")])
@@ -210,19 +225,22 @@ class TestFitPredictEval:
 
     @pytest.mark.parametrize("fault", ["undecodable-byte", "oversized-field"])
     def test_unreadable_csv_fails_naming_the_file(self, tmp_path, capsys, fault):
-        data = _simulate(tmp_path, n=500, d=8)  # 10 columns with __target and __true_mean
+        data = _simulate(tmp_path, n=600, d=8)  # 10 columns with __target and __true_mean
         model_path = _fit(tmp_path, data, extra=("--epochs", "1"))
         lines = data.read_bytes().split(b"\n")
-        if fault == "undecodable-byte":
-            lines[400] = b"\xff" + lines[400][1:]
+        if fault == "undecodable-byte":  # the text layer's decode chunk ends lines earlier
+            lines[401] = b"\xff" + lines[401][1:]
         else:  # over csv's default field size limit of 131072 characters
-            lines[400] = b"1" * 131073 + lines[400]
+            lines[401] = b"1" * 131073 + lines[401]
         bad = tmp_path / "bad.csv"
         bad.write_bytes(b"\n".join(lines))
         capsys.readouterr()
         args = ["predict", "--model", str(model_path), "--data", str(bad)]
         assert main([*args, "--out", str(tmp_path / "p.csv")]) == 1
-        assert capsys.readouterr().err.startswith(f"error: cannot read {bad}, stopped at line ")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {bad}, stopped at line ")
+        if fault == "undecodable-byte":
+            assert err.startswith(f"error: cannot read {bad}, stopped at line 402, column 1: ")
 
     def test_missing_file_is_runtime_error(self, tmp_path):
         rc = main(
@@ -321,8 +339,9 @@ def test_file_that_is_not_a_json_object_fails_saying_so(
     assert says in err and str(bad) in err
 
 
-# What a mutation sets an entry to: every JSON kind, and the two non-finite floats.
-_WRONG_VALUES = (True, "x", None, {}, float("nan"), float("inf"))
+# What a mutation sets an entry to: every JSON kind, the two non-finite floats, and
+# an integer beyond float64's range.
+_WRONG_VALUES = (True, "x", None, {}, float("nan"), float("inf"), 10**400)
 
 
 def _mutations(bundle):
@@ -427,6 +446,75 @@ def test_non_finite_or_negative_hyperparameter_fails_naming_it(
     option = flag.removeprefix("--").replace("-", "_")
     assert capsys.readouterr().err.startswith(f"error: {option} must be finite")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("model", ["ranknet", "ranknet-giniw", "gininet-softrank", "nn-mse"])
+def test_diverging_training_names_its_epoch_and_batch(tmp_path, capsys, model):
+    data = _simulate(tmp_path)
+    out = tmp_path / "m.json"
+    capsys.readouterr()
+    args = ["fit", "--data", str(data), "--model", model, "--epochs", "3", "--batch-size", "64"]
+    with np.errstate(all="ignore"):
+        assert main([*args, "--learning-rate", "1e300", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: training diverged at epoch 0, batch ")
+    assert not out.exists()
+
+
+# What a config mutation sets a value to: every JSON kind, NaN, the edges of the
+# range checks, and an integer beyond float64's range.
+_CONFIG_VALUES = (None, True, "x", [1], {}, float("nan"), -1, 0, 0.5, 10**400)
+# Valid mutants left out because they would make a run long.
+_LONG_MUTANTS = (("epochs", 10**400),)
+
+
+def test_every_config_mutant_runs_or_names_its_key(tmp_path, capsys):
+    """Each value of a fit config, and each override of a bench config, set to each of
+    _CONFIG_VALUES.
+
+    A mutant exits 0, or exits 1 with an error line that names its key path.
+    A message may name the key in words ("missing target column"). An
+    override of the right type that the fit then rejects fails its bench
+    repetition: that message names the model, and its cause the key.
+    """
+    data = _simulate(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    hyper = {"epochs": 1, "batch_size": 64, "learning_rate": 0.01, "sigma": 1.0, "temperature": 0.1}
+    fit = {"model": "ranknet", "target_column": TARGET_COLUMN, **hyper, "seed": 0}
+    fit["calibration_fraction"] = 0.5
+    bench = {"scenarios": ["normal"], "models": ["ranknet"], "n": 600, "d": 3, "repetitions": 1}
+    commands = {
+        "fit": ["fit", "--data", str(data), "--out", str(tmp_path / "m.json")],
+        "bench": ["bench", "--out-dir", str(tmp_path / "bench")],
+    }
+    mutants = [("fit", fit, key, (key,)) for key in fit]
+    mutants += [("bench", bench, key, ("overrides", "ranknet", key)) for key in hyper]
+    bad = []
+    for command, base, key, path in mutants:
+        for value in _CONFIG_VALUES:
+            if (key, value) in _LONG_MUTANTS:
+                continue
+            config = json.loads(json.dumps({**base, "overrides": {"ranknet": hyper}}))
+            if command == "fit":
+                del config["overrides"]
+            node = config
+            for k in path[:-1]:
+                node = node[k]
+            node[key] = value
+            cfg.write_text(json.dumps(config))
+            capsys.readouterr()
+            with np.errstate(all="ignore"):
+                rc = main([*commands[command], "--config", str(cfg)])
+            err = capsys.readouterr().err
+            if rc == 0:
+                continue
+            line = err.strip().splitlines()[-1] if err.strip() else ""
+            dotted = ".".join(path)
+            named = dotted in line or key.replace("_", " ") in line
+            if command == "bench":
+                named |= "model=ranknet rep=0: " + key in line
+            if rc != 1 or not line.startswith("error: ") or not named:
+                bad.append((command, dotted, value, rc, line))
+    assert not bad, bad
 
 
 @pytest.mark.parametrize("command", ["simulate", "fit", "bench"])

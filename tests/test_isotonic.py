@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from oracles import pav_oracle
 from scipy.optimize import isotonic_regression as scipy_isotonic
 
@@ -111,15 +113,19 @@ class TestPredict:
 
 
 class TestAudit:
-    def test_training_fit_is_auto_calibrated(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            n = int(rng.integers(2, 80))
-            s = rng.integers(0, 12, size=n).astype(float)
-            y = rng.normal(size=n)
-            cmap = pav_fit(s, y)
-            report = audit_autocalibration(cmap, s, y)
-            assert report.max_abs_block_residual < 1e-9
+    @given(
+        n=st.integers(2, 80),
+        seed=st.integers(0, 2**32 - 1),
+        log10_scale=st.floats(0.0, 9.0),
+        signed=st.booleans(),
+    )
+    def test_training_fit_is_auto_calibrated(self, n, seed, log10_scale, signed):
+        """On its training pair the residual is rounding error, relative to max|y|."""
+        rng = np.random.default_rng(seed)
+        s = rng.integers(0, 12, size=n).astype(float)  # tied scores
+        y = (rng.normal(size=n) if signed else rng.lognormal(size=n)) * 10.0**log10_scale
+        report = audit_autocalibration(pav_fit(s, y), s, y)
+        assert report.max_abs_block_residual <= 1e-12 * max(1.0, np.abs(y).max())
 
     def test_constant_targets_single_block(self):
         s = np.arange(5.0)

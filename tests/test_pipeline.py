@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from cairoreg.data import Dataset, SplitSpec, make_rng, split
 from cairoreg.dgp import Scenario, ScenarioSpec, generate
@@ -64,6 +66,36 @@ class TestCairoFit:
         assert held.calibration.knots.size < full.calibration.knots.size
         # scorers trained on different subsets differ
         assert not np.array_equal(held.scorer.W1, full.scorer.W1)
+
+
+# strictly increasing maps of the targets
+_MONOTONE = {
+    "affine": lambda y: 7.0 * y - 2.0,
+    "cube": lambda y: y**3,
+    "log1p": np.log1p,
+    "exp": lambda y: np.exp(y / 8.0),
+}
+
+
+@pytest.mark.parametrize("g", list(_MONOTONE))
+@given(n=st.integers(2, 60), levels=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+def test_uniform_ranknet_scorer_sees_only_the_target_order(g, n, levels, seed):
+    """Order, not scale: y and g(y) give a bitwise-identical uniform-RankNet scorer.
+
+    Its pair weights and cotangents use only the signs of target differences.
+    The GiniW and soft-Gini variants use target values, so their scorers
+    differ under these maps; that is expected and not asserted here.
+    """
+    rng = make_rng(seed)
+    X = rng.standard_normal((n, 3))
+    y = (rng.lognormal(size=levels) * 5.0)[rng.integers(0, levels, size=n)]  # tied targets
+    gy = _MONOTONE[g](y)
+    assume(np.array_equal(np.sign(np.subtract.outer(y, y)), np.sign(np.subtract.outer(gy, gy))))
+    loss = PairwiseSurrogate(WeightVariant.UNIFORM, 1.0)
+    cfg = _quick_cfg(epochs=3, batch_size=16, seed=seed % 1000)
+    a = cairo_fit(Dataset(X, y), loss, cfg).scorer.vector
+    b = cairo_fit(Dataset(X, gy), loss, cfg).scorer.vector
+    assert a.tobytes() == b.tobytes()
 
 
 class TestCairoPredict:
