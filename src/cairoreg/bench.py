@@ -43,13 +43,13 @@ class BenchConfig(FitHyper):
     overrides: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         if self.base_seed < 0:
             raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
-        unknown = set(self.models) - set(VARIANTS)
-        if unknown:
-            raise ValueError(f"unknown models: {sorted(unknown)}")
+        ScenarioSpec(n=self.n, d=self.d)
+        SplitSpec(self.train_fraction, self.base_seed)
         overrides = self.overrides
         if not isinstance(overrides, dict) or not all(
             isinstance(kv, dict) for kv in overrides.values()
@@ -59,8 +59,6 @@ class BenchConfig(FitHyper):
             )
         hyper = _table(FitHyper)
         for model, kv in overrides.items():
-            if model not in VARIANTS:
-                raise ValueError(f"override for unknown model: {model!r}")
             bad = set(kv) - set(hyper)
             if bad:
                 raise ValueError(f"unknown override keys for {model!r}: {sorted(bad)}")
@@ -69,6 +67,13 @@ class BenchConfig(FitHyper):
             for model, kv in overrides.items()
         }
         object.__setattr__(self, "overrides", typed)
+        # a bad model name or override fails here, before any data is generated
+        for model in dict.fromkeys([*self.models, *typed]):
+            prefix = f"overrides.{model}: " if model in typed else ""
+            try:
+                variant_train_config(model, self.base_seed, self.hyper(model))
+            except ValueError as exc:
+                raise ValueError(prefix + str(exc)) from None
 
     def hyper(self, model: str) -> FitHyper:
         """One model's training hyperparameters: the shared values, then its overrides."""

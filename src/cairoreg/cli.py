@@ -143,18 +143,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_fit(args: argparse.Namespace) -> int:
     opts = _resolve(args)
     model_name = opts["model"]
-    if model_name not in VARIANTS:
-        raise CliError(f"--model must be one of {sorted(VARIANTS)}")
+    hyper = FitHyper(**{f.name: opts[f.name] for f in fields(FitHyper)})
+    train_cfg = variant_train_config(model_name, opts["seed"], hyper)
     # The bundle records the model first, then the data path, then the rest.
     config = {"model": model_name, "data": str(args.data), **opts}
     ds = load_csv(args.data, opts["target_column"])
-    hyper = FitHyper(**{f.name: opts[f.name] for f in fields(FitHyper)})
-    model = fit_variant(
-        model_name,
-        ds,
-        variant_train_config(model_name, opts["seed"], hyper),
-        opts["calibration_fraction"],
-    )
+    model = fit_variant(model_name, ds, train_cfg, opts["calibration_fraction"])
     save_model(model, args.out, config)
     if args.emit_plot_data is not None:
         _emit_plot_data(model, ds, Path(args.emit_plot_data), config)

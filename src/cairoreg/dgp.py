@@ -49,8 +49,10 @@ class ScenarioSpec:
             raise ValueError("need n >= 2 and d >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not self.lognormal_scale > 0.0:
-            raise ValueError("lognormal_scale must be positive")
+        if not 0.0 < self.lognormal_scale < np.inf:
+            raise ValueError(
+                f"lognormal_scale must be finite and positive, got {self.lognormal_scale}"
+            )
 
 
 def generate(spec: ScenarioSpec) -> Dataset:

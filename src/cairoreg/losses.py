@@ -3,12 +3,14 @@
 Training uses the log-sigmoid pairwise surrogate, the softrank Gini loss,
 or plain MSE. The surrogate weighs each pair with y_i > y_j uniformly, by
 the target gap, or by the gap in the batch's target mid-distribution, and
-divides by n(n-1). The two ranking kernels, the surrogate here and
-softrank in ranks, sort their input once and walk the strict lower
-triangle of pairs in blocks of PAIR_BLOCK_ROWS rows, so they hold no
-n x n temporaries; soft-Gini passes its cotangent to softrank, so one
-walk gives its value and gradient. Their dense forms, and the hard
-pairwise losses the surrogate bounds, are test oracles in tests/oracles.py.
+divides by n(n-1). Each kernel takes its spec, as softrank takes its
+SoftRankConfig, and trusts the spec's checks. The two ranking kernels,
+the surrogate here and softrank in ranks, sort their input once and walk
+the strict lower triangle of pairs in blocks of PAIR_BLOCK_ROWS rows, so
+they hold no n x n temporaries; soft-Gini passes its cotangent to
+softrank, so one walk gives its value and gradient. Their dense forms,
+and the hard pairwise losses the surrogate bounds, are test oracles in
+tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -80,27 +82,27 @@ def _check_pair(y: np.ndarray, s: np.ndarray, min_n: int = 2) -> tuple[np.ndarra
 
 
 def surrogate_pairwise_loss(
-    y: np.ndarray, s: np.ndarray, variant: WeightVariant, sigma: float
+    y: np.ndarray, s: np.ndarray, spec: PairwiseSurrogate
 ) -> LossValueGrad:
     """Smooth upper bound on the misordered-pair loss, with exact gradient.
 
-    value = (1/(n(n-1))) sum_{i != j} w_ij 1{y_i > y_j} softplus(-sigma (s_i - s_j)).
+    value = (1/(n(n-1))) sum_{i != j} w_ij 1{y_i > y_j} softplus(-sigma (s_i - s_j)),
+    with the weights and sigma of spec.
 
     The rows are sorted by target once, so the pairs with y_i > y_j are
     j < first[i] (the first row tied with i): a lower triangle, cut back
     at ties, walked in blocks of PAIR_BLOCK_ROWS rows. One exp(-|x|) per
-    pair serves both softplus(x) and sigmoid(x). O(n^2) time and
-    O(n * PAIR_BLOCK_ROWS) memory.
+    pair serves both softplus(x) and sigmoid(x). A weighted pair's weight is
+    its gap in g, the sorted targets or (RANK_GAP) their mid-distribution,
+    both nondecreasing. O(n^2) time and O(n * PAIR_BLOCK_ROWS) memory.
     """
     y, s = _check_pair(y, s)
-    if not 0.0 < sigma < np.inf:
-        raise ValueError(f"sigma must be finite and positive, got {sigma}")
     n = y.size
     order = np.argsort(y, kind="stable")
     ys = y[order]
-    xs = sigma * s[order]
+    xs = spec.sigma * s[order]
     first = np.searchsorted(ys, ys, side="left")
-    f = mid_distribution(y)[order] if variant is WeightVariant.RANK_GAP else None
+    g = mid_distribution(y)[order] if spec.variant is WeightVariant.RANK_GAP else ys
 
     value = 0.0
     grad = np.zeros(n)
@@ -121,16 +123,12 @@ def surrogate_pairwise_loss(
         e += 1.0
         slope /= e
         pairs = np.arange(c0, c1) < first[rows, None]
-        if variant is WeightVariant.UNIFORM:
+        if spec.variant is WeightVariant.UNIFORM:
             x[:, c0:] *= pairs
             slope[:, c0:] *= pairs
             value += float(x.sum())
         else:
-            if f is None:
-                w = ys[rows, None] - ys[:c1]
-            else:
-                w = f[rows, None] - f[:c1]
-                np.abs(w, out=w)
+            w = g[rows, None] - g[:c1]
             w[:, c0:] *= pairs
             value += float(np.einsum("ij,ij->", w, x))  # fixed order for any BLAS thread count
             slope *= w
@@ -139,20 +137,21 @@ def surrogate_pairwise_loss(
 
     scale = 1.0 / (n * (n - 1))
     out = np.empty(n)
-    out[order] = grad * (sigma * scale)
+    out[order] = grad * (spec.sigma * scale)
     return LossValueGrad(value * scale, out)
 
 
-def soft_gini_loss(y: np.ndarray, s: np.ndarray, temperature: float) -> LossValueGrad:
+def soft_gini_loss(y: np.ndarray, s: np.ndarray, spec: SoftRankConfig) -> LossValueGrad:
     """Smoothed negative rank covariance -(2/n^2) sum (y_i - mean y) softrank_i.
 
-    Centering the targets drops only an additive constant, keeping the
-    value comparable across batches; the gradient is exact: softrank
-    returns the cotangent's VJP from the walk that gives the soft ranks.
+    The soft ranks are softrank's at spec's temperature. Centering the
+    targets drops only an additive constant, keeping the value comparable
+    across batches; the gradient is exact: softrank returns the
+    cotangent's VJP from the walk that gives the soft ranks.
     """
     y, s = _check_pair(y, s)
     cotangent = -(2.0 / y.size**2) * (y - y.mean())
-    values, grad = softrank(s, SoftRankConfig(temperature), cotangent)
+    values, grad = softrank(s, spec, cotangent)
     return LossValueGrad(float(cotangent @ values), grad)
 
 
@@ -166,9 +165,9 @@ def mse_loss(y: np.ndarray, s: np.ndarray) -> LossValueGrad:
 def evaluate_loss(spec: LossSpec, y: np.ndarray, s: np.ndarray) -> LossValueGrad:
     """Dispatch a LossSpec to its value-and-gradient implementation."""
     if isinstance(spec, PairwiseSurrogate):
-        return surrogate_pairwise_loss(y, s, spec.variant, spec.sigma)
+        return surrogate_pairwise_loss(y, s, spec)
     if isinstance(spec, SoftGini):
-        return soft_gini_loss(y, s, spec.temperature)
+        return soft_gini_loss(y, s, spec)
     if isinstance(spec, PointwiseMse):
         return mse_loss(y, s)
     raise TypeError(f"unknown loss spec: {spec!r}")

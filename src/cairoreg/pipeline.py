@@ -69,7 +69,8 @@ class FitHyper:
     """Per-model training hyperparameters, with the library's defaults.
 
     These are the `cairo fit` options and the keys a bench run may
-    override per model.
+    override per model. Each value is checked, whichever variant is fitted,
+    by the class that uses it.
     """
 
     epochs: int = TrainConfig.epochs
@@ -77,6 +78,13 @@ class FitHyper:
     learning_rate: float = TrainConfig.learning_rate
     sigma: float = PairwiseSurrogate.sigma
     temperature: float = SoftGini.temperature
+
+    def __post_init__(self) -> None:
+        TrainConfig(
+            epochs=self.epochs, batch_size=self.batch_size, learning_rate=self.learning_rate
+        )
+        PairwiseSurrogate(sigma=self.sigma)
+        SoftGini(self.temperature)
 
 
 def variant_train_config(variant: str, seed: int, hyper: FitHyper) -> TrainConfig:
@@ -135,6 +143,8 @@ def cairo_fit(
 
     params, _ = train(scorer_ds, replace(cfg, loss=loss))
     scores, _ = forward(params, calib_ds.features)
+    if not np.isfinite(scores).all():
+        raise ValueError("training diverged at its last step: non-finite score")
     calibration = pav_fit(scores, calib_ds.targets)
     return CairoModel(
         scorer=params,
@@ -177,13 +187,11 @@ def fit_variant(
     calibration_fraction is passed to cairo_fit; the MSE baseline has no
     calibration stage and rejects it.
     """
-    if variant == "nn-mse":
-        if calibration_fraction is not None:
-            raise ValueError("calibration_fraction applies only to ranking variants")
-        return mse_fit(train_ds, cfg)
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown model variant: {variant!r}")
-    return cairo_fit(train_ds, cfg.loss, cfg, calibration_fraction)
+    if is_ranking_loss(variant_loss_spec(variant)):
+        return cairo_fit(train_ds, cfg.loss, cfg, calibration_fraction)
+    if calibration_fraction is not None:
+        raise ValueError("calibration_fraction applies only to ranking variants")
+    return mse_fit(train_ds, cfg)
 
 
 def predict_model(model: Model, X: np.ndarray) -> np.ndarray:
@@ -198,8 +206,13 @@ def predict_model(model: Model, X: np.ndarray) -> np.ndarray:
         raise ValueError("non-finite feature value")
     scores, _ = forward(model.scorer, model.standardizer.transform(X))
     if isinstance(model, CairoModel):
-        return calibration_predict(model.calibration, scores)
-    return scores * model.target_std + model.target_mean
+        yhat = calibration_predict(model.calibration, scores)
+    else:
+        yhat = scores * model.target_std + model.target_mean
+    if not np.isfinite(yhat).all():
+        bad = int(np.count_nonzero(~np.isfinite(yhat)))
+        raise ValueError(f"non-finite prediction: {bad} of {yhat.size} rows")
+    return yhat
 
 
 # The bundle's "objective" name of each ranking loss spec; the spec's fields follow it.

@@ -208,8 +208,6 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[MlpParams, list[float]]:
     naming the epoch and batch, at the first non-finite score, loss value
     or score gradient.
     """
-    if ds.n < 1:
-        raise ValueError("empty dataset")
     if is_ranking_loss(cfg.loss) and ds.n < 2:
         raise ValueError("pairwise losses need at least 2 rows")
 

@@ -59,11 +59,11 @@ class TestRunBench:
         assert serial == parallel
 
     def test_failed_repetition_identifies_cell(self):
-        cfg = _smoke_cfg(overrides={"ranknet": {"batch_size": 1}})
+        cfg = _smoke_cfg(overrides={"ranknet": {"learning_rate": 1e300}})
         # the cause is in the message itself, which a process pool passes back intact
-        want = r"scenario=normal model=ranknet rep=0: pairwise losses need batch_size >= 2"
+        want = r"scenario=normal model=ranknet rep=0: training diverged at epoch 0, batch"
         for max_workers in (1, 2):
-            with pytest.raises(BenchError, match=want):
+            with np.errstate(all="ignore"), pytest.raises(BenchError, match=want):
                 run_bench(cfg, max_workers=max_workers)
 
     def test_forked_seeds_differ_across_reps(self):
@@ -74,12 +74,21 @@ class TestRunBench:
         assert r0.report.rmse != r1.report.rmse
 
     def test_config_validation(self):
-        with pytest.raises(ValueError, match="unknown models"):
-            BenchConfig(models=("nope",))
-        with pytest.raises(ValueError, match="override for unknown model"):
-            BenchConfig(overrides={"nope": {}})
-        with pytest.raises(ValueError, match="unknown override keys"):
-            BenchConfig(overrides={"ranknet": {"bogus": 1}})
+        # every value is checked when the config is built, before any data exists
+        for kw, message in (
+            ({"models": ("nope",)}, "unknown model variant: 'nope'"),
+            ({"overrides": {"nope": {}}}, "overrides.nope: unknown model variant: 'nope'"),
+            ({"overrides": {"ranknet": {"bogus": 1}}}, "unknown override keys"),
+            ({"train_fraction": 1.5}, "train_fraction must lie in"),
+            ({"n": 1}, "need n >= 2"),
+            ({"d": 0}, "need n >= 2 and d >= 1"),
+            ({"temperature": float("nan")}, "temperature must be finite"),
+            ({"models": ("nn-mse",), "sigma": -1.0}, "sigma must be finite"),
+            ({"overrides": {"ranknet": {"sigma": -1}}}, "overrides.ranknet: sigma must be finite"),
+            ({"overrides": {"ranknet": {"batch_size": 1}}}, "overrides.ranknet: pairwise losses"),
+        ):
+            with pytest.raises(ValueError, match=f"^{message}"):
+                BenchConfig(**kw)
 
     def test_overrides_are_typed_at_construction(self):
         for kv, path in (({"sigma": True}, "sigma must be"), ({"epochs": 1.7}, "epochs must be")):

@@ -433,6 +433,9 @@ def test_every_bundle_mutant_predicts_the_same_or_names_its_path(
         ("ranknet", "--learning-rate", "-0.01"),
         ("ranknet", "--learning-rate", "nan"),
         ("ranknet", "--learning-rate", "inf"),
+        # values that the fitted variant does not use are checked too
+        ("ranknet", "--temperature", "nan"),
+        ("nn-mse", "--sigma", "-1"),
     ],
 )
 def test_non_finite_or_negative_hyperparameter_fails_naming_it(
@@ -460,6 +463,34 @@ def test_diverging_training_names_its_epoch_and_batch(tmp_path, capsys, model):
     assert not out.exists()
 
 
+def _fit_to_overflow(tmp_path, model):
+    """Fit one Adam step of learning rate 1e308 on 300 rows; return the exit code."""
+    data = _simulate(tmp_path, n=300, d=3, seed=0)
+    args = ["fit", "--data", str(data), "--model", model, "--epochs", "1"]
+    args += ["--batch-size", "1000", "--learning-rate", "1e308", "--out", str(tmp_path / "m.json")]
+    with np.errstate(all="ignore"):
+        return main(args)
+
+
+def test_ranking_fit_that_overflows_at_its_last_step_fails_saying_so(tmp_path, capsys):
+    capsys.readouterr()
+    assert _fit_to_overflow(tmp_path, "ranknet") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: training diverged at its last step: non-finite score")
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_predict_rejects_a_scorer_that_overflows(tmp_path, capsys):
+    assert _fit_to_overflow(tmp_path, "nn-mse") == 0
+    out = tmp_path / "preds.csv"
+    args = ["predict", "--model", str(tmp_path / "m.json"), "--data", str(tmp_path / "data.csv")]
+    capsys.readouterr()
+    with np.errstate(all="ignore"):
+        assert main([*args, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: non-finite prediction: 300 of 300 rows")
+    assert not out.exists()
+
+
 # What a config mutation sets a value to: every JSON kind, NaN, the edges of the
 # range checks, and an integer beyond float64's range.
 _CONFIG_VALUES = (None, True, "x", [1], {}, float("nan"), -1, 0, 0.5, 10**400)
@@ -473,8 +504,9 @@ def test_every_config_mutant_runs_or_names_its_key(tmp_path, capsys):
 
     A mutant exits 0, or exits 1 with an error line that names its key path.
     A message may name the key in words ("missing target column"). An
-    override of the right type that the fit then rejects fails its bench
-    repetition: that message names the model, and its cause the key.
+    override of the right type that the fit then rejects fails when the
+    bench config is built: that message starts with the model's
+    overrides path, and its cause names the key.
     """
     data = _simulate(tmp_path)
     cfg = tmp_path / "cfg.json"
@@ -511,7 +543,7 @@ def test_every_config_mutant_runs_or_names_its_key(tmp_path, capsys):
             dotted = ".".join(path)
             named = dotted in line or key.replace("_", " ") in line
             if command == "bench":
-                named |= "model=ranknet rep=0: " + key in line
+                named |= line.startswith("error: overrides.ranknet: ") and key in line
             if rc != 1 or not line.startswith("error: ") or not named:
                 bad.append((command, dotted, value, rc, line))
     assert not bad, bad

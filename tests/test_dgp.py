@@ -100,5 +100,6 @@ class TestGenerate:
             ScenarioSpec(Scenario.NORMAL, n=1)
         with pytest.raises(ValueError):
             ScenarioSpec(Scenario.NORMAL, d=0)
-        with pytest.raises(ValueError):
-            ScenarioSpec(Scenario.HEAVY_TAIL, lognormal_scale=0.0)
+        for scale in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match=f"^lognormal_scale must be finite.*got {scale}"):
+                ScenarioSpec(Scenario.HEAVY_TAIL, lognormal_scale=scale)

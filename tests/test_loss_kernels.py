@@ -17,7 +17,13 @@ from hypothesis import strategies as st
 from oracles import softrank_oracle, surrogate_pairwise_loss_oracle
 
 import cairoreg
-from cairoreg.losses import WeightVariant, soft_gini_loss, surrogate_pairwise_loss
+from cairoreg.losses import (
+    PairwiseSurrogate,
+    SoftGini,
+    WeightVariant,
+    soft_gini_loss,
+    surrogate_pairwise_loss,
+)
 from cairoreg.ranks import PAIR_BLOCK_ROWS, SoftRankConfig, softrank
 
 EPS = np.finfo(np.float64).eps
@@ -52,11 +58,11 @@ def test_surrogate_matches_oracle(n, seed, y_tied, s_tied, variant, log_sigma):
     rng = np.random.default_rng(seed)
     y, s = _vector(rng, n, y_tied), _vector(rng, n, s_tied)
     sigma = 10.0**log_sigma
-    got = surrogate_pairwise_loss(y, s, variant, sigma)
+    got = surrogate_pairwise_loss(y, s, PairwiseSurrogate(variant, sigma))
     want = surrogate_pairwise_loss_oracle(y, s, variant, sigma)
     assert _close(got.value, want.value, abs(want.value))  # a sum of nonnegative terms
     assert _close(got.grad, want.grad, np.max(np.abs(want.grad)))
-    again = surrogate_pairwise_loss(y, s, variant, sigma)
+    again = surrogate_pairwise_loss(y, s, PairwiseSurrogate(variant, sigma))
     assert again.value == got.value and again.grad.tobytes() == got.grad.tobytes()
 
 
@@ -88,7 +94,7 @@ def test_soft_gini_matches_oracle(n, seed, s_tied, log_tau):
     rng = np.random.default_rng(seed)
     y, s = rng.standard_t(2, size=n), _vector(rng, n, s_tied)
     tau = 10.0 ** (log_tau - 1.0)
-    got = soft_gini_loss(y, s, tau)
+    got = soft_gini_loss(y, s, SoftGini(tau))
     cotangent = -(2.0 / n**2) * (y - y.mean())
     values, jac = softrank_oracle(s, SoftRankConfig(tau))
     assert _close(got.value, cotangent @ values, np.abs(cotangent) @ values)
@@ -102,8 +108,8 @@ def test_full_batch_memory():
     rng = np.random.default_rng(0)
     y, s = rng.standard_t(2, size=n), rng.normal(size=n)
     for call in (
-        lambda: surrogate_pairwise_loss(y, s, WeightVariant.ABSOLUTE_GAP, 1.0),
-        lambda: soft_gini_loss(y, s, 0.1),
+        lambda: surrogate_pairwise_loss(y, s, PairwiseSurrogate(WeightVariant.ABSOLUTE_GAP)),
+        lambda: soft_gini_loss(y, s, SoftGini()),
     ):
         tracemalloc.start()
         try:
@@ -120,13 +126,13 @@ def test_full_batch_memory():
 _SURROGATE_BITS = """
 import hashlib
 import numpy as np
-from cairoreg.losses import WeightVariant, surrogate_pairwise_loss
+from cairoreg.losses import PairwiseSurrogate, WeightVariant, surrogate_pairwise_loss
 for n in (256, 4200):
     for seed in range(3):
         rng = np.random.default_rng(seed)
         y, s = rng.standard_t(2, size=n), rng.normal(size=n)
         for variant in WeightVariant:
-            got = surrogate_pairwise_loss(y, s, variant, 1.0)
+            got = surrogate_pairwise_loss(y, s, PairwiseSurrogate(variant))
             print(n, seed, variant.value, got.value.hex(), hashlib.sha256(got.grad).hexdigest())
 """
 

@@ -131,13 +131,13 @@ def _assert_grad_close(fn, value_grad: LossValueGrad, s, rtol=1e-5):
 class TestSurrogateLoss:
     def test_tied_scores_value(self):
         got = surrogate_pairwise_loss(
-            np.array([1.0, 2.0]), np.array([0.0, 0.0]), WeightVariant.UNIFORM, 1.0
+            np.array([1.0, 2.0]), np.array([0.0, 0.0]), PairwiseSurrogate(WeightVariant.UNIFORM)
         )
         assert got.value == pytest.approx(np.log(2) / 2, abs=1e-12)
 
     def test_saturates_to_zero(self):
         got = surrogate_pairwise_loss(
-            np.array([2.0, 1.0]), np.array([60.0, 0.0]), WeightVariant.UNIFORM, 1.0
+            np.array([2.0, 1.0]), np.array([60.0, 0.0]), PairwiseSurrogate(WeightVariant.UNIFORM)
         )
         assert got.value < 1e-12
 
@@ -149,7 +149,7 @@ class TestSurrogateLoss:
             s = _tie_free(rng, n)
             sigma = float(rng.uniform(0.3, 3.0))
             for variant in ALL_VARIANTS:
-                sur = surrogate_pairwise_loss(y, s, variant, sigma).value
+                sur = surrogate_pairwise_loss(y, s, PairwiseSurrogate(variant, sigma)).value
                 hard = hard_pairwise_loss_ordered(y, s, variant)
                 assert sur >= hard - 1e-12
 
@@ -158,10 +158,9 @@ class TestSurrogateLoss:
         for variant in ALL_VARIANTS:
             y = _tie_free(rng, 12)
             s = _tie_free(rng, 12)
-            got = surrogate_pairwise_loss(y, s, variant, 1.7)
-            _assert_grad_close(
-                lambda q: surrogate_pairwise_loss(y, q, variant, 1.7).value, got, s
-            )
+            spec = PairwiseSurrogate(variant, 1.7)
+            got = surrogate_pairwise_loss(y, s, spec)
+            _assert_grad_close(lambda q: surrogate_pairwise_loss(y, q, spec).value, got, s)
 
     def test_sigma_rescaling_absorbs_positive_affine_scores(self):
         rng = np.random.default_rng(4)
@@ -169,23 +168,19 @@ class TestSurrogateLoss:
         s = _tie_free(rng, 20)
         a, b = 3.7, -2.0
         for variant in ALL_VARIANTS:
-            base = surrogate_pairwise_loss(y, s, variant, 1.3).value
-            moved = surrogate_pairwise_loss(y, a * s + b, variant, 1.3 / a).value
+            base = surrogate_pairwise_loss(y, s, PairwiseSurrogate(variant, 1.3)).value
+            moved = surrogate_pairwise_loss(y, a * s + b, PairwiseSurrogate(variant, 1.3 / a)).value
             assert abs(base - moved) < 1e-12
-
-    def test_rejects_bad_sigma(self):
-        with pytest.raises(ValueError, match="sigma"):
-            surrogate_pairwise_loss(np.zeros(2), np.zeros(2), WeightVariant.UNIFORM, 0.0)
 
 
 class TestSoftGiniLoss:
     def test_constant_targets_vanish(self):
-        got = soft_gini_loss(np.full(5, 2.0), np.arange(5.0), 0.2)
+        got = soft_gini_loss(np.full(5, 2.0), np.arange(5.0), SoftGini(0.2))
         assert got.value == 0.0
         np.testing.assert_array_equal(got.grad, np.zeros(5))
 
     def test_hand_value_at_small_temperature(self):
-        got = soft_gini_loss(np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 3.0]), 1e-6)
+        got = soft_gini_loss(np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 3.0]), SoftGini(1e-6))
         assert got.value == pytest.approx(-4 / 9, abs=1e-9)
 
     def test_matches_rank_covariance_at_small_temperature(self):
@@ -194,7 +189,7 @@ class TestSoftGiniLoss:
             y = _tie_free(rng, 15)
             s = np.sort(rng.normal(size=15)) + 0.05 * np.arange(15)
             s = s[rng.permutation(15)]
-            soft = soft_gini_loss(y, s, 1e-4).value
+            soft = soft_gini_loss(y, s, SoftGini(1e-4)).value
             cov = np.mean((y - y.mean()) * (rank(s) / 15 - np.mean(rank(s) / 15)))
             assert abs(soft - (-2.0 * cov)) < 1e-6
 
@@ -202,8 +197,8 @@ class TestSoftGiniLoss:
         rng = np.random.default_rng(6)
         y = rng.normal(size=10)
         s = rng.normal(size=10)
-        got = soft_gini_loss(y, s, 0.3)
-        _assert_grad_close(lambda q: soft_gini_loss(y, q, 0.3).value, got, s)
+        got = soft_gini_loss(y, s, SoftGini(0.3))
+        _assert_grad_close(lambda q: soft_gini_loss(y, q, SoftGini(0.3)).value, got, s)
 
 
 class TestGiniRankIdentity:
@@ -302,9 +297,9 @@ class TestEvaluateLossDispatch:
         cases = [
             (
                 PairwiseSurrogate(WeightVariant.ABSOLUTE_GAP, 2.0),
-                surrogate_pairwise_loss(y, s, WeightVariant.ABSOLUTE_GAP, 2.0),
+                surrogate_pairwise_loss(y, s, PairwiseSurrogate(WeightVariant.ABSOLUTE_GAP, 2.0)),
             ),
-            (SoftGini(0.4), soft_gini_loss(y, s, 0.4)),
+            (SoftGini(0.4), soft_gini_loss(y, s, SoftGini(0.4))),
             (PointwiseMse(), mse_loss(y, s)),
         ]
         for spec, expected in cases:
@@ -313,7 +308,8 @@ class TestEvaluateLossDispatch:
             np.testing.assert_array_equal(got.grad, expected.grad)
 
     def test_invalid_spec_params(self):
-        with pytest.raises(ValueError):
-            PairwiseSurrogate(sigma=-1.0)
-        with pytest.raises(ValueError):
-            SoftGini(temperature=0.0)
+        for value in (-1.0, 0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="^sigma must be finite and positive"):
+                PairwiseSurrogate(sigma=value)
+            with pytest.raises(ValueError, match="^temperature must be finite and positive"):
+                SoftGini(temperature=value)
