@@ -172,6 +172,12 @@ class TestSurrogateLoss:
             moved = surrogate_pairwise_loss(y, a * s + b, PairwiseSurrogate(variant, 1.3 / a)).value
             assert abs(base - moved) < 1e-12
 
+    def test_rejects_bad_sigma(self):
+        with pytest.raises(ValueError, match="sigma"):
+            surrogate_pairwise_loss(
+                np.zeros(2), np.zeros(2), PairwiseSurrogate(WeightVariant.UNIFORM, 0.0)
+            )
+
 
 class TestSoftGiniLoss:
     def test_constant_targets_vanish(self):
