@@ -127,6 +127,8 @@ def run_bench(cfg: BenchConfig, max_workers: int = 1) -> BenchResult:
     forked seeds; results are ordered by task index, so the report is
     identical for any worker count.
     """
+    if max_workers < 1:
+        raise ValueError(f"max_workers must be >= 1, got {max_workers}")
     tasks = [(scenario, rep) for scenario in cfg.scenarios for rep in range(cfg.repetitions)]
     if max_workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=min(max_workers, len(tasks))) as pool:

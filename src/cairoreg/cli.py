@@ -149,6 +149,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
     config = {"model": model_name, "data": str(args.data), **opts}
     ds = load_csv(args.data, opts["target_column"])
     model = fit_variant(model_name, ds, train_cfg, opts["calibration_fraction"])
+    try:  # mse_fit leaves its last step unchecked; a model that overflows is not written
+        predict_model(model, ds.features)
+    except ValueError as exc:
+        raise CliError(f"training diverged at its last step: {exc}") from None
     save_model(model, args.out, config)
     if args.emit_plot_data is not None:
         _emit_plot_data(model, ds, Path(args.emit_plot_data), config)
@@ -232,6 +236,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     cfg = BenchConfig(**_resolve(args))
+    if args.threads < 1:
+        raise CliError(f"threads must be >= 1, got {args.threads}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     result = run_bench(cfg, max_workers=args.threads)

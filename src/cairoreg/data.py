@@ -15,7 +15,7 @@ import csv
 import typing
 from collections import Counter
 from collections.abc import Iterator, Sequence
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
 
@@ -115,15 +115,19 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Feature matrix (n x d) with targets and optional true conditional mean.
+    """Feature matrix (n x d) with targets, optional true conditional mean and column names.
 
-    Split outputs may hold a single row; bulk ingestion requires n >= 2.
+    A Dataset is one frozen value: its arrays are read-only float64 copies
+    and feature_names is a tuple of d distinct texts, x1 ... xd by default.
+    No name may be "__true_mean", which write_csv reserves. Derived
+    datasets come from dataclasses.replace, which checks them again. Split
+    outputs may hold a single row; bulk ingestion requires n >= 2.
     """
 
     features: np.ndarray
     targets: np.ndarray
     true_mean: np.ndarray | None = None
-    feature_names: list[str] = field(default_factory=list)
+    feature_names: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         X = _freeze(np.atleast_2d(self.features))
@@ -147,11 +151,13 @@ class Dataset:
             if not np.all(np.isfinite(m)):
                 raise DataError("non-finite value in true_mean")
             object.__setattr__(self, "true_mean", m)
-        if not self.feature_names:
-            names = [f"x{j + 1}" for j in range(X.shape[1])]
-            object.__setattr__(self, "feature_names", names)
-        elif len(self.feature_names) != X.shape[1]:
-            raise DataError("feature_names length must match column count")
+        names = tuple(self.feature_names) or tuple(f"x{j + 1}" for j in range(self.d))
+        texts = all(isinstance(name, str) for name in names)
+        if not (texts and len(set(names)) == len(names) == self.d) or TRUE_MEAN_COLUMN in names:
+            raise DataError(
+                f"feature_names must be {self.d} distinct texts, none {TRUE_MEAN_COLUMN!r}: {names}"
+            )
+        object.__setattr__(self, "feature_names", names)
 
     @property
     def n(self) -> int:
@@ -163,12 +169,8 @@ class Dataset:
 
     def take(self, idx: np.ndarray) -> "Dataset":
         """Row subset preserving true_mean when present."""
-        return Dataset(
-            features=self.features[idx],
-            targets=self.targets[idx],
-            true_mean=None if self.true_mean is None else self.true_mean[idx],
-            feature_names=list(self.feature_names),
-        )
+        m = None if self.true_mean is None else self.true_mean[idx]
+        return replace(self, features=self.features[idx], targets=self.targets[idx], true_mean=m)
 
 
 @dataclass(frozen=True)
@@ -225,12 +227,7 @@ def fit_standardizer(ds: Dataset) -> Standardizer:
 
 
 def apply_standardizer(st: Standardizer, ds: Dataset) -> Dataset:
-    return Dataset(
-        features=st.transform(ds.features),
-        targets=ds.targets,
-        true_mean=ds.true_mean,
-        feature_names=list(ds.feature_names),
-    )
+    return replace(ds, features=st.transform(ds.features))
 
 
 def _cells(rows: Iterator[list[str]], header: list[str]) -> Iterator[float]:
@@ -295,7 +292,7 @@ def read_numeric_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
     return header, parsed
 
 
-def select_columns(header: list[str], matrix: np.ndarray, names: Sequence[str]) -> np.ndarray:
+def select_columns(header: Sequence[str], matrix: np.ndarray, names: Sequence[str]) -> np.ndarray:
     """The columns of matrix that header names, in the order of names.
 
     header must hold the same names in any order; DataError lists the
@@ -353,7 +350,7 @@ def write_numeric_csv(path: str | Path, header: list[str], columns: list[np.ndar
 
 def write_csv(ds: Dataset, path: str | Path) -> None:
     """Write features plus reserved "__target" / "__true_mean" columns."""
-    header = list(ds.feature_names) + [TARGET_COLUMN]
+    header = [*ds.feature_names, TARGET_COLUMN]
     cols = [ds.features[:, j] for j in range(ds.d)] + [ds.targets]
     if ds.true_mean is not None:
         header.append(TRUE_MEAN_COLUMN)

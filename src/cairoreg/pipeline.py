@@ -151,7 +151,7 @@ def cairo_fit(
         calibration=calibration,
         standardizer=st,
         spec=loss,
-        feature_names=tuple(train_ds.feature_names),
+        feature_names=train_ds.feature_names,
     )
 
 
@@ -169,7 +169,7 @@ def mse_fit(train_ds: Dataset, cfg: TrainConfig) -> MseBaselineModel:
         standardizer=st,
         target_mean=y_mean,
         target_std=y_std,
-        feature_names=tuple(train_ds.feature_names),
+        feature_names=train_ds.feature_names,
     )
 
 

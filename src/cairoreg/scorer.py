@@ -239,5 +239,5 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[MlpParams, list[float]]:
             grads = backward(cache, grad_scores)
             params, state = adam_step(params, grads, state)
             batch_losses.append(value)
-        history.append(float(np.mean(batch_losses)) if batch_losses else float("nan"))
+        history.append(float(np.mean(batch_losses)))
     return params, history

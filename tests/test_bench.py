@@ -66,6 +66,14 @@ class TestRunBench:
             with np.errstate(all="ignore"), pytest.raises(BenchError, match=want):
                 run_bench(cfg, max_workers=max_workers)
 
+    @pytest.mark.parametrize("max_workers", [0, -3])
+    def test_worker_count_below_one_fails_before_any_data(self, monkeypatch, max_workers):
+        generated = []
+        monkeypatch.setattr("cairoreg.bench.generate", lambda spec: generated.append(spec))
+        with pytest.raises(ValueError, match=f"^max_workers must be >= 1, got {max_workers}$"):
+            run_bench(_smoke_cfg(), max_workers=max_workers)
+        assert not generated
+
     def test_forked_seeds_differ_across_reps(self):
         result = run_bench(
             _smoke_cfg(repetitions=2, scenarios=(Scenario.NORMAL,), models=("nn-mse",))

@@ -10,7 +10,7 @@ from cairoreg.cli import OPTIONS, build_parser, main
 from cairoreg.data import TARGET_COLUMN, load_csv
 from cairoreg.isotonic import predict as calibration_predict
 from cairoreg.losses import PairwiseSurrogate, SoftGini
-from cairoreg.pipeline import load_model, predict_model
+from cairoreg.pipeline import load_model, mse_fit, predict_model, save_model
 from cairoreg.scorer import TrainConfig
 
 
@@ -463,13 +463,18 @@ def test_diverging_training_names_its_epoch_and_batch(tmp_path, capsys, model):
     assert not out.exists()
 
 
-def _fit_to_overflow(tmp_path, model):
-    """Fit one Adam step of learning rate 1e308 on 300 rows; return the exit code."""
+# One Adam step of this learning rate on 300 rows makes the scorer overflow.
+_OVERFLOW = {"epochs": 1, "batch_size": 1000, "learning_rate": 1e308}
+
+
+def _fit_to_overflow(tmp_path, model, *extra):
+    """Fit _OVERFLOW on 300 rows; return the exit code."""
     data = _simulate(tmp_path, n=300, d=3, seed=0)
-    args = ["fit", "--data", str(data), "--model", model, "--epochs", "1"]
-    args += ["--batch-size", "1000", "--learning-rate", "1e308", "--out", str(tmp_path / "m.json")]
+    args = ["fit", "--data", str(data), "--model", model, "--out", str(tmp_path / "m.json")]
+    for key, value in _OVERFLOW.items():
+        args += ["--" + key.replace("_", "-"), str(value)]
     with np.errstate(all="ignore"):
-        return main(args)
+        return main([*args, *extra])
 
 
 def test_ranking_fit_that_overflows_at_its_last_step_fails_saying_so(tmp_path, capsys):
@@ -480,8 +485,22 @@ def test_ranking_fit_that_overflows_at_its_last_step_fails_saying_so(tmp_path, c
     assert not (tmp_path / "m.json").exists()
 
 
+@pytest.mark.parametrize("plot", [False, True])
+def test_mse_fit_that_overflows_at_its_last_step_writes_nothing(tmp_path, capsys, plot):
+    capsys.readouterr()
+    plot_csv = tmp_path / "points.csv"
+    extra = ["--emit-plot-data", str(plot_csv)] if plot else []
+    assert _fit_to_overflow(tmp_path, "nn-mse", *extra) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: training diverged at its last step: non-finite prediction")
+    assert not (tmp_path / "m.json").exists() and not plot_csv.exists()
+
+
 def test_predict_rejects_a_scorer_that_overflows(tmp_path, capsys):
-    assert _fit_to_overflow(tmp_path, "nn-mse") == 0
+    """cairo fit writes no such bundle, but the library's mse_fit still returns the model."""
+    data = _simulate(tmp_path, n=300, d=3, seed=0)
+    with np.errstate(all="ignore"):
+        save_model(mse_fit(load_csv(data), TrainConfig(**_OVERFLOW)), tmp_path / "m.json")
     out = tmp_path / "preds.csv"
     args = ["predict", "--model", str(tmp_path / "m.json"), "--data", str(tmp_path / "data.csv")]
     capsys.readouterr()
@@ -716,6 +735,19 @@ class TestOptionTable:
 
 
 class TestBenchCommand:
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_worker_count_below_one_fails_naming_the_option(
+        self, tmp_path, capsys, monkeypatch, threads
+    ):
+        generated = []
+        monkeypatch.setattr("cairoreg.bench.generate", lambda spec: generated.append(spec))
+        args = ["bench", "--scenarios", "normal", "--models", "nn-mse", "--n", "200"]
+        args += ["--repetitions", "1", "--epochs", "1", "--out-dir", str(tmp_path / "bench")]
+        capsys.readouterr()
+        assert main([*args, "--threads", str(threads)]) == 1
+        assert capsys.readouterr().err == f"error: threads must be >= 1, got {threads}\n"
+        assert not generated and not (tmp_path / "bench").exists()
+
     def test_smoke(self, tmp_path):
         out_dir = tmp_path / "bench"
         rc = main(

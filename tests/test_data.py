@@ -40,7 +40,7 @@ def test_load_csv_basic(tmp_path):
     assert ds.n == 3 and ds.d == 1
     np.testing.assert_array_equal(ds.targets, [1.0, 2.0, 3.0])
     np.testing.assert_array_equal(ds.features[:, 0], [0.0, 1.0, 2.0])
-    assert ds.feature_names == ["x1"]
+    assert ds.feature_names == ("x1",)
 
 
 def test_load_csv_missing_target(tmp_path):
@@ -101,6 +101,13 @@ def test_write_load_round_trip(tmp_path):
     np.testing.assert_allclose(back.features, ds.features, atol=1e-12, rtol=0)
     np.testing.assert_allclose(back.targets, ds.targets, atol=1e-12, rtol=0)
     np.testing.assert_allclose(back.true_mean, ds.true_mean, atol=1e-12, rtol=0)
+
+
+def test_write_load_round_trip_keeps_feature_names(tmp_path):
+    names = ("b", "a", "__target_x")
+    ds = Dataset(features=np.arange(6.0).reshape(2, 3), targets=[0.0, 1.0], feature_names=names)
+    write_csv(ds, tmp_path / "rt.csv")
+    assert load_csv(tmp_path / "rt.csv").feature_names == names
 
 
 def test_write_numeric_csv_golden_bytes(tmp_path):
@@ -210,6 +217,25 @@ def test_dataset_rejects_nan():
 def test_dataset_rejects_length_mismatch():
     with pytest.raises(DataError):
         Dataset(features=np.zeros((3, 2)), targets=np.zeros(2))
+
+
+def test_feature_names_are_a_tuple_in_every_derived_dataset():
+    ds = Dataset(features=np.zeros((4, 2)), targets=np.arange(4.0), feature_names=["u", "v"])
+    assert ds.feature_names == ("u", "v")
+    assert Dataset(features=np.zeros((4, 2)), targets=np.zeros(4)).feature_names == ("x1", "x2")
+    train_ds, test_ds = split(ds, SplitSpec(0.5, seed=0))
+    standardized = apply_standardizer(fit_standardizer(train_ds), test_ds)
+    for derived in (ds, train_ds, test_ds, standardized):
+        assert type(derived.feature_names) is tuple and derived.feature_names == ("u", "v")
+
+
+@pytest.mark.parametrize(
+    "names", [["a", "a"], ["a", "__true_mean"], ["a"], ["a", "b", "c"], ["a", 2]]
+)
+def test_dataset_rejects_bad_feature_names_listing_them(names):
+    with pytest.raises(DataError, match="feature_names must be 2 distinct") as info:
+        Dataset(features=np.zeros((3, 2)), targets=np.zeros(3), feature_names=names)
+    assert repr(tuple(names)) in str(info.value)
 
 
 def _toy(n, seed=0, with_mean=False):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from cairoreg.data import Dataset, SplitSpec, make_rng, split
+from cairoreg.data import DataError, Dataset, SplitSpec, make_rng, split
 from cairoreg.dgp import Scenario, ScenarioSpec, generate
 from cairoreg.isotonic import audit_autocalibration
 from cairoreg.losses import PairwiseSurrogate, PointwiseMse, SoftGini, WeightVariant
@@ -174,6 +174,17 @@ class TestPredictionInput:
             obj["feature_names"] = names
             with pytest.raises(ValueError, match="feature_names"):
                 model_from_dict(obj)
+
+    @pytest.mark.parametrize("variant", ["ranknet", "nn-mse"])
+    def test_fit_on_repeated_feature_names_fails_before_training(self, monkeypatch, variant):
+        """A dataset whose names a saved bundle could not hold is never fitted."""
+        trained = []
+        monkeypatch.setattr("cairoreg.pipeline.train", lambda *args: trained.append(args))
+        X = make_rng(3).standard_normal((50, 2))
+        cfg = _quick_cfg(loss=variant_loss_spec(variant))
+        with pytest.raises(DataError, match=r"distinct.*\('a', 'a'\)"):
+            fit_variant(variant, Dataset(X, X.sum(axis=1), feature_names=["a", "a"]), cfg)
+        assert not trained
 
 
 class TestMseBaseline:
