@@ -54,9 +54,11 @@ from .pipeline import (
     load_model,
     predict_model,
     save_model,
+    score_rows,
     variant_train_config,
 )
-from .scorer import TrainConfig, forward
+# forward is not called here; it stays bound because perfbench/spans.py wraps cli.forward.
+from .scorer import TrainConfig, forward  # noqa: F401
 
 EVAL_VERSION = "cairo-eval-v1"
 DATASET_VERSION = "cairo-dataset-v1"
@@ -163,7 +165,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 def _emit_plot_data(model, ds, path: Path, config: dict) -> None:
     """Training-point sets for score/target, score/calibrated, and fit/target plots."""
     if isinstance(model, CairoModel):
-        scores, _ = forward(model.scorer, model.standardizer.transform(ds.features))
+        scores = score_rows(model.scorer, model.standardizer, ds.features)
         calibrated = calibration_predict(model.calibration, scores)
     else:
         scores = predict_model(model, ds.features)

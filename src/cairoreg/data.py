@@ -118,10 +118,11 @@ class Dataset:
     """Feature matrix (n x d) with targets, optional true conditional mean and column names.
 
     A Dataset is one frozen value: its arrays are read-only float64 copies
-    and feature_names is a tuple of d distinct texts, x1 ... xd by default.
-    No name may be "__true_mean", which write_csv reserves. Derived
-    datasets come from dataclasses.replace, which checks them again. Split
-    outputs may hold a single row; bulk ingestion requires n >= 2.
+    and feature_names is a tuple of d distinct texts, x1 ... xd by default,
+    built from any sequence but a text. No name may be "__true_mean", which
+    write_csv reserves. Derived datasets come from dataclasses.replace,
+    which checks them again. Split outputs may hold a single row; bulk
+    ingestion requires n >= 2.
     """
 
     features: np.ndarray
@@ -152,10 +153,11 @@ class Dataset:
                 raise DataError("non-finite value in true_mean")
             object.__setattr__(self, "true_mean", m)
         names = tuple(self.feature_names) or tuple(f"x{j + 1}" for j in range(self.d))
-        texts = all(isinstance(name, str) for name in names)
+        texts = not isinstance(self.feature_names, str) and all(isinstance(c, str) for c in names)
         if not (texts and len(set(names)) == len(names) == self.d) or TRUE_MEAN_COLUMN in names:
             raise DataError(
-                f"feature_names must be {self.d} distinct texts, none {TRUE_MEAN_COLUMN!r}: {names}"
+                f"feature_names must be {self.d} distinct texts, none {TRUE_MEAN_COLUMN!r},"
+                f" in a sequence that is not itself a text: {names}"
             )
         object.__setattr__(self, "feature_names", names)
 
@@ -230,6 +232,10 @@ def apply_standardizer(st: Standardizer, ds: Dataset) -> Dataset:
     return replace(ds, features=st.transform(ds.features))
 
 
+def _duplicates(names: Sequence[str]) -> list[str]:
+    return [name for name, count in Counter(names).items() if count > 1]
+
+
 def _cells(rows: Iterator[list[str]], header: list[str]) -> Iterator[float]:
     for i, row in enumerate(rows):
         if len(row) != len(header):
@@ -276,7 +282,7 @@ def read_numeric_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
             header = next(rows, None)
             if header is None:
                 raise DataError(f"empty CSV: {path}")
-            duplicated = [name for name, count in Counter(header).items() if count > 1]
+            duplicated = _duplicates(header)
             if duplicated:
                 raise DataError(f"duplicate column names {duplicated} in {path}")
             parsed = np.fromiter(_cells(rows, header), np.float64).reshape(-1, len(header))
@@ -336,16 +342,28 @@ def load_csv(path: str | Path, target_column: str = TARGET_COLUMN) -> Dataset:
     )
 
 
+# Rows formatted at a time by write_numeric_csv: its Python floats and lines
+# for this many rows are all it holds beyond the columns.
+WRITE_BLOCK_ROWS = 8192
+
+
 def write_numeric_csv(path: str | Path, header: list[str], columns: list[np.ndarray]) -> None:
-    """Write equal-length float columns under a header row.
+    """Write equal-length float columns under a header row of distinct names.
 
     Cells carry 17 significant digits, so every float64 reads back exactly.
+    A repeated name raises DataError before the file is opened.
     """
-    rows = zip(*(np.asarray(c, dtype=np.float64).tolist() for c in columns))
-    line = ",".join(["%.17g"] * len(columns)) + "\r\n"
+    duplicated = _duplicates(header)
+    if duplicated:
+        raise DataError(f"duplicate column names {duplicated} for {path}")
+    arrays = [np.asarray(c, dtype=np.float64) for c in columns]
+    line = ",".join(["%.17g"] * len(arrays)) + "\r\n"
+    n = min((a.shape[0] for a in arrays), default=0)
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
-        fh.writelines(line % row for row in rows)
+        for r0 in range(0, n, WRITE_BLOCK_ROWS):
+            block = zip(*(a[r0 : r0 + WRITE_BLOCK_ROWS].tolist() for a in arrays))
+            fh.writelines(line % row for row in block)
 
 
 def write_csv(ds: Dataset, path: str | Path) -> None:

@@ -14,6 +14,8 @@ still carries most of the rank signal; at unit amplitude the noise buries
 the ordering entirely (rank correlation of the oracle predictor drops
 near 0.35). Pass raw_lognormal=True for the literal uncentered,
 unit-amplitude variant, whose true_mean then includes the noise offset.
+ScenarioSpec rejects either noise option away from its default in the
+other scenarios, where it would change nothing.
 """
 
 from __future__ import annotations
@@ -52,6 +54,15 @@ class ScenarioSpec:
         if not 0.0 < self.lognormal_scale < np.inf:
             raise ValueError(
                 f"lognormal_scale must be finite and positive, got {self.lognormal_scale}"
+            )
+        heavy_only = [
+            key
+            for key in ("lognormal_scale", "raw_lognormal")
+            if getattr(self, key) != getattr(ScenarioSpec, key)
+        ]
+        if heavy_only and self.scenario is not Scenario.HEAVY_TAIL:
+            raise ValueError(
+                f"{heavy_only} set for the {self.scenario.value} scenario; only heavy uses them"
             )
 
 

@@ -98,6 +98,27 @@ def variant_train_config(variant: str, seed: int, hyper: FitHyper) -> TrainConfi
     )
 
 
+# Rows per chunk of the score path. Chunks bound its memory: forward keeps
+# four activations per row. They also fix its bits: one product over a long
+# matrix may take other bits at another BLAS thread count, while 8192-row
+# chunks gave the same bits at 1 and 2 threads for every size tried. A matrix
+# of at most this many rows is one chunk, as before chunking.
+SCORE_CHUNK_ROWS = 8192
+
+
+def score_rows(scorer: MlpParams, standardizer: Standardizer, X: np.ndarray) -> np.ndarray:
+    """Scores of the raw feature rows X, standardized and forwarded SCORE_CHUNK_ROWS at a time.
+
+    predict_model, cairo_fit's calibration scores and the CLI's plot data all
+    score here, so the same rows get the same scores on each path.
+    """
+    scores = np.empty(X.shape[0])
+    for r0 in range(0, X.shape[0], SCORE_CHUNK_ROWS):
+        chunk = standardizer.transform(X[r0 : r0 + SCORE_CHUNK_ROWS])
+        scores[r0 : r0 + chunk.shape[0]], _ = forward(scorer, chunk)
+    return scores
+
+
 @dataclass(frozen=True)
 class CairoModel:
     scorer: MlpParams
@@ -132,17 +153,16 @@ def cairo_fit(
     if calibration_fraction is not None and not 0.0 < calibration_fraction < 1.0:
         raise ValueError(f"calibration_fraction must lie in (0, 1), got {calibration_fraction}")
     st = fit_standardizer(train_ds)
-    std_train = apply_standardizer(st, train_ds)
-
     if calibration_fraction is None:
-        scorer_ds, calib_ds = std_train, std_train
+        scorer_ds, calib_ds = train_ds, train_ds
     else:
         scorer_ds, calib_ds = split(
-            std_train, SplitSpec(train_fraction=1.0 - calibration_fraction, seed=cfg.seed)
+            train_ds, SplitSpec(train_fraction=1.0 - calibration_fraction, seed=cfg.seed)
         )
 
-    params, _ = train(scorer_ds, replace(cfg, loss=loss))
-    scores, _ = forward(params, calib_ds.features)
+    params, _ = train(apply_standardizer(st, scorer_ds), replace(cfg, loss=loss))
+    # the scores predict_model gives these rows, so the map calibrates the same bits
+    scores = score_rows(params, st, calib_ds.features)
     if not np.isfinite(scores).all():
         raise ValueError("training diverged at its last step: non-finite score")
     calibration = pav_fit(scores, calib_ds.targets)
@@ -204,7 +224,7 @@ def predict_model(model: Model, X: np.ndarray) -> np.ndarray:
         )
     if not np.all(np.isfinite(X)):
         raise ValueError("non-finite feature value")
-    scores, _ = forward(model.scorer, model.standardizer.transform(X))
+    scores = score_rows(model.scorer, model.standardizer, X)
     if isinstance(model, CairoModel):
         yhat = calibration_predict(model.calibration, scores)
     else:

@@ -8,7 +8,8 @@ the identities the surrogates are built on; pav_oracle and
 kendall_reference solve by exhaustive enumeration what pav_fit and
 kendall compute in O(n log n). None of them runs in a fit.
 read_numeric_csv_oracle is the list-of-rows CSV reader that the streaming
-read_numeric_csv replaced.
+read_numeric_csv replaced, and write_numeric_csv_oracle the writer that
+formats every row at once, which the block-wise write_numeric_csv replaced.
 """
 
 from __future__ import annotations
@@ -255,3 +256,12 @@ def read_numeric_csv_oracle(path: str | Path) -> tuple[list[str], np.ndarray]:
     if not finite.all():
         raise DataError(f"non-finite value at row {int(np.argmin(finite))}")
     return header, parsed
+
+
+def write_numeric_csv_oracle(path: str | Path, header: list[str], columns: list) -> None:
+    """Write float columns under a header row, 17 significant digits per cell."""
+    rows = zip(*(np.asarray(c, dtype=np.float64).tolist() for c in columns))
+    line = ",".join(["%.17g"] * len(columns)) + "\r\n"
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(header)
+        fh.writelines(line % row for row in rows)

@@ -53,6 +53,13 @@ class TestSimulate:
             main(["simulate", "--scenario", "weird", "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
 
+    def test_heavy_noise_flags_fail_for_other_scenarios(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        flags = ["--scenario", "normal", "--raw-lognormal", "--lognormal-scale", "5"]
+        assert main(["simulate", *flags, "--out", str(out)]) == 1
+        assert "only heavy uses them" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_meta_sidecar(self, tmp_path):
         out = _simulate(tmp_path, seed=9)
         meta = json.loads((tmp_path / "data.csv.meta.json").read_text())

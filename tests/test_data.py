@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from oracles import read_numeric_csv_oracle
+from oracles import read_numeric_csv_oracle, write_numeric_csv_oracle
 
 from cairoreg.bench import BenchConfig
 from cairoreg.data import (
+    WRITE_BLOCK_ROWS,
     DataError,
     Dataset,
     SplitSpec,
@@ -125,6 +126,44 @@ def test_write_numeric_csv_golden_bytes(tmp_path):
     assert f.read_bytes() == b'"a,b","q""t",n\r\n'
 
 
+def test_write_numeric_csv_rejects_a_repeated_name_listing_it(tmp_path):
+    f = tmp_path / "dup.csv"
+    with pytest.raises(DataError, match=r"duplicate column names \['a'\]"):
+        write_numeric_csv(f, ["a", "b", "a"], [[1.0], [2.0], [3.0]])
+    assert not f.exists()
+
+
+def test_write_csv_rejects_a_feature_named_like_the_target_column(tmp_path):
+    # a feature may be named __target when the CSV names its target otherwise
+    ds = Dataset(features=np.zeros((2, 2)), targets=[0.0, 1.0], feature_names=["x", "__target"])
+    with pytest.raises(DataError, match=r"duplicate column names \['__target'\]"):
+        write_csv(ds, tmp_path / "t.csv")
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_write_numeric_csv_peak_memory_is_below_its_columns(tmp_path):
+    columns = list(make_rng(4).normal(size=(12, 100_000)))
+    tracemalloc.start()
+    try:
+        write_numeric_csv(tmp_path / "wide.csv", [f"x{j}" for j in range(12)], columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    nbytes = sum(c.nbytes for c in columns)
+    assert peak < nbytes, f"peak {peak / nbytes:.1f}x the columns"
+
+
+@pytest.mark.parametrize(
+    "rows", [1, WRITE_BLOCK_ROWS, WRITE_BLOCK_ROWS + 1, 2 * WRITE_BLOCK_ROWS + 5]
+)
+def test_write_numeric_csv_blocks_write_the_one_pass_bytes(tmp_path, rows):
+    rng = make_rng(rows)
+    columns = [rng.normal(size=rows) * 1e3, rng.standard_cauchy(size=rows)]
+    write_numeric_csv(tmp_path / "blocks.csv", ["a", "b"], columns)
+    write_numeric_csv_oracle(tmp_path / "one.csv", ["a", "b"], columns)
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+
+
 # Cells float() accepts with a finite value, including three that np.loadtxt
 # rejects: 1_000, a fullwidth digit and an Arabic-Indic digit.
 _FINITE_CELLS = ["0", "-0", "1.5", " 1.5", "1.5 ", "+1", ".5", "5.", "1e3", "1_000", "１", "١"]
@@ -230,7 +269,7 @@ def test_feature_names_are_a_tuple_in_every_derived_dataset():
 
 
 @pytest.mark.parametrize(
-    "names", [["a", "a"], ["a", "__true_mean"], ["a"], ["a", "b", "c"], ["a", 2]]
+    "names", [["a", "a"], ["a", "__true_mean"], ["a"], ["a", "b", "c"], ["a", 2], "ab"]
 )
 def test_dataset_rejects_bad_feature_names_listing_them(names):
     with pytest.raises(DataError, match="feature_names must be 2 distinct") as info:
@@ -326,7 +365,7 @@ def test_make_rng_reproducible():
     "obj",
     [
         ScenarioSpec(
-            Scenario.GAMMA_TAIL, n=300, d=7, seed=11, lognormal_scale=0.7, raw_lognormal=True
+            Scenario.HEAVY_TAIL, n=300, d=7, seed=11, lognormal_scale=0.7, raw_lognormal=True
         ),
         FitHyper(epochs=3, batch_size=17, learning_rate=0.1 + 0.2, sigma=2.5, temperature=1e-3),
         BenchConfig(

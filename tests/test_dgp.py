@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -103,3 +105,19 @@ class TestGenerate:
         for scale in (0.0, np.inf, np.nan):
             with pytest.raises(ValueError, match=f"^lognormal_scale must be finite.*got {scale}"):
                 ScenarioSpec(Scenario.HEAVY_TAIL, lognormal_scale=scale)
+
+    @pytest.mark.parametrize("scenario", [Scenario.NORMAL, Scenario.GAMMA_TAIL])
+    def test_heavy_noise_options_are_rejected_for_other_scenarios(self, scenario):
+        for kw, named in (
+            ({"raw_lognormal": True}, "['raw_lognormal']"),
+            ({"lognormal_scale": 5.0}, "['lognormal_scale']"),
+            (
+                {"raw_lognormal": True, "lognormal_scale": 5.0},
+                "['lognormal_scale', 'raw_lognormal']",
+            ),
+        ):
+            says = f"{named} set for the {scenario.value} scenario; only heavy uses them"
+            with pytest.raises(ValueError, match=re.escape(says)):
+                ScenarioSpec(scenario, **kw)
+        # their defaults, passed explicitly, are no change
+        ScenarioSpec(scenario, lognormal_scale=HEAVY_NOISE_SCALE, raw_lognormal=False)

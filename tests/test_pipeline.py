@@ -1,17 +1,28 @@
 import json
+import os
 import re
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import cairoreg
+from cairoreg import pipeline
 from cairoreg.data import DataError, Dataset, SplitSpec, make_rng, split
 from cairoreg.dgp import Scenario, ScenarioSpec, generate
-from cairoreg.isotonic import audit_autocalibration
+from cairoreg.isotonic import audit_autocalibration, pav_fit
+from cairoreg.isotonic import predict as calibration_predict
 from cairoreg.losses import PairwiseSurrogate, PointwiseMse, SoftGini, WeightVariant
 from cairoreg.pipeline import (
+    SCORE_CHUNK_ROWS,
     CairoModel,
+    FitHyper,
     cairo_fit,
     fit_variant,
     load_model,
@@ -20,7 +31,9 @@ from cairoreg.pipeline import (
     mse_fit,
     predict_model,
     save_model,
+    score_rows,
     variant_loss_spec,
+    variant_train_config,
 )
 from cairoreg.scorer import TrainConfig, flatten_params, forward
 
@@ -285,3 +298,110 @@ class TestSerialization:
         says = f"unsupported model version: 'cairo-model-v2' (in {path})"
         with pytest.raises(ValueError, match=re.escape(says)):
             load_model(path)
+
+
+class TestScorePath:
+    """predict_model, cairo_fit and the plot data score through score_rows."""
+
+    @pytest.fixture(scope="class")
+    def wide_models(self):
+        ds = generate(ScenarioSpec(Scenario.HEAVY_TAIL, n=600, d=10, seed=0))
+        return {
+            v: fit_variant(v, ds, variant_train_config(v, 0, FitHyper(epochs=1)))
+            for v in ("ranknet", "nn-mse")
+        }
+
+    @pytest.mark.parametrize("n", [1, SCORE_CHUNK_ROWS - 1, SCORE_CHUNK_ROWS])
+    def test_one_chunk_is_one_forward_call(self, wide_models, n):
+        model = wide_models["ranknet"]
+        X = make_rng(n).standard_normal((n, 10))
+        want, _ = forward(model.scorer, model.standardizer.transform(X))
+        assert score_rows(model.scorer, model.standardizer, X).tobytes() == want.tobytes()
+
+    def test_longer_inputs_are_forwarded_chunk_by_chunk(self, wide_models):
+        model = wide_models["ranknet"]
+        X = make_rng(5).standard_normal((2 * SCORE_CHUNK_ROWS + 3, 10))
+        chunks = [
+            forward(model.scorer, model.standardizer.transform(X[r0 : r0 + SCORE_CHUNK_ROWS]))[0]
+            for r0 in range(0, X.shape[0], SCORE_CHUNK_ROWS)
+        ]
+        got = score_rows(model.scorer, model.standardizer, X)
+        assert got.tobytes() == np.concatenate(chunks).tobytes()
+
+    @pytest.mark.parametrize("variant", ["ranknet", "nn-mse"])
+    def test_predict_model_peak_memory_is_bounded_by_its_input(self, wide_models, variant):
+        X = make_rng(6).standard_normal((100_000, 10))
+        tracemalloc.start()
+        try:
+            predict_model(wide_models[variant], X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * X.nbytes, f"peak {peak / X.nbytes:.1f}x the feature matrix"
+
+    def test_prediction_bits_do_not_depend_on_the_blas_thread_count(self):
+        src = str(Path(cairoreg.__path__[0]).parent)
+
+        def predictions(threads):
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": str(threads)}
+            run = subprocess.run(
+                [sys.executable, "-c", _PREDICT_BITS],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            return run.stdout.splitlines()
+
+        one, two = predictions(1), predictions(2)
+        assert len(one) == 14
+        assert one == two, [(a, b) for a, b in zip(one, two) if a != b]
+
+
+# Fits RankNet and NN-MSE for 3 epochs on 4200 heavy-tail rows and prints a
+# hash of predict_model's bytes on prefixes of a 95350-row file. Forwarded in
+# one call, the 90209- and 95350-row prefixes took other bits at 1 and at 2
+# OpenBLAS threads.
+_PREDICT_BITS = """
+import hashlib
+from cairoreg.dgp import Scenario, ScenarioSpec, generate
+from cairoreg.pipeline import FitHyper, fit_variant, predict_model, variant_train_config
+train = generate(ScenarioSpec(Scenario.HEAVY_TAIL, n=4200, seed=3))
+X = generate(ScenarioSpec(Scenario.HEAVY_TAIL, n=95350, seed=4)).features
+for variant in ("ranknet", "nn-mse"):
+    model = fit_variant(variant, train, variant_train_config(variant, 0, FitHyper(epochs=3)))
+    for n in (8191, 8192, 8193, 16384, 16385, 90209, 95350):
+        print(variant, n, hashlib.sha256(predict_model(model, X[:n]).tobytes()).hexdigest())
+"""
+
+
+@settings(max_examples=4, deadline=None)
+@given(
+    n=st.integers(9200, 12_000),
+    fraction=st.sampled_from([None, 0.9]),
+    seed=st.integers(0, 2**16),
+)
+def test_training_rows_predict_the_map_at_the_fit_s_own_scores(n, fraction, seed):
+    """Auto-calibration needs the map and the predictions to see the same score bits.
+
+    With more calibration rows than one score chunk, predict_model on those
+    rows gives, bitwise, the map at the scores cairo_fit fitted it to.
+    """
+    ds = generate(ScenarioSpec(Scenario.HEAVY_TAIL, n=n, d=10, seed=seed))
+    cfg = _quick_cfg(epochs=1, batch_size=256, seed=seed)
+    fitted_to = []
+
+    def recording_pav_fit(scores, targets):
+        fitted_to.append(scores.copy())
+        return pav_fit(scores, targets)
+
+    with mock.patch.object(pipeline, "pav_fit", recording_pav_fit):
+        model = cairo_fit(ds, PairwiseSurrogate(), cfg, calibration_fraction=fraction)
+    if fraction is None:
+        calib = ds
+    else:
+        calib = split(ds, SplitSpec(train_fraction=1.0 - fraction, seed=cfg.seed))[1]
+    (scores,) = fitted_to
+    assert calib.n > SCORE_CHUNK_ROWS and scores.shape == (calib.n,)
+    want = calibration_predict(model.calibration, scores)
+    assert predict_model(model, calib.features).tobytes() == want.tobytes()
