@@ -17,6 +17,7 @@ from collections import Counter
 from collections.abc import Iterator, Sequence
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from enum import Enum
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -236,15 +237,23 @@ def _duplicates(names: Sequence[str]) -> list[str]:
     return [name for name, count in Counter(names).items() if count > 1]
 
 
-def _cells(rows: Iterator[list[str]], header: list[str]) -> Iterator[float]:
+def _checked_rows(rows: Iterator[list[str]], width: int, last: list) -> Iterator[list[str]]:
+    """rows, each checked to hold width cells; last holds the index and cells of the latest."""
     for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise DataError(f"row {i} has {len(row)} cells, expected {len(header)}")
-        for name, cell in zip(header, row):
-            try:
-                yield float(cell)
-            except ValueError:
-                raise DataError(f"non-numeric cell {cell!r} at row {i}, column {name!r}") from None
+        if len(row) != width:
+            raise DataError(f"row {i} has {len(row)} cells, expected {width}")
+        last[:] = i, row
+        yield row
+
+
+def _non_numeric(header: list[str], i: int, row: list[str]) -> DataError:
+    """The error for the first cell of row i that float() rejects."""
+    for name, cell in zip(header, row):
+        try:
+            float(cell)
+        except ValueError:
+            break
+    return DataError(f"non-numeric cell {cell!r} at row {i}, column {name!r}")
 
 
 def _undecodable(path: Path) -> str:
@@ -266,11 +275,12 @@ def _undecodable(path: Path) -> str:
 def read_numeric_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
     """Parse a fully numeric CSV with a header row into (column names, float64 matrix).
 
-    One pass reads the file, holding no list of its rows. A non-numeric cell, a
-    missing or non-finite value and a repeated column name are hard errors; the
-    messages count data rows from 0 after the header, skipping blank lines. A
-    file that is not UTF-8 fails naming the line and column of its first bad
-    byte, and one that csv cannot parse naming the line the reader stopped at.
+    One pass reads the file, holding one row of cells at a time, and one C-level
+    map calls float() on every cell. A non-numeric cell, a missing or non-finite
+    value and a repeated column name are hard errors; the messages count data
+    rows from 0 after the header, skipping blank lines. A file that is not UTF-8
+    fails naming the line and column of its first bad byte, and one that csv
+    cannot parse naming the line the reader stopped at.
     """
     path = Path(path)
     if not path.exists():
@@ -285,13 +295,21 @@ def read_numeric_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
             duplicated = _duplicates(header)
             if duplicated:
                 raise DataError(f"duplicate column names {duplicated} in {path}")
-            parsed = np.fromiter(_cells(rows, header), np.float64).reshape(-1, len(header))
+            last: list = []
+            cells = chain.from_iterable(_checked_rows(rows, len(header), last))
+            try:
+                parsed = np.fromiter(map(float, cells), np.float64)
+            except (DataError, UnicodeDecodeError):  # both are ValueErrors float() did not raise
+                raise
+            except ValueError:  # float() stopped inside the row the generator handed out last
+                raise _non_numeric(header, *last) from None
         except UnicodeDecodeError:
             raise DataError(f"cannot read {path}, stopped at {_undecodable(path)}") from None
         except csv.Error as exc:
             raise DataError(
                 f"cannot read {path}, stopped at line {reader.line_num}: {exc}"
             ) from None
+    parsed = parsed.reshape(-1, len(header))
     finite = np.isfinite(parsed).all(axis=1)
     if not finite.all():
         raise DataError(f"non-finite value at row {int(np.argmin(finite))}")
@@ -351,14 +369,18 @@ def write_numeric_csv(path: str | Path, header: list[str], columns: list[np.ndar
     """Write equal-length float columns under a header row of distinct names.
 
     Cells carry 17 significant digits, so every float64 reads back exactly.
-    A repeated name raises DataError before the file is opened.
+    A repeated name or columns of unequal lengths raise DataError before the
+    file is opened.
     """
     duplicated = _duplicates(header)
     if duplicated:
         raise DataError(f"duplicate column names {duplicated} for {path}")
     arrays = [np.asarray(c, dtype=np.float64) for c in columns]
+    lengths = [a.shape[0] for a in arrays]
+    if len(set(lengths)) > 1:
+        raise DataError(f"columns of unequal lengths {lengths} for {path}")
     line = ",".join(["%.17g"] * len(arrays)) + "\r\n"
-    n = min((a.shape[0] for a in arrays), default=0)
+    n = lengths[0] if lengths else 0
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
         for r0 in range(0, n, WRITE_BLOCK_ROWS):

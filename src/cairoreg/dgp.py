@@ -15,7 +15,8 @@ the ordering entirely (rank correlation of the oracle predictor drops
 near 0.35). Pass raw_lognormal=True for the literal uncentered,
 unit-amplitude variant, whose true_mean then includes the noise offset.
 ScenarioSpec rejects either noise option away from its default in the
-other scenarios, where it would change nothing.
+other scenarios, and lognormal_scale away from its default under
+raw_lognormal, where it would change nothing.
 """
 
 from __future__ import annotations
@@ -63,6 +64,10 @@ class ScenarioSpec:
         if heavy_only and self.scenario is not Scenario.HEAVY_TAIL:
             raise ValueError(
                 f"{heavy_only} set for the {self.scenario.value} scenario; only heavy uses them"
+            )
+        if self.raw_lognormal and "lognormal_scale" in heavy_only:
+            raise ValueError(
+                "lognormal_scale set with raw_lognormal, whose noise has unit amplitude"
             )
 
 

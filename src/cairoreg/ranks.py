@@ -26,14 +26,18 @@ def _check_scores(s: np.ndarray) -> np.ndarray:
 def rank(scores: np.ndarray) -> np.ndarray:
     """Mid-ranks in [1, n]: rank_i = #{s_j < s_i} + (#{s_j = s_i} + 1)/2.
 
-    Both counts are binary searches into the sorted scores, O(n log n).
-    The ranks always sum to n(n+1)/2 exactly.
+    One sort, O(n log n): the run of equal scores at sorted positions
+    [start, end) ranks (start + end + 1)/2, which is exact in float64, so
+    the ranks always sum to n(n+1)/2 exactly. -0.0 and 0.0 are one run.
     """
     s = _check_scores(scores)
-    sorted_s = np.sort(s)
-    below = np.searchsorted(sorted_s, s, side="left")
-    through = np.searchsorted(sorted_s, s, side="right")
-    return 0.5 * (below + through + 1)
+    order = np.argsort(s)
+    sorted_s = s[order]
+    bounds = np.flatnonzero(np.concatenate(([True], sorted_s[1:] != sorted_s[:-1], [True])))
+    starts, ends = bounds[:-1], bounds[1:]
+    out = np.empty(s.size)
+    out[order] = np.repeat(0.5 * (starts + ends + 1), ends - starts)
+    return out
 
 
 def mid_distribution(scores: np.ndarray) -> np.ndarray:

@@ -10,6 +10,8 @@ kendall compute in O(n log n). None of them runs in a fit.
 read_numeric_csv_oracle is the list-of-rows CSV reader that the streaming
 read_numeric_csv replaced, and write_numeric_csv_oracle the writer that
 formats every row at once, which the block-wise write_numeric_csv replaced.
+rank_oracle counts each score's mid-rank by two binary searches, as rank did
+before it took its mid-ranks from one sort.
 """
 
 from __future__ import annotations
@@ -95,6 +97,15 @@ def hard_pairwise_loss_ordered(y: np.ndarray, s: np.ndarray, variant: WeightVari
     w = _weight_matrix(variant, y)
     mis = (y[:, None] > y[None, :]) & (s[:, None] < s[None, :])
     return float(np.sum(w[mis]) / (n * (n - 1)))
+
+
+def rank_oracle(scores: np.ndarray) -> np.ndarray:
+    """Mid-ranks #{s_j < s_i} + (#{s_j = s_i} + 1)/2, both counts binary searches."""
+    s = _check_scores(scores)
+    sorted_s = np.sort(s)
+    below = np.searchsorted(sorted_s, s, side="left")
+    through = np.searchsorted(sorted_s, s, side="right")
+    return 0.5 * (below + through + 1)
 
 
 def gini_rank_loss(y: np.ndarray, s: np.ndarray) -> float:

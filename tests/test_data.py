@@ -1,4 +1,5 @@
 import json
+import re
 import tempfile
 import tracemalloc
 from dataclasses import fields
@@ -141,6 +142,13 @@ def test_write_csv_rejects_a_feature_named_like_the_target_column(tmp_path):
     assert not (tmp_path / "t.csv").exists()
 
 
+def test_write_numeric_csv_rejects_unequal_columns_listing_their_lengths(tmp_path):
+    f = tmp_path / "ragged.csv"
+    with pytest.raises(DataError, match=r"columns of unequal lengths \[3, 1\]"):
+        write_numeric_csv(f, ["a", "b"], [[1.0, 2.0, 3.0], [4.0]])
+    assert not f.exists()
+
+
 def test_write_numeric_csv_peak_memory_is_below_its_columns(tmp_path):
     columns = list(make_rng(4).normal(size=(12, 100_000)))
     tracemalloc.start()
@@ -227,11 +235,23 @@ def _read(reader, path):
 @example(text="a,b,a\n1,2,3\n")
 @example(text="a,b\n1\n2,3\n")
 @example(text="a,b\n1,2\n\n-0,1_000\r\n")
+@example(text="a,b\nx,1\n2\n")  # a bad cell in row 0, then a short row 1
+@example(text="a,b\n1\nx,2\n")  # a short row 0, then a bad cell
+@example(text="a,b\n1,2\n3,x")  # a bad cell in the last column of the last row
 def test_read_numeric_csv_matches_the_list_of_rows_oracle(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.csv"
         path.write_text(text, encoding="utf-8", newline="")
         assert _read(read_numeric_csv, path) == _read(read_numeric_csv_oracle, path)
+
+
+def test_read_numeric_csv_names_an_undecodable_byte_after_many_good_rows(tmp_path):
+    path = tmp_path / "late.csv"
+    # 26 000 bytes of good rows, past the text layer's first decode chunk
+    path.write_bytes(b"a,b\n" + b"1.0000000000,2.0000000000\n" * 1000 + b"\xff,3\n")
+    says = f"cannot read {path}, stopped at line 1002, column 1: byte 0xff is not UTF-8"
+    with pytest.raises(DataError, match="^" + re.escape(says)):
+        read_numeric_csv(path)
 
 
 def test_read_numeric_csv_peak_memory_is_near_its_result(tmp_path):
@@ -364,9 +384,7 @@ def test_make_rng_reproducible():
 @pytest.mark.parametrize(
     "obj",
     [
-        ScenarioSpec(
-            Scenario.HEAVY_TAIL, n=300, d=7, seed=11, lognormal_scale=0.7, raw_lognormal=True
-        ),
+        ScenarioSpec(Scenario.HEAVY_TAIL, n=300, d=7, seed=11, raw_lognormal=True),
         FitHyper(epochs=3, batch_size=17, learning_rate=0.1 + 0.2, sigma=2.5, temperature=1e-3),
         BenchConfig(
             scenarios=(Scenario.NORMAL, Scenario.HEAVY_TAIL),

@@ -105,6 +105,9 @@ class TestGenerate:
         for scale in (0.0, np.inf, np.nan):
             with pytest.raises(ValueError, match=f"^lognormal_scale must be finite.*got {scale}"):
                 ScenarioSpec(Scenario.HEAVY_TAIL, lognormal_scale=scale)
+        with pytest.raises(ValueError, match="^lognormal_scale set with raw_lognormal"):
+            ScenarioSpec(Scenario.HEAVY_TAIL, lognormal_scale=5.0, raw_lognormal=True)
+        ScenarioSpec(Scenario.HEAVY_TAIL, lognormal_scale=HEAVY_NOISE_SCALE, raw_lognormal=True)
 
     @pytest.mark.parametrize("scenario", [Scenario.NORMAL, Scenario.GAMMA_TAIL])
     def test_heavy_noise_options_are_rejected_for_other_scenarios(self, scenario):

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from oracles import rank_oracle
 from scipy.stats import rankdata
 
 from cairoreg.ranks import SoftRankConfig, mid_distribution, rank, softrank
@@ -41,6 +44,25 @@ class TestRank:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):
             rank(np.array([1.0, np.nan]))
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(-3, 3).map(float),  # ties
+                st.sampled_from([0.0, -0.0]),
+                st.builds(
+                    lambda sign, size: sign * size,
+                    st.sampled_from([1.0, -1.0]),
+                    st.floats(1e-300, 1e300),
+                ),
+            ),
+            min_size=1,
+            max_size=300,
+        )
+    )
+    def test_one_sort_is_bitwise_the_two_search_oracle(self, values):
+        v = np.array(values)
+        assert rank(v).tobytes() == rank_oracle(v).tobytes()
 
 
 class TestMidDistribution:
