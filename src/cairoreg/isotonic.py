@@ -12,17 +12,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _freeze
+
 
 @dataclass(frozen=True)
 class CalibrationMap:
-    """Sorted unique training scores (knots) with nondecreasing fitted values."""
+    """Increasing score knots with nondecreasing fitted values; predict interpolates them.
+
+    pav_fit keeps the first and last training score of each run of equal
+    fitted values (a run of one keeps its one score), so the knots are the
+    ends of the map's levels. A map that lists every training score, as
+    bundles written before that pruning do, predicts the same values. Both
+    arrays are read-only float64 copies, so the checks below hold for the
+    map's life.
+    """
 
     knots: np.ndarray
     fitted: np.ndarray
 
     def __post_init__(self) -> None:
-        knots = np.asarray(self.knots, dtype=np.float64)
-        fitted = np.asarray(self.fitted, dtype=np.float64)
+        knots = _freeze(self.knots)
+        fitted = _freeze(self.fitted)
         if knots.ndim != 1 or knots.size < 1 or knots.shape != fitted.shape:
             raise ValueError("knots and fitted must be equal-length nonempty vectors")
         if not (np.all(np.isfinite(knots)) and np.all(np.isfinite(fitted))):
@@ -51,12 +61,41 @@ def _check_fit_inputs(scores, targets) -> tuple[np.ndarray, np.ndarray]:
     return s, y
 
 
+def pav_blocks(values: list[float], weights: list[float]) -> tuple[list[float], list[int]]:
+    """Pool adjacent violators: the nondecreasing least-squares fit of a weighted sequence.
+
+    values are in the order of the fit (pav_fit's sorted scores); returns the
+    value and the length of each block, left to right. Adjacent violating
+    blocks merge into their weighted mean through a stack; blocks of equal
+    value stay apart. Pass Python floats: the merge arithmetic then keeps
+    the bits of every earlier fit.
+    """
+    block_values: list[float] = []
+    block_weights: list[float] = []
+    lengths: list[int] = []
+    for v, w in zip(values, weights):
+        cur_v, cur_w, cur_len = v, w, 1
+        while block_values and block_values[-1] > cur_v:
+            pv, pw = block_values.pop(), block_weights.pop()
+            cur_v = (pv * pw + cur_v * cur_w) / (pw + cur_w)
+            cur_w += pw
+            cur_len += lengths.pop()
+        block_values.append(cur_v)
+        block_weights.append(cur_w)
+        lengths.append(cur_len)
+    return block_values, lengths
+
+
 def pav_fit(scores: np.ndarray, targets: np.ndarray) -> CalibrationMap:
     """Least-squares nondecreasing fit of targets against scores.
 
-    Tied scores are pooled first (mean target, count weight), then adjacent
-    violating blocks are merged into their weighted means via a stack;
-    O(n log n) including the sort.
+    Tied scores are pooled first (mean target, count weight), then pav_blocks
+    fits the pooled means; O(n log n) including the sort. The map keeps the
+    first and last distinct score of each run of equal fitted values. Between
+    two knots of one value v, np.interp returns 0.0 * (s - knot) + v, which
+    is v, so the inner scores would predict nothing the ends do not. The
+    one exception is v = -0.0, for which that sum is +0.0; those knots all
+    stay, and every prediction keeps the bits of a map over every score.
     """
     s, y = _check_fit_inputs(scores, targets)
     order = np.argsort(s, kind="stable")
@@ -64,24 +103,14 @@ def pav_fit(scores: np.ndarray, targets: np.ndarray) -> CalibrationMap:
     knots, starts = np.unique(s_sorted, return_index=True)
     sums = np.add.reduceat(y_sorted, starts)
     counts = np.diff(np.append(starts, s_sorted.size)).astype(np.float64)
-
-    # stack of (value, weight) blocks; merge while monotonicity is violated
-    values: list[float] = []
-    weights: list[float] = []
-    lengths: list[int] = []
-    for v, w in zip(sums / counts, counts):
-        cur_v, cur_w, cur_len = float(v), float(w), 1
-        while values and values[-1] > cur_v:
-            pv, pw = values.pop(), weights.pop()
-            cur_v = (pv * pw + cur_v * cur_w) / (pw + cur_w)
-            cur_w += pw
-            cur_len += lengths.pop()
-        values.append(cur_v)
-        weights.append(cur_w)
-        lengths.append(cur_len)
+    values, lengths = pav_blocks((sums / counts).tolist(), counts.tolist())
 
     fitted = np.repeat(values, lengths)
-    return CalibrationMap(knots=knots, fitted=fitted)
+    bits = fitted.view(np.int64)
+    inner = np.zeros(fitted.size, dtype=bool)
+    inner[1:-1] = (bits[1:-1] == bits[:-2]) & (bits[1:-1] == bits[2:])
+    keep = ~inner | ((fitted == 0.0) & np.signbit(fitted))
+    return CalibrationMap(knots=knots[keep], fitted=fitted[keep])
 
 
 def predict(cmap: CalibrationMap, scores: np.ndarray) -> np.ndarray:

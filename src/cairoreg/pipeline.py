@@ -176,10 +176,20 @@ def cairo_fit(
 
 
 def mse_fit(train_ds: Dataset, cfg: TrainConfig) -> MseBaselineModel:
-    """Identical architecture and loop, squared error on standardized targets."""
+    """Identical architecture and loop, squared error on standardized targets.
+
+    Targets whose mean or standard deviation overflows float64 cannot be
+    standardized; they raise ValueError before training starts.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        y_mean = float(train_ds.targets.mean())
+        y_std = float(train_ds.targets.std()) or 1.0
+    if not (np.isfinite(y_mean) and np.isfinite(y_std)):
+        raise ValueError(
+            f"targets too large to standardize: their mean is {y_mean}"
+            f" and their standard deviation {y_std} in float64"
+        )
     st = fit_standardizer(train_ds)
-    y_mean = float(train_ds.targets.mean())
-    y_std = float(train_ds.targets.std()) or 1.0
     std_train = replace(
         apply_standardizer(st, train_ds), targets=(train_ds.targets - y_mean) / y_std
     )

@@ -11,7 +11,9 @@ read_numeric_csv_oracle is the list-of-rows CSV reader that the streaming
 read_numeric_csv replaced, and write_numeric_csv_oracle the writer that
 formats every row at once, which the block-wise write_numeric_csv replaced.
 rank_oracle counts each score's mid-rank by two binary searches, as rank did
-before it took its mid-ranks from one sort.
+before it took its mid-ranks from one sort. pav_fit_unpruned is pav_fit as it
+was before the map kept only the ends of its levels: one knot per distinct
+training score, from its own copy of the PAV stack loop.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from cairoreg.data import DataError
-from cairoreg.isotonic import _check_fit_inputs
+from cairoreg.isotonic import CalibrationMap, _check_fit_inputs
 from cairoreg.losses import LossValueGrad, WeightVariant, _check_pair
 from cairoreg.metrics import MetricError, _check
 from cairoreg.ranks import SoftRankConfig, _check_scores, mid_distribution, rank
@@ -210,6 +212,33 @@ def pav_oracle(scores: np.ndarray, targets: np.ndarray) -> np.ndarray:
     out = np.empty(n)
     out[order] = best_fit
     return out
+
+
+def pav_fit_unpruned(scores: np.ndarray, targets: np.ndarray) -> CalibrationMap:
+    """pav_fit with a knot at every distinct training score."""
+    s, y = _check_fit_inputs(scores, targets)
+    order = np.argsort(s, kind="stable")
+    s_sorted, y_sorted = s[order], y[order]
+    knots, starts = np.unique(s_sorted, return_index=True)
+    sums = np.add.reduceat(y_sorted, starts)
+    counts = np.diff(np.append(starts, s_sorted.size)).astype(np.float64)
+
+    # stack of (value, weight) blocks; merge while monotonicity is violated
+    values: list[float] = []
+    weights: list[float] = []
+    lengths: list[int] = []
+    for v, w in zip(sums / counts, counts):
+        cur_v, cur_w, cur_len = float(v), float(w), 1
+        while values and values[-1] > cur_v:
+            pv, pw = values.pop(), weights.pop()
+            cur_v = (pv * pw + cur_v * cur_w) / (pw + cur_w)
+            cur_w += pw
+            cur_len += lengths.pop()
+        values.append(cur_v)
+        weights.append(cur_w)
+        lengths.append(cur_len)
+
+    return CalibrationMap(knots=knots, fitted=np.repeat(values, lengths))
 
 
 def kendall_reference(a: np.ndarray, b: np.ndarray) -> float:

@@ -294,8 +294,8 @@ def small_bundles(tmp_path_factory):
 @pytest.mark.parametrize(
     "model, path, value",
     [
-        ("ranknet", ("calibration", "fitted", 3), float("nan")),
-        ("ranknet", ("calibration", "knots", 3), float("nan")),
+        ("ranknet", ("calibration", "fitted", -1), float("nan")),
+        ("ranknet", ("calibration", "knots", -1), float("nan")),
         ("ranknet", ("standardizer", "std", 0), 0.0),
         ("ranknet", ("standardizer", "mean", 0), float("inf")),
         ("ranknet", ("scorer", "vector", 0), float("nan")),
@@ -501,6 +501,28 @@ def test_mse_fit_that_overflows_at_its_last_step_writes_nothing(tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith("error: training diverged at its last step: non-finite prediction")
     assert not (tmp_path / "m.json").exists() and not plot_csv.exists()
+
+
+def test_mse_fit_on_targets_whose_spread_overflows_fails_before_training(
+    tmp_path, capsys, recwarn
+):
+    """Targets within float64 whose standard deviation is not; a ranking fit takes them."""
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((300, 3))
+    y = 1e306 * np.tanh(X[:, 0] + 0.3 * rng.standard_normal(300))
+    data = tmp_path / "huge.csv"
+    rows = "".join(",".join(map(repr, [*x.tolist(), t])) + "\n" for x, t in zip(X, y.tolist()))
+    data.write_text("x1,x2,x3,__target\n" + rows)
+    args = ["fit", "--data", str(data), "--epochs", "2", "--out"]
+    capsys.readouterr()
+    assert main([*args, str(tmp_path / "r.json"), "--model", "ranknet"]) == 0
+    out = tmp_path / "m.json"
+    assert main([*args, str(out), "--model", "nn-mse"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: targets too large to standardize: their mean is ")
+    assert "their standard deviation inf" in err
+    assert not out.exists()
+    assert not recwarn.list, [str(w.message) for w in recwarn.list]
 
 
 def test_predict_rejects_a_scorer_that_overflows(tmp_path, capsys):

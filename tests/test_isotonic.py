@@ -3,9 +3,9 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import pav_oracle
+from oracles import pav_fit_unpruned, pav_oracle
 from scipy.optimize import isotonic_regression as scipy_isotonic
 
 from cairoreg.data import config_from_dict, config_to_dict
@@ -13,6 +13,7 @@ from cairoreg.isotonic import (
     AutoCalibrationReport,
     CalibrationMap,
     audit_autocalibration,
+    pav_blocks,
     pav_fit,
     predict,
 )
@@ -24,8 +25,9 @@ class TestPavFit:
         np.testing.assert_array_equal(cmap.fitted, [1, 2, 3])
 
     def test_total_pooling(self):
-        cmap = pav_fit(np.array([1.0, 2.0, 3.0]), np.array([3.0, 1.0, 2.0]))
-        np.testing.assert_array_equal(cmap.fitted, [2, 2, 2])
+        s = np.array([1.0, 2.0, 3.0])
+        cmap = pav_fit(s, np.array([3.0, 1.0, 2.0]))
+        np.testing.assert_array_equal(predict(cmap, s), [2, 2, 2])
 
     def test_partial_pooling(self):
         cmap = pav_fit(np.array([1.0, 2.0, 3.0]), np.array([1.0, 3.0, 2.0]))
@@ -37,9 +39,10 @@ class TestPavFit:
         np.testing.assert_array_equal(cmap.fitted, [2, 3])
 
     def test_unsorted_input(self):
-        cmap = pav_fit(np.array([3.0, 1.0, 2.0]), np.array([2.0, 3.0, 1.0]))
-        np.testing.assert_array_equal(cmap.knots, [1, 2, 3])
-        np.testing.assert_array_equal(cmap.fitted, [2, 2, 2])
+        s = np.array([3.0, 1.0, 2.0])
+        cmap = pav_fit(s, np.array([2.0, 3.0, 1.0]))
+        np.testing.assert_array_equal(cmap.knots, [1, 3])  # sorted: the ends of the one level
+        np.testing.assert_array_equal(predict(cmap, s), [2, 2, 2])
 
     def test_matches_scipy_reference(self):
         rng = np.random.default_rng(0)
@@ -50,7 +53,7 @@ class TestPavFit:
                 s = np.sort(rng.normal(size=n))
             y = rng.normal(size=n)
             cmap = pav_fit(s, y)
-            np.testing.assert_allclose(cmap.fitted, scipy_isotonic(y).x, atol=1e-10)
+            np.testing.assert_allclose(predict(cmap, s), scipy_isotonic(y).x, atol=1e-10)
 
     def test_mean_preservation(self):
         rng = np.random.default_rng(1)
@@ -73,6 +76,66 @@ class TestPavFit:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):
             pav_fit(np.array([1.0, np.inf]), np.array([0.0, 1.0]))
+
+    def test_pav_blocks_merges_violators_by_weight_and_keeps_equal_blocks_apart(self):
+        assert pav_blocks([2.0, 0.0], [3.0, 1.0]) == ([1.5], [2])
+        assert pav_blocks([1.0, 3.0, 2.0, 2.5], [1.0] * 4) == ([1.0, 2.5, 2.5], [1, 2, 1])
+
+    def test_keeps_the_ends_of_each_level(self):
+        s = np.arange(1.0, 8.0)
+        cmap = pav_fit(s, np.array([1.0, 1.0, 1.0, 5.0, 3.0, 7.0, 7.0]))
+        np.testing.assert_array_equal(cmap.knots, [1, 3, 4, 5, 6, 7])
+        np.testing.assert_array_equal(cmap.fitted, [1, 1, 4, 4, 7, 7])
+
+    def test_keeps_every_knot_of_a_negative_zero_level(self):
+        """Between two -0.0 knots np.interp gives +0.0, so each -0.0 training score stays."""
+        s = np.arange(1.0, 5.0)
+        cmap = pav_fit(s, np.array([-0.0, -0.0, -0.0, 1.0]))
+        np.testing.assert_array_equal(cmap.knots, s)
+        assert np.signbit(predict(cmap, s[:3])).all()
+
+
+@st.composite
+def _fit_inputs(draw):
+    """One or two points or up to 60, tied scores, and constant, few-level or signed-zero targets."""
+    n = draw(st.sampled_from([1, 2]) | st.integers(3, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.integers(1, 2 * n))
+    s = rng.normal(size=levels)[rng.integers(0, levels, size=n)] * 10.0 ** draw(st.integers(-3, 3))
+    y = draw(
+        st.sampled_from(
+            [
+                lambda: rng.normal(size=n),
+                lambda: rng.integers(-2, 3, size=n).astype(float),
+                lambda: np.full(n, rng.normal()),
+                lambda: rng.choice([-0.0, 0.0, 1.0], size=n, p=[0.7, 0.15, 0.15]),
+            ]
+        )
+    )()
+    return s, y
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fit_inputs())
+def test_pruned_map_predicts_the_bits_of_the_map_over_every_score(inputs):
+    """pav_fit keeps the ends of each level and predicts what the map over every score does."""
+    s, y = inputs
+    cmap, full = pav_fit(s, y), pav_fit_unpruned(s, y)
+    k = full.knots
+    outside = [k[0] - 1.0, k[-1] + 1.0, -1e300, 1e300, -np.inf, np.inf]
+    queries = np.concatenate([s, k, (k[:-1] + k[1:]) / 2, outside])
+    assert predict(cmap, queries).tobytes() == predict(full, queries).tobytes()
+
+    def value_changes(f):
+        return int(np.count_nonzero(f[1:] != f[:-1]))
+
+    assert value_changes(cmap.fitted) == value_changes(full.fitted)
+    # at most two knots per run of equal values; a -0.0 run keeps all (see pav_fit)
+    bits = cmap.fitted.view(np.int64)
+    starts = np.flatnonzero(np.r_[True, bits[1:] != bits[:-1]])
+    lengths = np.diff(np.r_[starts, bits.size])
+    negative_zero = (cmap.fitted[starts] == 0) & np.signbit(cmap.fitted[starts])
+    assert (lengths[~negative_zero] <= 2).all()
 
 
 class TestPredict:
@@ -104,6 +167,18 @@ class TestPredict:
             cmap = pav_fit(s, y)
             grid = np.linspace(s.min() - 1, s.max() + 1, 500)
             assert np.all(np.diff(predict(cmap, grid)) >= -1e-15)
+
+    def test_map_holds_read_only_copies_of_its_arrays(self):
+        k, f = np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 100.0])
+        cmap = CalibrationMap(knots=k, fitted=f)
+        k[1], f[0] = 0.5, 99.0
+        np.testing.assert_array_equal(cmap.knots, [1, 2, 3])
+        np.testing.assert_array_equal(cmap.fitted, [1, 2, 100])
+        with pytest.raises(ValueError, match="read-only"):
+            cmap.fitted[0] = 99.0
+        with pytest.raises(ValueError, match="read-only"):
+            cmap.knots[1] = 0.5
+        assert predict(cmap, np.array([2.5]))[0] == 51.0
 
     def test_map_invariants_enforced(self):
         with pytest.raises(ValueError, match="strictly increasing"):

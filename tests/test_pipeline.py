@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from oracles import pav_fit_unpruned
 
 import cairoreg
 from cairoreg import pipeline
-from cairoreg.data import DataError, Dataset, SplitSpec, make_rng, split
+from cairoreg.data import DataError, Dataset, SplitSpec, config_to_dict, make_rng, split
 from cairoreg.dgp import Scenario, ScenarioSpec, generate
 from cairoreg.isotonic import audit_autocalibration, pav_fit
 from cairoreg.isotonic import predict as calibration_predict
@@ -76,7 +77,13 @@ class TestCairoFit:
         loss = PairwiseSurrogate(WeightVariant.UNIFORM, 1.0)
         full = cairo_fit(ds, loss, _quick_cfg())
         held = cairo_fit(ds, loss, _quick_cfg(), calibration_fraction=0.25)
-        assert held.calibration.knots.size < full.calibration.knots.size
+        calib = split(ds, SplitSpec(train_fraction=1.0 - 0.25, seed=_quick_cfg().seed))[1]
+        on_slice = pav_fit(score_rows(held.scorer, held.standardizer, calib.features), calib.targets)
+        scores = score_rows(held.scorer, held.standardizer, ds.features)
+        got = calibration_predict(held.calibration, scores)
+        assert got.tobytes() == calibration_predict(on_slice, scores).tobytes()
+        on_all = pav_fit(scores, ds.targets)
+        assert got.tobytes() != calibration_predict(on_all, scores).tobytes()
         # scorers trained on different subsets differ
         assert not np.array_equal(held.scorer.W1, full.scorer.W1)
 
@@ -288,6 +295,21 @@ class TestSerialization:
     def test_version_guard(self):
         with pytest.raises(ValueError, match="version"):
             model_from_dict({"version": "other"})
+
+    def test_v3_bundle_with_a_knot_at_every_training_score_predicts_the_same(
+        self, normal_model, tmp_path
+    ):
+        """Bundles written before pav_fit kept only the ends of each level still load."""
+        ds, model = normal_model
+        scores = score_rows(model.scorer, model.standardizer, ds.features)
+        full = pav_fit_unpruned(scores, ds.targets)
+        assert full.knots.size == np.unique(scores).size > 2 * model.calibration.knots.size
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({**model_to_dict(model), "calibration": config_to_dict(full)}))
+        old = load_model(path)
+        assert old.calibration.knots.size == full.knots.size
+        X = np.concatenate([ds.features, make_rng(8).standard_normal((300, ds.d)) * 3.0])
+        assert predict_model(old, X).tobytes() == predict_model(model, X).tobytes()
 
     def test_v2_bundle_must_be_refitted(self, normal_model, tmp_path):
         _, model = normal_model
