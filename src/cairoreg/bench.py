@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .data import SplitSpec, _coerce, _table, config_to_dict, split
@@ -120,21 +120,37 @@ def _run_repetition(cfg: BenchConfig, scenario: Scenario, rep: int) -> list[Repe
     return out
 
 
+def _tasks(cfg: BenchConfig, max_workers: int) -> list[tuple[BenchConfig, Scenario, int]]:
+    """The (cfg, scenario, rep) arguments of each _run_repetition call, in result order.
+
+    Of the (scenario, repetition) pairs, the first len - len % max_workers run
+    whole, max_workers to a round. Each pair left over for a last round that
+    would leave workers idle runs as one task per model instead. One worker
+    runs every pair whole.
+    """
+    pairs = [(scenario, rep) for scenario in cfg.scenarios for rep in range(cfg.repetitions)]
+    whole = len(pairs) - len(pairs) % max_workers
+    tasks = [(cfg, scenario, rep) for scenario, rep in pairs[:whole]]
+    for scenario, rep in pairs[whole:]:
+        tasks += [(replace(cfg, models=(model,)), scenario, rep) for model in cfg.models]
+    return tasks
+
+
 def run_bench(cfg: BenchConfig, max_workers: int = 1) -> BenchResult:
     """Run every (scenario, repetition), aggregate per (scenario, model).
 
-    Above one worker, the repetitions run on a process pool. Workers receive
-    forked seeds; results are ordered by task index, so the report is
+    Above one worker, the tasks of _tasks run on a process pool. Workers
+    receive forked seeds; results are ordered by task index, so the report is
     identical for any worker count.
     """
     if max_workers < 1:
         raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-    tasks = [(scenario, rep) for scenario in cfg.scenarios for rep in range(cfg.repetitions)]
+    tasks = _tasks(cfg, max_workers)
     if max_workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=min(max_workers, len(tasks))) as pool:
-            chunks = list(pool.map(_run_repetition, [cfg] * len(tasks), *zip(*tasks)))
+            chunks = list(pool.map(_run_repetition, *zip(*tasks)))
     else:
-        chunks = [_run_repetition(cfg, scenario, rep) for scenario, rep in tasks]
+        chunks = [_run_repetition(*task) for task in tasks]
 
     raw = [r for chunk in chunks for r in chunk]
     aggregates = []

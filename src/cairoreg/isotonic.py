@@ -37,9 +37,11 @@ class CalibrationMap:
             raise ValueError("knots and fitted must be equal-length nonempty vectors")
         if not (np.all(np.isfinite(knots)) and np.all(np.isfinite(fitted))):
             raise ValueError("knots and fitted values must be finite")
-        if np.any(np.diff(knots) <= 0):
+        # neighbours are compared, not differenced: a difference of two
+        # finite values can overflow
+        if np.any(knots[1:] <= knots[:-1]):
             raise ValueError("knots must be strictly increasing")
-        if np.any(np.diff(fitted) < 0):
+        if np.any(fitted[1:] < fitted[:-1]):
             raise ValueError("fitted values must be nondecreasing")
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "fitted", fitted)
@@ -96,16 +98,25 @@ def pav_fit(scores: np.ndarray, targets: np.ndarray) -> CalibrationMap:
     is v, so the inner scores would predict nothing the ends do not. The
     one exception is v = -0.0, for which that sum is +0.0; those knots all
     stay, and every prediction keeps the bits of a map over every score.
+
+    Targets whose pooled sums or merged block means overflow float64 raise
+    ValueError, with no numpy warning.
     """
     s, y = _check_fit_inputs(scores, targets)
     order = np.argsort(s, kind="stable")
     s_sorted, y_sorted = s[order], y[order]
     knots, starts = np.unique(s_sorted, return_index=True)
-    sums = np.add.reduceat(y_sorted, starts)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        sums = np.add.reduceat(y_sorted, starts)
     counts = np.diff(np.append(starts, s_sorted.size)).astype(np.float64)
     values, lengths = pav_blocks((sums / counts).tolist(), counts.tolist())
 
     fitted = np.repeat(values, lengths)
+    if not np.all(np.isfinite(fitted)):
+        raise ValueError(
+            "targets too large to calibrate: a pooled sum or block mean of targets"
+            f" up to {np.abs(y).max():.3g} in magnitude overflows float64"
+        )
     bits = fitted.view(np.int64)
     inner = np.zeros(fitted.size, dtype=bool)
     inner[1:-1] = (bits[1:-1] == bits[:-2]) & (bits[1:-1] == bits[2:])

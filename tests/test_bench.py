@@ -1,5 +1,5 @@
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -7,13 +7,14 @@ import pytest
 from cairoreg.bench import (
     BenchConfig,
     BenchError,
+    _tasks,
     result_to_dict,
     run_bench,
     write_results_json,
     write_table_csv,
 )
 from cairoreg.dgp import Scenario
-from cairoreg.pipeline import FitHyper
+from cairoreg.pipeline import VARIANTS, FitHyper
 
 
 def _smoke_cfg(**kw):
@@ -28,6 +29,56 @@ def _smoke_cfg(**kw):
     )
     base.update(kw)
     return BenchConfig(**base)
+
+
+def _layout(tasks):
+    """(scenario, rep, models) of each task."""
+    return [(scenario.value, rep, cfg.models) for cfg, scenario, rep in tasks]
+
+
+class TestTasks:
+    """Whole repetitions fill the pool's full rounds; the leftovers split by model."""
+
+    MODELS = tuple(VARIANTS)
+
+    def _cfg(self, scenarios, repetitions):
+        return _smoke_cfg(scenarios=scenarios, repetitions=repetitions, models=self.MODELS)
+
+    def test_three_pairs_on_two_workers_split_the_last(self):
+        cfg = self._cfg(tuple(Scenario), 1)
+        tasks = _tasks(cfg, 2)
+        assert _layout(tasks) == [
+            ("normal", 0, self.MODELS),
+            ("gamma", 0, self.MODELS),
+            *(("heavy", 0, (m,)) for m in self.MODELS),
+        ]
+        assert tasks[0][0] is cfg and tasks[1][0] is cfg
+        assert [t[0] for t in tasks[2:]] == [replace(cfg, models=(m,)) for m in self.MODELS]
+
+    def test_four_pairs_on_two_workers_stay_whole(self):
+        cfg = self._cfg((Scenario.NORMAL, Scenario.GAMMA_TAIL), 2)
+        assert _layout(_tasks(cfg, 2)) == [
+            (s, rep, self.MODELS) for s in ("normal", "gamma") for rep in (0, 1)
+        ]
+
+    @pytest.mark.parametrize("repetitions", [1, 2, 5])
+    def test_one_worker_runs_every_pair_whole(self, repetitions):
+        cfg = self._cfg(tuple(Scenario), repetitions)
+        tasks = _tasks(cfg, 1)
+        assert _layout(tasks) == [
+            (s.value, rep, self.MODELS) for s in Scenario for rep in range(repetitions)
+        ]
+        assert all(task_cfg is cfg for task_cfg, _, _ in tasks)
+
+    def test_one_pair_on_two_workers_splits_by_model(self):
+        cfg = self._cfg((Scenario.HEAVY_TAIL,), 1)
+        assert _layout(_tasks(cfg, 2)) == [("heavy", 0, (m,)) for m in self.MODELS]
+
+    def test_three_pairs_on_four_workers_split_every_pair(self):
+        cfg = self._cfg(tuple(Scenario), 1)
+        assert _layout(_tasks(cfg, 4)) == [
+            (s, 0, (m,)) for s in ("normal", "gamma", "heavy") for m in self.MODELS
+        ]
 
 
 class TestRunBench:
@@ -53,10 +104,16 @@ class TestRunBench:
         assert a == b
 
     def test_parallel_matches_serial(self):
-        cfg = _smoke_cfg(repetitions=2, scenarios=(Scenario.NORMAL,), models=("nn-mse",))
-        serial = result_to_dict(run_bench(cfg, max_workers=1))
-        parallel = result_to_dict(run_bench(cfg, max_workers=2))
-        assert serial == parallel
+        for cfg in (
+            _smoke_cfg(repetitions=2, scenarios=(Scenario.NORMAL,), models=("nn-mse",)),
+            # 3 (scenario, repetition) pairs: at 2 workers the last one runs a task per model
+            _smoke_cfg(),
+            # 1 pair, which runs a task per model on any pool
+            _smoke_cfg(scenarios=(Scenario.HEAVY_TAIL,)),
+        ):
+            serial = result_to_dict(run_bench(cfg, max_workers=1))
+            for max_workers in (2, 3):
+                assert result_to_dict(run_bench(cfg, max_workers=max_workers)) == serial
 
     def test_failed_repetition_identifies_cell(self):
         cfg = _smoke_cfg(overrides={"ranknet": {"learning_rate": 1e300}})

@@ -525,6 +525,25 @@ def test_mse_fit_on_targets_whose_spread_overflows_fails_before_training(
     assert not recwarn.list, [str(w.message) for w in recwarn.list]
 
 
+def test_ranking_fit_on_targets_whose_sum_overflows_fails_naming_them(tmp_path, capsys, recwarn):
+    """Targets near 1.5e306 on rows of a few distinct feature values.
+
+    Their mean is finite, but the sum of the targets of one tied score is not.
+    """
+    rng = np.random.default_rng(0)
+    x = np.round(rng.standard_normal(300)).tolist()
+    y = (1.5e306 * (1.0 + 0.01 * rng.random(300))).tolist()
+    data = tmp_path / "huge.csv"
+    data.write_text("x1,x2,__target\n" + "".join(f"{a!r},{a!r},{t!r}\n" for a, t in zip(x, y)))
+    out = tmp_path / "m.json"
+    capsys.readouterr()
+    args = ["fit", "--data", str(data), "--model", "ranknet", "--epochs", "2", "--out", str(out)]
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith("error: targets too large to calibrate: ")
+    assert not out.exists()
+    assert not recwarn.list, [str(w.message) for w in recwarn.list]
+
+
 def test_predict_rejects_a_scorer_that_overflows(tmp_path, capsys):
     """cairo fit writes no such bundle, but the library's mse_fit still returns the model."""
     data = _simulate(tmp_path, n=300, d=3, seed=0)

@@ -77,6 +77,22 @@ class TestPavFit:
         with pytest.raises(ValueError, match="non-finite"):
             pav_fit(np.array([1.0, np.inf]), np.array([0.0, 1.0]))
 
+    @pytest.mark.parametrize(
+        "scores, targets",
+        [
+            # the merge of two violators overflows
+            ([0.0, 1.0], [1.7e308, 1e308]),
+            # the sum of 300 tied targets overflows, though their mean does not
+            ([0.0] * 300, [1.5e306] * 300),
+            # the weighted sums of a long pooled run overflow
+            (np.arange(300.0), np.linspace(1.6e306, 1.4e306, 300)),
+        ],
+    )
+    def test_overflow_is_named_without_a_warning(self, recwarn, scores, targets):
+        with pytest.raises(ValueError, match="^targets too large to calibrate: "):
+            pav_fit(np.asarray(scores), np.asarray(targets))
+        assert not recwarn.list, [str(w.message) for w in recwarn.list]
+
     def test_pav_blocks_merges_violators_by_weight_and_keeps_equal_blocks_apart(self):
         assert pav_blocks([2.0, 0.0], [3.0, 1.0]) == ([1.5], [2])
         assert pav_blocks([1.0, 3.0, 2.0, 2.5], [1.0] * 4) == ([1.0, 2.5, 2.5], [1, 2, 1])
@@ -185,6 +201,18 @@ class TestPredict:
             CalibrationMap(knots=np.array([1.0, 1.0]), fitted=np.array([0.0, 1.0]))
         with pytest.raises(ValueError, match="nondecreasing"):
             CalibrationMap(knots=np.array([1.0, 2.0]), fitted=np.array([1.0, 0.0]))
+
+    def test_map_spanning_the_float64_range_is_checked_without_a_warning(self, recwarn):
+        # the difference of neighbours, 3.4e308, would overflow
+        wide = np.array([-1.7e308, 1.7e308])
+        CalibrationMap(knots=wide, fitted=np.array([0.0, 1.0]))
+        CalibrationMap(knots=np.array([0.0, 1.0]), fitted=wide)
+        assert pav_fit(np.array([0.0, 1.0]), wide).fitted.tolist() == wide.tolist()
+        assert not recwarn.list, [str(w.message) for w in recwarn.list]
+        with pytest.raises(ValueError, match="strictly increasing"):
+            CalibrationMap(knots=wide[::-1], fitted=np.array([0.0, 1.0]))
+        with pytest.raises(ValueError, match="nondecreasing"):
+            CalibrationMap(knots=np.array([0.0, 1.0]), fitted=wide[::-1])
 
 
 class TestAudit:
