@@ -266,12 +266,13 @@ def read_numeric_csv_oracle(path: str | Path) -> tuple[list[str], np.ndarray]:
     """Parse a fully numeric CSV with a header row into (column names, float64 matrix).
 
     Non-numeric cells and missing values are hard errors reported with row
-    index and column name; so is a column name that appears twice.
+    index and column name; so is a column name that appears twice. A UTF-8
+    byte-order mark at the start of the file is dropped.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"missing file: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         rows = list(csv.reader(fh))
     rows = [r for r in rows if r]
     if not rows:

@@ -1,9 +1,15 @@
+import contextlib
 import json
+import os
 import re
+import signal
 import tempfile
+import threading
+import time
 import tracemalloc
 from dataclasses import fields
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -11,6 +17,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from oracles import read_numeric_csv_oracle, write_numeric_csv_oracle
 
+from cairoreg import data
 from cairoreg.bench import BenchConfig
 from cairoreg.data import (
     WRITE_BLOCK_ROWS,
@@ -73,6 +80,27 @@ def test_load_csv_non_finite_value_names_row(tmp_path):
 def test_load_csv_missing_file(tmp_path):
     with pytest.raises(DataError, match="missing file"):
         load_csv(tmp_path / "nope.csv", "y")
+    (tmp_path / "d.csv").write_text("x1,y\n0,1\n1,2\n")
+    with pytest.raises(DataError, match="missing file"):
+        load_csv(tmp_path / "d.csv" / "nope.csv", "y")
+
+
+def test_read_numeric_csv_names_a_directory(tmp_path):
+    with pytest.raises(DataError, match=f"^not a file: {re.escape(str(tmp_path))}$"):
+        read_numeric_csv(tmp_path)
+
+
+def test_byte_order_mark_is_not_part_of_the_first_name(tmp_path):
+    f = tmp_path / "excel.csv"
+    f.write_bytes(b"\xef\xbb\xbfx1,__target\r\n0,1\r\n1,2\r\n")
+    assert read_numeric_csv(f)[0] == ["x1", "__target"]
+    assert load_csv(f).feature_names == ("x1",)
+    f.write_bytes(b"\xef\xbb\xbf__target,x1\r\n0,1\r\n1,2\r\n")
+    np.testing.assert_array_equal(load_csv(f).targets, [0.0, 1.0])
+    # a U+FEFF that does not open the file is a cell like any other
+    f.write_bytes(b"x1,__target\n0,1\n\xef\xbb\xbf1,2\n")
+    with pytest.raises(DataError, match=r"^non-numeric cell '\\ufeff1' at row 1, column 'x1'$"):
+        load_csv(f)
 
 
 def test_load_csv_too_few_rows(tmp_path):
@@ -184,19 +212,22 @@ def _csv_texts(draw):
 
     The header's names are distinct but for one in five. The body mixes
     blank lines and good rows, which hold one finite number per column,
-    some of them quoted, with up to two odd rows: a good row with one cell
-    from _OTHER_CELLS, with an empty trailing cell or without its last cell,
-    or any number of good cells.
+    with up to two odd rows: a good row with one cell from _OTHER_CELLS,
+    with an empty trailing cell or without its last cell, or any number of
+    good cells. In half the texts some names and cells are quoted; the
+    other half hold no quote, so that a split read may cut them.
     """
     width = draw(st.integers(1, 4))
-    names = ["a", "b", "x 1", "__target", '"a,b"', '"q""t"']
+    quotes = draw(st.booleans())
+    names = ["a", "b", "x 1", "__target", *(['"a,b"', '"q""t"'] if quotes else [])]
     header = draw(st.lists(st.sampled_from(names), min_size=width, max_size=width, unique=True))
     if width > 1 and draw(st.integers(0, 4)) == 0:
         header[-1] = header[0]
     finite = st.one_of(
         st.floats(allow_nan=False, allow_infinity=False).map(repr), st.sampled_from(_FINITE_CELLS)
     )
-    cell = st.builds(lambda text, quoted: f'"{text}"' if quoted else text, finite, st.booleans())
+    quoted = st.booleans() if quotes else st.just(False)
+    cell = st.builds(lambda text, quoted: f'"{text}"' if quoted else text, finite, quoted)
     good = st.lists(cell, min_size=width, max_size=width)
     bad_cell = st.builds(
         lambda row, j, bad: row[:j] + [bad] + row[j + 1 :],
@@ -238,10 +269,153 @@ def _read(reader, path):
 @example(text="a,b\nx,1\n2\n")  # a bad cell in row 0, then a short row 1
 @example(text="a,b\n1\nx,2\n")  # a short row 0, then a bad cell
 @example(text="a,b\n1,2\n3,x")  # a bad cell in the last column of the last row
+@example(text="a,b\n1,2\n3,4\n\n5,6\r\n7,8")  # a split read cuts it after 3,4
 def test_read_numeric_csv_matches_the_list_of_rows_oracle(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.csv"
         path.write_text(text, encoding="utf-8", newline="")
+        expected = _read(read_numeric_csv_oracle, path)
+        assert _read(read_numeric_csv, path) == expected
+        with _split_forced():
+            assert _read(read_numeric_csv, path) == expected
+
+
+@contextlib.contextmanager
+def _split_forced(cpus: int = 2):
+    """Cut every file of 2 bytes or more into cpus windows."""
+    with patch("cairoreg.data.SPLIT_MIN_BYTES", 1), patch(
+        "os.sched_getaffinity", return_value=set(range(cpus))
+    ):
+        yield
+
+
+def _no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _cut_just_before(path: Path, head: bytes, special: bytes, row: bytes) -> None:
+    """Write head, 40 rows, special and rows to path so that a two-window split cuts
+    just before special.
+    """
+    for after in range(40 + len(special)):
+        text = head + row * 40 + special + row * after
+        path.write_bytes(text)
+        if data._cuts(path, len(text), 2) == [len(head + row * 40)]:
+            return
+    raise AssertionError("no row count puts the cut before the special line")
+
+
+@pytest.mark.parametrize(
+    "row, special, says",
+    [
+        (b"1,2\n", b"x,2\n", "^non-numeric cell 'x' at row 40, column 'a'$"),
+        (b"1,2\n", b"1\n", "^row 40 has 1 cells, expected 2$"),
+        (b"1,2\n", b"3,inf\n", "^non-finite value at row 40$"),
+        (b"1,2\n", b"\xff,2\n", "stopped at line 42, column 1: byte 0xff is not UTF-8"),
+        (b"1,2\n", b"\xef\xbb\xbf1,2\n", r"^non-numeric cell '\\ufeff1' at row 40, column 'a'$"),
+        (b"1,2\n", b"\n", None),
+        (b"1,2\r\n", b"\r\n", None),
+        (b"1,2\r\n", b"3,4\r\n", None),
+    ],
+)
+def test_a_split_read_at_its_cut_reads_as_one_pass(tmp_path, row, special, says):
+    path = tmp_path / "cut.csv"
+    _cut_just_before(path, b"a,b" + row[3:], special, row)
+    with _split_forced(cpus=1):
+        expected = _read(read_numeric_csv, path)
+    if says is None:
+        assert isinstance(expected, tuple)
+    else:
+        assert re.search(says, expected)
+    with _split_forced(), patch("os.fork", wraps=os.fork) as fork:
+        assert _read(read_numeric_csv, path) == expected
+    assert fork.call_count == 1
+    _no_child_left()
+
+
+def test_a_split_read_leaves_no_child_process(tmp_path):
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    good.write_text("a,b\n" + "1,2\n" * 200)
+    bad.write_text("a,b\n" + "1,2\n" * 200 + "x,2\n")
+    parent, cells = os.getpid(), data._cells
+
+    def stuck_children(rows, header):
+        if os.getpid() != parent:
+            time.sleep(60)
+        return cells(rows, header)
+
+    def interrupted_parent(rows, header):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return stuck_children(rows, header)
+
+    with _split_forced(cpus=3):
+        assert read_numeric_csv(good)[1].shape == (200, 2)
+        _no_child_left()
+        with pytest.raises(DataError, match="^non-numeric cell 'x' at row 200"):
+            read_numeric_csv(bad)
+        _no_child_left()
+        start = time.perf_counter()
+        with patch("cairoreg.data._cells", interrupted_parent), pytest.raises(KeyboardInterrupt):
+            read_numeric_csv(good)
+        _no_child_left()
+        assert time.perf_counter() - start < 30, "a stuck child was waited for, not killed"
+
+
+def test_a_child_that_exits_non_zero_gives_the_one_pass_result(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("a,b\n" + "1,2\n3,4\n" * 100)
+    exit_ = os._exit
+    with _split_forced(), patch("os._exit", side_effect=lambda code: exit_(3)), patch(
+        "cairoreg.data._read_whole", wraps=data._read_whole
+    ) as one_pass:
+        assert _read(read_numeric_csv, path) == _read(read_numeric_csv_oracle, path)
+    one_pass.assert_called_once()
+    _no_child_left()
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["a,b\n" + "1,2\n" * 100 + '"3",4\n', "a,b\r" + "1,2\r" * 100],
+    ids=["a quote", "no newline byte"],
+)
+def test_a_file_the_reader_cannot_cut_forks_nothing(tmp_path, text):
+    path = tmp_path / "t.csv"
+    path.write_text(text, newline="")
+    with _split_forced(), patch("os.fork", side_effect=AssertionError("forked")):
+        assert _read(read_numeric_csv, path) == _read(read_numeric_csv_oracle, path)
+
+
+@contextlib.contextmanager
+def _sigchld_ignored():
+    """The kernel reaps the children at once, so no exit status is left to check."""
+    ignored = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGCHLD, ignored)
+
+
+@contextlib.contextmanager
+def _another_thread():
+    """A forked child would hold a copy of whatever lock that thread holds."""
+    stop = threading.Event()
+    worker = threading.Thread(target=stop.wait)
+    worker.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        worker.join(timeout=10)
+    assert not worker.is_alive()
+
+
+@pytest.mark.parametrize("state", [_sigchld_ignored, _another_thread])
+def test_a_process_that_cannot_fork_safely_forks_nothing(tmp_path, state):
+    path = tmp_path / "t.csv"
+    path.write_text("a,b\n" + "1,2\n" * 100)
+    with state(), _split_forced(), patch("os.fork", side_effect=AssertionError("forked")):
         assert _read(read_numeric_csv, path) == _read(read_numeric_csv_oracle, path)
 
 
@@ -258,14 +432,16 @@ def test_read_numeric_csv_peak_memory_is_near_its_result(tmp_path):
     rng = make_rng(3)
     path = tmp_path / "wide.csv"
     write_numeric_csv(path, [f"x{j}" for j in range(12)], list(rng.normal(size=(12, 20_000))))
-    tracemalloc.start()
-    try:
-        _, matrix = read_numeric_csv(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert matrix.shape == (20_000, 12)
-    assert peak < 3 * matrix.nbytes, f"peak {peak / matrix.nbytes:.1f}x the result"
+    for cpus in (1, 2):  # one pass, then two windows
+        tracemalloc.start()
+        try:
+            with _split_forced(cpus):
+                _, matrix = read_numeric_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert matrix.shape == (20_000, 12)
+        assert peak < 3 * matrix.nbytes, f"peak {peak / matrix.nbytes:.1f}x the result at {cpus}"
 
 
 def test_dataset_rejects_nan():
