@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -147,6 +146,9 @@ def run_bench(cfg: BenchConfig, max_workers: int = 1) -> BenchResult:
         raise ValueError(f"max_workers must be >= 1, got {max_workers}")
     tasks = _tasks(cfg, max_workers)
     if max_workers > 1 and len(tasks) > 1:
+        # imported here: cairo predict and eval load this module but never start a pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(max_workers, len(tasks))) as pool:
             chunks = list(pool.map(_run_repetition, *zip(*tasks)))
     else:

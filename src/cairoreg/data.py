@@ -10,14 +10,12 @@ model bundles share, is here too: config_to_dict and config_from_dict.
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import csv
-import io
-import os
-import signal
 import stat
-import threading
 import typing
+import warnings
 from collections import Counter
 from collections.abc import Iterator, Sequence
 from dataclasses import MISSING, asdict, dataclass, fields, replace
@@ -242,73 +240,58 @@ def _duplicates(names: Sequence[str]) -> list[str]:
     return [name for name, count in Counter(names).items() if count > 1]
 
 
-def _checked_rows(rows: Iterator[list[str]], width: int, last: list) -> Iterator[list[str]]:
+def _checked_rows(rows: Iterator[list], width: int, last: list, path: Path) -> Iterator[list]:
     """rows, each checked to hold width cells; last holds the index and cells of the latest."""
     for i, row in enumerate(rows):
         if len(row) != width:
-            raise DataError(f"row {i} has {len(row)} cells, expected {width}")
+            raise DataError(f"row {i} has {len(row)} cells, expected {width} in {path}")
         last[:] = i, row
         yield row
 
 
-def _non_numeric(header: list[str], i: int, row: list[str]) -> DataError:
+def _non_numeric(header: list[str], i: int, row: list[str], path: Path) -> DataError:
     """The error for the first cell of row i that float() rejects."""
     for name, cell in zip(header, row):
         try:
             float(cell)
         except ValueError:
             break
-    return DataError(f"non-numeric cell {cell!r} at row {i}, column {name!r}")
+    return DataError(f"non-numeric cell {cell!r} at row {i}, column {name!r} in {path}")
 
 
 def _undecodable(path: Path) -> str:
-    """The line and column of the first byte of path that is not UTF-8, and why.
+    """The line and column of the first byte of path that is not UTF-8, and why, as a decode
+    of each line of bytes.splitlines() names them, from 1 MiB blocks of path.
 
-    The text layer decodes in chunks, so a decode error gives no line. No
-    UTF-8 multibyte sequence holds a line-break byte, so decoding line by
-    line finds the same byte.
+    The text layer decodes in chunks, so a decode error gives no line. No UTF-8
+    multibyte sequence holds a line-break byte, so the file's first bad byte is its line's.
     """
-    for number, line in enumerate(path.read_bytes().splitlines(), 1):
-        try:
-            line.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            column, byte = exc.start + 1, line[exc.start]
-            return f"line {number}, column {column}: byte 0x{byte:02x} is not UTF-8 ({exc.reason})"
-    return "a byte that is not UTF-8"  # the file changed after the failed read
-
-
-class _Head(io.RawIOBase):
-    """The next size bytes of a binary file; closing it closes the file."""
-
-    def __init__(self, file: typing.BinaryIO, size: int) -> None:
-        self._file, self._left = file, size
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        with memoryview(buffer) as view:
-            n = self._file.readinto(view[: self._left])
-        self._left -= n
-        return n
-
-    def close(self) -> None:
-        self._file.close()
-        super().close()
-
-
-def _text(path: Path, start: int = 0, end: int | None = None) -> io.TextIOWrapper:
-    """The text of bytes start to end of path, or to its end when end is None, for csv.reader.
-
-    Only the file's first bytes may be a UTF-8 byte-order mark, which is
-    dropped; a U+FEFF anywhere else stays in its cell.
-    """
-    binary = path.open("rb")
-    if start:
-        binary.seek(start)
-    if end is not None:
-        binary = io.BufferedReader(_Head(binary, end - start))
-    return io.TextIOWrapper(binary, newline="", encoding="utf-8-sig" if start == 0 else "utf-8")
+    number, line_start, offset, data = 1, 0, 0, b""  # data starts at byte offset of path
+    with path.open("rb") as fh:
+        while True:
+            block = fh.read(1 << 20)
+            data += block  # after at most 3 bytes of a sequence that the last block cut
+            try:
+                used, bad = codecs.utf_8_decode(data, "strict", not block)[1], None
+            except UnicodeDecodeError as exc:
+                used, bad = exc.start, exc.start
+            if bad is None and block and data[used - 1 : used] == b"\r":
+                used -= 1  # it may open a \r\n that the next block closes
+            done = data[:used]
+            number += done.count(b"\n") + done.count(b"\r") - done.count(b"\r\n")
+            last_break = max(done.rfind(b"\n"), done.rfind(b"\r"))
+            if last_break >= 0:
+                line_start = offset + last_break + 1
+            if bad is not None:
+                break
+            if not block:
+                return "a byte that is not UTF-8"  # the file changed after the failed read
+            offset, data = offset + used, data[used:]
+    try:  # the bytes from the bad one to the end of its line, at most one sequence's four
+        data[bad : bad + 4].splitlines()[0].decode("utf-8")
+    except UnicodeDecodeError as exc:  # so the reason is the one the whole line gives
+        column, byte = offset + bad - line_start + 1, data[bad]
+        return f"line {number}, column {column}: byte 0x{byte:02x} is not UTF-8 ({exc.reason})"
 
 
 def _header(rows: Iterator[list[str]], path: Path) -> list[str]:
@@ -321,156 +304,78 @@ def _header(rows: Iterator[list[str]], path: Path) -> list[str]:
     return header
 
 
-def _cells(rows: Iterator[list[str]], header: list[str]) -> np.ndarray:
-    """The cells of rows as one float64 vector; each row must hold one cell per header name."""
-    last: list = []
-    cells = chain.from_iterable(_checked_rows(rows, len(header), last))
+def _loadtxt_agrees(path: Path) -> bool:
+    """Whether np.loadtxt, where it reads the rows of path, reads them as csv and float() do.
+
+    It would not for a byte 0x1c-0x1f, which loadtxt strips from a cell's ends and float()
+    rejects, nor for a cell longer than csv.field_size_limit(), which csv refuses. Outside
+    quotes, which loadtxt rejects, such a cell holds a whole aligned block of half the limit
+    plus one bytes, so each such block must hold a comma or line break.
+    """
+    size = csv.field_size_limit() // 2 + 1
+    with path.open("rb") as fh:
+        for block in iter(lambda: fh.read(size), b""):
+            if any(byte in block for byte in b"\x1c\x1d\x1e\x1f"):
+                return False
+            if len(block) == size and not any(sep in block for sep in b",\n\r"):
+                return False
+    return True
+
+
+def _read_loadtxt(path: Path) -> tuple[list[str], np.ndarray] | None:
+    """Header and matrix of path, np.loadtxt parsing the rows after the header; None where it
+    might read them otherwise than float(), or fails, warns or finds other than one column per name.
+    """
+    if not _loadtxt_agrees(path):
+        return None
     try:
-        return np.fromiter(map(float, cells), np.float64)
-    except (DataError, UnicodeDecodeError):  # both are ValueErrors float() did not raise
-        raise
-    except ValueError:  # float() stopped inside the row the generator handed out last
-        raise _non_numeric(header, *last) from None
+        with path.open(newline="", encoding="utf-8-sig") as fh, warnings.catch_warnings():
+            warnings.simplefilter("error")  # a file without data rows warns
+            header = _header(filter(None, csv.reader(fh)), path)
+            matrix = np.loadtxt(
+                fh, dtype=np.float64, delimiter=",", comments=None, quotechar=None, ndmin=2
+            )
+    except Exception:  # whatever stopped loadtxt, the float() path reads or names it
+        return None
+    return (header, matrix) if matrix.shape[1] == len(header) else None
 
 
-def _read_whole(path: Path) -> tuple[list[str], np.ndarray]:
-    """Header and cells of path in one pass, failing with file-global row and line numbers."""
-    with _text(path) as fh:
+def _read_float(path: Path) -> tuple[list[str], np.ndarray]:
+    """Header and matrix of path, csv splitting its rows and one C-level map calling float()
+    on every cell, one row at a time. A U+FEFF that does not open the file stays in its cell.
+    """
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         rows = filter(None, reader)
+        last: list = []
         try:
             header = _header(rows, path)
-            return header, _cells(rows, header)
+            cells = chain.from_iterable(_checked_rows(rows, len(header), last, path))
+            return header, np.fromiter(map(float, cells), np.float64).reshape(-1, len(header))
         except UnicodeDecodeError:
             raise DataError(f"cannot read {path}, stopped at {_undecodable(path)}") from None
         except csv.Error as exc:
             raise DataError(
                 f"cannot read {path}, stopped at line {reader.line_num}: {exc}"
             ) from None
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on; 1 where it cannot tell, cannot fork, or ignores
-    SIGCHLD, which leaves it no exit status of a child to wait for.
-    """
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    if signal.getsignal(signal.SIGCHLD) == signal.SIG_IGN:
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def _cuts(path: Path, size: int, windows: int) -> list[int]:
-    """Offsets between 0 and size that cut path into at most windows parts, each just after a
-    newline byte; none when path holds a quote byte, since a quoted cell may hold a line break.
-
-    A cut is looked for in the 64 KiB after each even share of the bytes, and dropped when
-    they hold no newline, so that a file without one is not read into memory.
-    """
-    with path.open("rb") as fh:
-        if any(b'"' in block for block in iter(lambda: fh.read(1 << 20), b"")):
-            return []
-        cuts = set()
-        for i in range(1, windows):
-            fh.seek(i * size // windows)
-            if fh.readline(1 << 16).endswith(b"\n"):
-                cuts.add(fh.tell())
-    return sorted(c for c in cuts if c < size)
-
-
-def _fork_window(path: Path, start: int, end: int | None, header: list[str]):
-    """(pid, pipe) of a child that parses bytes start to end of path as rows under header.
-
-    The child pipes back its cell count, 8 bytes little-endian, then the
-    cells as float64 bytes, and exits 0; on any failure it exits 1. It
-    writes nothing else and runs no exit handler of the parent.
-    """
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_fd)
-            with _text(path, start, end) as fh:
-                cells = _cells(filter(None, csv.reader(fh)), header)
-            with open(write_fd, "wb") as out:
-                out.write(cells.size.to_bytes(8, "little"))
-                out.write(cells)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_fd)
-    return pid, open(read_fd, "rb")
-
-
-def _received(pipe) -> np.ndarray | None:
-    """The cells a child piped back, or None if it stopped short."""
-    count = pipe.read(8)
-    if len(count) < 8:
-        return None
-    buffer = bytearray(8 * int.from_bytes(count, "little"))
-    if pipe.readinto(buffer) != len(buffer):
-        return None
-    return np.frombuffer(buffer, np.float64)
-
-
-def _read_windows(path: Path, cuts: list[int]) -> tuple[list[str], np.ndarray] | None:
-    """Header and cells of path cut at cuts, each later window parsed in a forked child.
-
-    None when any window fails or any child does not exit 0, so that the
-    one-pass reader gives the result or the message. No child outlives
-    the call, however it ends.
-    """
-    children = {}
-    try:
-        with _text(path, 0, cuts[0]) as fh:
-            rows = filter(None, csv.reader(fh))
-            header = _header(rows, path)
-            for start, end in zip(cuts, [*cuts[1:], None]):
-                pid, pipe = _fork_window(path, start, end, header)
-                children[pid] = pipe
-            parts = [_cells(rows, header)]
-        for pid, pipe in list(children.items()):
-            parts.append(_received(pipe))
-            _, status = os.waitpid(pid, 0)
-            del children[pid]
-            pipe.close()
-            if parts[-1] is None or os.waitstatus_to_exitcode(status) != 0:
-                return None
-    except (ValueError, csv.Error, OSError):
-        return None
-    finally:
-        for pid, pipe in children.items():
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    return header, np.concatenate(parts)
+        except DataError:
+            raise
+        except ValueError:  # float() stopped inside the row the generator handed out last
+            raise _non_numeric(header, *last, path) from None
 
 
 def read_numeric_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
     """Parse a fully numeric CSV with a header row into (column names, float64 matrix).
 
-    One pass reads the file, holding one row of cells at a time, and one C-level
-    map calls float() on every cell. A non-numeric cell, a missing or non-finite
-    value and a repeated column name are hard errors; the messages count data
-    rows from 0 after the header, skipping blank lines. A file that is not UTF-8
-    fails naming the line and column of its first bad byte, and one that csv
-    cannot parse naming the line the reader stopped at. A UTF-8 byte-order mark
+    csv reads the header and np.loadtxt the rows after it, in one pass. Where loadtxt
+    fails or might read the rows otherwise, the float() path reads the file again: it
+    alone accepts cells such as 1_000, non-ASCII digits and quoted cells, and it alone
+    makes the error messages, so both give the same result or message. A non-numeric
+    cell, a missing or non-finite value and a repeated column name are hard errors
+    naming the file, with data rows counted from 0 after the header, skipping blank
+    lines. A file that is not UTF-8 fails naming the line and column of its first bad
+    byte, and one that csv cannot parse the line it stopped at. A UTF-8 byte-order mark
     at the start of the file is dropped.
-
-    A file of at least 2 * SPLIT_MIN_BYTES with no quote byte is cut just
-    after newline bytes into windows of about SPLIT_MIN_BYTES or more, at
-    most one per usable CPU, and each window but the first is parsed in a
-    forked child. The result is the one-pass result; when any window fails,
-    the one pass reads the file again, so errors carry the one-pass
-    message. Files that are small, hold a quote or hold no newline byte, a
-    single usable CPU, a platform without fork and a process that runs
-    other Python threads or ignores SIGCHLD all take the one pass.
     """
     path = Path(path)
     try:
@@ -479,14 +384,10 @@ def read_numeric_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
         raise DataError(f"missing file: {path}") from None
     if stat.S_ISDIR(info.st_mode):
         raise DataError(f"not a file: {path}")
-    windows = min(_usable_cpus(), info.st_size // SPLIT_MIN_BYTES)
-    alone = threading.active_count() == 1  # fork copies no other thread
-    cuts = _cuts(path, info.st_size, windows) if windows > 1 and alone else []
-    header, parsed = (_read_windows(path, cuts) if cuts else None) or _read_whole(path)
-    parsed = parsed.reshape(-1, len(header))
+    header, parsed = _read_loadtxt(path) or _read_float(path)
     finite = np.isfinite(parsed).all(axis=1)
     if not finite.all():
-        raise DataError(f"non-finite value at row {int(np.argmin(finite))}")
+        raise DataError(f"non-finite value at row {int(np.argmin(finite))} in {path}")
     return header, parsed
 
 
@@ -537,13 +438,6 @@ def load_csv(path: str | Path, target_column: str = TARGET_COLUMN) -> Dataset:
 # Rows formatted at a time by write_numeric_csv: its Python floats and lines
 # for this many rows are all it holds beyond the columns.
 WRITE_BLOCK_ROWS = 8192
-
-# Bytes of CSV that each window of a split read_numeric_csv holds at the
-# least. Forking a 150 MB process, piping back its window's cells and reaping
-# it took 2-4 ms, plus about 1 ms per 100k cells, on a 2-vCPU Xeon that
-# parses CSV at about 30 MB/s: 1 MiB is 35 ms of parsing.
-SPLIT_MIN_BYTES = 1 << 20
-
 
 def write_numeric_csv(path: str | Path, header: list[str], columns: list[np.ndarray]) -> None:
     """Write equal-length float columns under a header row of distinct names.

@@ -10,8 +10,10 @@ kendall compute in O(n log n). None of them runs in a fit.
 read_numeric_csv_oracle is the list-of-rows CSV reader that the streaming
 read_numeric_csv replaced, and write_numeric_csv_oracle the writer that
 formats every row at once, which the block-wise write_numeric_csv replaced.
-rank_oracle counts each score's mid-rank by two binary searches, as rank did
-before it took its mid-ranks from one sort. pav_fit_unpruned is pav_fit as it
+undecodable_oracle names a file's first bad UTF-8 byte from all its lines at
+once, where the reader scans it in blocks. rank_oracle counts each score's
+mid-rank by two binary searches, as rank did before it took its mid-ranks
+from one sort. pav_fit_unpruned is pav_fit as it
 was before the map kept only the ends of its levels: one knot per distinct
 training score, from its own copy of the PAV stack loop.
 """
@@ -262,18 +264,35 @@ def kendall_reference(a: np.ndarray, b: np.ndarray) -> float:
     return float((con - dis) / denom)
 
 
+def undecodable_oracle(path: str | Path) -> str:
+    """The line and column of the first byte of path that is not UTF-8, and why, from the
+    whole file split into lines at once.
+    """
+    for number, line in enumerate(Path(path).read_bytes().splitlines(), 1):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            column, byte = exc.start + 1, line[exc.start]
+            return f"line {number}, column {column}: byte 0x{byte:02x} is not UTF-8 ({exc.reason})"
+    return "a byte that is not UTF-8"
+
+
 def read_numeric_csv_oracle(path: str | Path) -> tuple[list[str], np.ndarray]:
     """Parse a fully numeric CSV with a header row into (column names, float64 matrix).
 
     Non-numeric cells and missing values are hard errors reported with row
-    index and column name; so is a column name that appears twice. A UTF-8
-    byte-order mark at the start of the file is dropped.
+    index, column name and path; so is a column name that appears twice. A
+    file that is not UTF-8 fails naming the line and column of its first bad
+    byte. A UTF-8 byte-order mark at the start of the file is dropped.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"missing file: {path}")
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError:
+        raise DataError(f"cannot read {path}, stopped at {undecodable_oracle(path)}") from None
     rows = [r for r in rows if r]
     if not rows:
         raise DataError(f"empty CSV: {path}")
@@ -285,17 +304,17 @@ def read_numeric_csv_oracle(path: str | Path) -> tuple[list[str], np.ndarray]:
     parsed = np.empty((len(body), len(header)), dtype=np.float64)
     for i, row in enumerate(body):
         if len(row) != len(header):
-            raise DataError(f"row {i} has {len(row)} cells, expected {len(header)}")
+            raise DataError(f"row {i} has {len(row)} cells, expected {len(header)} in {path}")
         for j, cell in enumerate(row):
             try:
                 parsed[i, j] = float(cell)
             except ValueError:
                 raise DataError(
-                    f"non-numeric cell {cell!r} at row {i}, column {header[j]!r}"
+                    f"non-numeric cell {cell!r} at row {i}, column {header[j]!r} in {path}"
                 ) from None
     finite = np.isfinite(parsed).all(axis=1)
     if not finite.all():
-        raise DataError(f"non-finite value at row {int(np.argmin(finite))}")
+        raise DataError(f"non-finite value at row {int(np.argmin(finite))} in {path}")
     return header, parsed
 
 

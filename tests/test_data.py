@@ -1,11 +1,7 @@
-import contextlib
+import csv
 import json
-import os
 import re
-import signal
 import tempfile
-import threading
-import time
 import tracemalloc
 from dataclasses import fields
 from pathlib import Path
@@ -15,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from oracles import read_numeric_csv_oracle, write_numeric_csv_oracle
+from oracles import read_numeric_csv_oracle, undecodable_oracle, write_numeric_csv_oracle
 
 from cairoreg import data
 from cairoreg.bench import BenchConfig
@@ -62,18 +58,20 @@ def test_load_csv_missing_target(tmp_path):
 def test_load_csv_non_numeric_cell_names_row_and_column(tmp_path):
     f = tmp_path / "d.csv"
     f.write_text("x1,y\n0,1\nabc,2\n")
-    with pytest.raises(DataError, match=r"row 1.*'x1'"):
+    says = f"non-numeric cell 'abc' at row 1, column 'x1' in {f}"
+    with pytest.raises(DataError, match="^" + re.escape(says) + "$"):
         load_csv(f, "y")
 
 
 def test_load_csv_non_finite_value_names_row(tmp_path):
     f = tmp_path / "d.csv"
     f.write_text("x1,y\n0,1\n1,inf\n2,nan\n")
-    with pytest.raises(DataError, match="non-finite value at row 1$"):
+    with pytest.raises(DataError, match=f"^non-finite value at row 1 in {re.escape(str(f))}$"):
         load_csv(f, "y")
     # the cells are parsed before finiteness is checked, so a later bad cell is reported
     f.write_text("x1,y\n0,1\n1,inf\nabc,3\n")
-    with pytest.raises(DataError, match=r"non-numeric cell 'abc' at row 2"):
+    says = f"non-numeric cell 'abc' at row 2, column 'x1' in {f}"
+    with pytest.raises(DataError, match="^" + re.escape(says) + "$"):
         load_csv(f, "y")
 
 
@@ -99,7 +97,8 @@ def test_byte_order_mark_is_not_part_of_the_first_name(tmp_path):
     np.testing.assert_array_equal(load_csv(f).targets, [0.0, 1.0])
     # a U+FEFF that does not open the file is a cell like any other
     f.write_bytes(b"x1,__target\n0,1\n\xef\xbb\xbf1,2\n")
-    with pytest.raises(DataError, match=r"^non-numeric cell '\\ufeff1' at row 1, column 'x1'$"):
+    says = f"non-numeric cell '\\ufeff1' at row 1, column 'x1' in {f}"
+    with pytest.raises(DataError, match="^" + re.escape(says) + "$"):
         load_csv(f)
 
 
@@ -200,10 +199,18 @@ def test_write_numeric_csv_blocks_write_the_one_pass_bytes(tmp_path, rows):
     assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
 
 
-# Cells float() accepts with a finite value, including three that np.loadtxt
-# rejects: 1_000, a fullwidth digit and an Arabic-Indic digit.
-_FINITE_CELLS = ["0", "-0", "1.5", " 1.5", "1.5 ", "+1", ".5", "5.", "1e3", "1_000", "１", "١"]
-_OTHER_CELLS = ["abc", "1d5", "0x10", "", "--1", "1.0j", "NaN", "Infinity", "-inf", "1e400"]
+# Cells float() accepts with a finite value, including five that np.loadtxt
+# rejects: 1_000, a fullwidth digit and three with Arabic-Indic digits.
+_FINITE_CELLS = [
+    *["0", "-0", "1.5", " 1.5", "1.5 ", "\xa01.5", "1.5\u2007", "+1", ".5", "5.", "1e3"],
+    *["1_000", "１", "١", "١٣.5"],
+]
+# Cells float() rejects or reads as no finite number. loadtxt reads "\x1c1"
+# as 1 and, with its default comments="#", "1#2" as 1.
+_OTHER_CELLS = [
+    *["abc", "1d5", "0x10", "", "--1", "1.0j", "NaN", "Infinity", "-inf", "1e400"],
+    *["1#2", "#", "1 2", '"', "nan", "inf", "\x1c1", "2\x1f"],
+]
 
 
 @st.composite
@@ -214,8 +221,7 @@ def _csv_texts(draw):
     blank lines and good rows, which hold one finite number per column,
     with up to two odd rows: a good row with one cell from _OTHER_CELLS,
     with an empty trailing cell or without its last cell, or any number of
-    good cells. In half the texts some names and cells are quoted; the
-    other half hold no quote, so that a split read may cut them.
+    good cells. In half the texts some names and cells are quoted.
     """
     width = draw(st.integers(1, 4))
     quotes = draw(st.booleans())
@@ -259,6 +265,10 @@ def _read(reader, path):
     return header, matrix.shape, matrix.tobytes()
 
 
+def _after_40_rows(special: str, row: str = "1,2\n") -> str:
+    return "a,b" + row[3:] + row * 40 + special + row * 3
+
+
 @given(text=_csv_texts())
 @example(text="")
 @example(text="\r\n\n\r")
@@ -269,179 +279,89 @@ def _read(reader, path):
 @example(text="a,b\nx,1\n2\n")  # a bad cell in row 0, then a short row 1
 @example(text="a,b\n1\nx,2\n")  # a short row 0, then a bad cell
 @example(text="a,b\n1,2\n3,x")  # a bad cell in the last column of the last row
-@example(text="a,b\n1,2\n3,4\n\n5,6\r\n7,8")  # a split read cuts it after 3,4
+@example(text="a,b\n1,2\n3,4\n\n5,6\r\n7,8")  # a blank line, CRLF and no last line end
+@example(text="a\n1#2\n")
+@example(text="a,b\n1,2\n3,4,5\n")  # one row with an extra cell
+@example(text="a,b\n1,2,3\n4,5,6\n")  # every row with an extra cell: loadtxt reads 3 columns
+@example(text="a,b\n1,\x1c2\n")
+@example(text=_after_40_rows("x,2\n"))
+@example(text=_after_40_rows("1\n"))
+@example(text=_after_40_rows("3,inf\n"))
+@example(text=_after_40_rows("\udcff,2\n"))  # the byte 0xff, which is not UTF-8
+@example(text="a,b\n1,2\n3,\udce2\udc82\r\n")  # a UTF-8 sequence that its line cuts
+@example(text=_after_40_rows("\ufeff1,2\n"))  # a byte-order mark inside the file
+@example(text=_after_40_rows("\n"))
+@example(text=_after_40_rows("\r\n", row="1,2\r\n"))
+@example(text=_after_40_rows("3,4\r\n", row="1,2\r\n"))
 def test_read_numeric_csv_matches_the_list_of_rows_oracle(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.csv"
-        path.write_text(text, encoding="utf-8", newline="")
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
         expected = _read(read_numeric_csv_oracle, path)
         assert _read(read_numeric_csv, path) == expected
-        with _split_forced():
+        with patch("numpy.loadtxt", side_effect=ValueError("the float() path reads it")):
             assert _read(read_numeric_csv, path) == expected
 
 
-@contextlib.contextmanager
-def _split_forced(cpus: int = 2):
-    """Cut every file of 2 bytes or more into cpus windows."""
-    with patch("cairoreg.data.SPLIT_MIN_BYTES", 1), patch(
-        "os.sched_getaffinity", return_value=set(range(cpus))
-    ):
-        yield
-
-
-def _no_child_left() -> None:
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def _cut_just_before(path: Path, head: bytes, special: bytes, row: bytes) -> None:
-    """Write head, 40 rows, special and rows to path so that a two-window split cuts
-    just before special.
-    """
-    for after in range(40 + len(special)):
-        text = head + row * 40 + special + row * after
-        path.write_bytes(text)
-        if data._cuts(path, len(text), 2) == [len(head + row * 40)]:
-            return
-    raise AssertionError("no row count puts the cut before the special line")
-
-
-@pytest.mark.parametrize(
-    "row, special, says",
-    [
-        (b"1,2\n", b"x,2\n", "^non-numeric cell 'x' at row 40, column 'a'$"),
-        (b"1,2\n", b"1\n", "^row 40 has 1 cells, expected 2$"),
-        (b"1,2\n", b"3,inf\n", "^non-finite value at row 40$"),
-        (b"1,2\n", b"\xff,2\n", "stopped at line 42, column 1: byte 0xff is not UTF-8"),
-        (b"1,2\n", b"\xef\xbb\xbf1,2\n", r"^non-numeric cell '\\ufeff1' at row 40, column 'a'$"),
-        (b"1,2\n", b"\n", None),
-        (b"1,2\r\n", b"\r\n", None),
-        (b"1,2\r\n", b"3,4\r\n", None),
-    ],
-)
-def test_a_split_read_at_its_cut_reads_as_one_pass(tmp_path, row, special, says):
-    path = tmp_path / "cut.csv"
-    _cut_just_before(path, b"a,b" + row[3:], special, row)
-    with _split_forced(cpus=1):
-        expected = _read(read_numeric_csv, path)
-    if says is None:
-        assert isinstance(expected, tuple)
-    else:
-        assert re.search(says, expected)
-    with _split_forced(), patch("os.fork", wraps=os.fork) as fork:
-        assert _read(read_numeric_csv, path) == expected
-    assert fork.call_count == 1
-    _no_child_left()
-
-
-def test_a_split_read_leaves_no_child_process(tmp_path):
-    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
-    good.write_text("a,b\n" + "1,2\n" * 200)
-    bad.write_text("a,b\n" + "1,2\n" * 200 + "x,2\n")
-    parent, cells = os.getpid(), data._cells
-
-    def stuck_children(rows, header):
-        if os.getpid() != parent:
-            time.sleep(60)
-        return cells(rows, header)
-
-    def interrupted_parent(rows, header):
-        if os.getpid() == parent:
-            raise KeyboardInterrupt
-        return stuck_children(rows, header)
-
-    with _split_forced(cpus=3):
-        assert read_numeric_csv(good)[1].shape == (200, 2)
-        _no_child_left()
-        with pytest.raises(DataError, match="^non-numeric cell 'x' at row 200"):
-            read_numeric_csv(bad)
-        _no_child_left()
-        start = time.perf_counter()
-        with patch("cairoreg.data._cells", interrupted_parent), pytest.raises(KeyboardInterrupt):
-            read_numeric_csv(good)
-        _no_child_left()
-        assert time.perf_counter() - start < 30, "a stuck child was waited for, not killed"
-
-
-def test_a_child_that_exits_non_zero_gives_the_one_pass_result(tmp_path):
+def test_a_written_file_is_read_by_loadtxt_and_1_000_by_float(tmp_path):
     path = tmp_path / "t.csv"
-    path.write_text("a,b\n" + "1,2\n3,4\n" * 100)
-    exit_ = os._exit
-    with _split_forced(), patch("os._exit", side_effect=lambda code: exit_(3)), patch(
-        "cairoreg.data._read_whole", wraps=data._read_whole
-    ) as one_pass:
-        assert _read(read_numeric_csv, path) == _read(read_numeric_csv_oracle, path)
-    one_pass.assert_called_once()
-    _no_child_left()
+    write_numeric_csv(path, ["a", "b"], list(make_rng(2).normal(size=(2, 500))))
+    read_float = data._read_float
+    with patch("cairoreg.data._read_float", wraps=read_float) as slow:
+        header, matrix = read_numeric_csv(path)
+    slow.assert_not_called()
+    expected_header, expected = read_numeric_csv_oracle(path)
+    assert header == expected_header and matrix.tobytes() == expected.tobytes()
+    path.write_text("a,b\n1,2\n1_000,3\n")
+    with patch("cairoreg.data._read_float", wraps=read_float) as slow:
+        matrix = read_numeric_csv(path)[1]
+    slow.assert_called_once()
+    assert matrix.tolist() == [[1.0, 2.0], [1000.0, 3.0]]
 
 
-@pytest.mark.parametrize(
-    "text",
-    ["a,b\n" + "1,2\n" * 100 + '"3",4\n', "a,b\r" + "1,2\r" * 100],
-    ids=["a quote", "no newline byte"],
-)
-def test_a_file_the_reader_cannot_cut_forks_nothing(tmp_path, text):
-    path = tmp_path / "t.csv"
-    path.write_text(text, newline="")
-    with _split_forced(), patch("os.fork", side_effect=AssertionError("forked")):
-        assert _read(read_numeric_csv, path) == _read(read_numeric_csv_oracle, path)
-
-
-@contextlib.contextmanager
-def _sigchld_ignored():
-    """The kernel reaps the children at once, so no exit status is left to check."""
-    ignored = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+@pytest.mark.parametrize("limit", [None, 8])
+def test_a_cell_beyond_the_csv_field_size_limit_fails_naming_its_line(tmp_path, limit):
+    old = csv.field_size_limit() if limit is None else csv.field_size_limit(limit)
     try:
-        yield
+        size = csv.field_size_limit()
+        path = tmp_path / "long.csv"
+        path.write_text("a,b\n1,2\n1," + "0" * size + "1\n3,4\n")  # a finite cell of size + 1
+        says = f"cannot read {path}, stopped at line 3: field larger than field limit ({size})"
+        with pytest.raises(DataError, match="^" + re.escape(says) + "$"):
+            read_numeric_csv(path)
     finally:
-        signal.signal(signal.SIGCHLD, ignored)
-
-
-@contextlib.contextmanager
-def _another_thread():
-    """A forked child would hold a copy of whatever lock that thread holds."""
-    stop = threading.Event()
-    worker = threading.Thread(target=stop.wait)
-    worker.start()
-    try:
-        yield
-    finally:
-        stop.set()
-        worker.join(timeout=10)
-    assert not worker.is_alive()
-
-
-@pytest.mark.parametrize("state", [_sigchld_ignored, _another_thread])
-def test_a_process_that_cannot_fork_safely_forks_nothing(tmp_path, state):
-    path = tmp_path / "t.csv"
-    path.write_text("a,b\n" + "1,2\n" * 100)
-    with state(), _split_forced(), patch("os.fork", side_effect=AssertionError("forked")):
-        assert _read(read_numeric_csv, path) == _read(read_numeric_csv_oracle, path)
+        csv.field_size_limit(old)
 
 
 def test_read_numeric_csv_names_an_undecodable_byte_after_many_good_rows(tmp_path):
     path = tmp_path / "late.csv"
-    # 26 000 bytes of good rows, past the text layer's first decode chunk
-    path.write_bytes(b"a,b\n" + b"1.0000000000,2.0000000000\n" * 1000 + b"\xff,3\n")
-    says = f"cannot read {path}, stopped at line 1002, column 1: byte 0xff is not UTF-8"
-    with pytest.raises(DataError, match="^" + re.escape(says)):
-        read_numeric_csv(path)
+    for head, line in [
+        # 26 000 bytes of good rows, past the text layer's first decode chunk
+        (b"a,b\n" + b"1.0000000000,2.0000000000\n" * 1000, 1002),
+        # lines ended by \r\n, a lone \r and \n, then a \r\n that the scan's first 1 MiB
+        # block cuts after its \r
+        (b"a,b\n1,2\r\n1,2\r1,2\n" + b"1,2\n" * 262_138 + b"1,0000\r\n", 262_144),
+    ]:
+        path.write_bytes(head + b"\xff,3\n")
+        says = f"cannot read {path}, stopped at line {line}, column 1: byte 0xff is not UTF-8"
+        with pytest.raises(DataError, match="^" + re.escape(says)) as raised:
+            read_numeric_csv(path)
+        assert str(raised.value) == f"cannot read {path}, stopped at {undecodable_oracle(path)}"
+    assert head[(1 << 20) - 1 : (1 << 20) + 1] == b"\r\n"
 
 
 def test_read_numeric_csv_peak_memory_is_near_its_result(tmp_path):
     rng = make_rng(3)
     path = tmp_path / "wide.csv"
     write_numeric_csv(path, [f"x{j}" for j in range(12)], list(rng.normal(size=(12, 20_000))))
-    for cpus in (1, 2):  # one pass, then two windows
-        tracemalloc.start()
-        try:
-            with _split_forced(cpus):
-                _, matrix = read_numeric_csv(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert matrix.shape == (20_000, 12)
-        assert peak < 3 * matrix.nbytes, f"peak {peak / matrix.nbytes:.1f}x the result at {cpus}"
+    tracemalloc.start()
+    try:
+        _, matrix = read_numeric_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert matrix.shape == (20_000, 12)
+    assert peak < 3 * matrix.nbytes, f"peak {peak / matrix.nbytes:.1f}x the result"
 
 
 def test_dataset_rejects_nan():
