@@ -265,10 +265,6 @@ def _read(reader, path):
     return header, matrix.shape, matrix.tobytes()
 
 
-def _after_40_rows(special: str, row: str = "1,2\n") -> str:
-    return "a,b" + row[3:] + row * 40 + special + row * 3
-
-
 @given(text=_csv_texts())
 @example(text="")
 @example(text="\r\n\n\r")
@@ -284,15 +280,7 @@ def _after_40_rows(special: str, row: str = "1,2\n") -> str:
 @example(text="a,b\n1,2\n3,4,5\n")  # one row with an extra cell
 @example(text="a,b\n1,2,3\n4,5,6\n")  # every row with an extra cell: loadtxt reads 3 columns
 @example(text="a,b\n1,\x1c2\n")
-@example(text=_after_40_rows("x,2\n"))
-@example(text=_after_40_rows("1\n"))
-@example(text=_after_40_rows("3,inf\n"))
-@example(text=_after_40_rows("\udcff,2\n"))  # the byte 0xff, which is not UTF-8
 @example(text="a,b\n1,2\n3,\udce2\udc82\r\n")  # a UTF-8 sequence that its line cuts
-@example(text=_after_40_rows("\ufeff1,2\n"))  # a byte-order mark inside the file
-@example(text=_after_40_rows("\n"))
-@example(text=_after_40_rows("\r\n", row="1,2\r\n"))
-@example(text=_after_40_rows("3,4\r\n", row="1,2\r\n"))
 def test_read_numeric_csv_matches_the_list_of_rows_oracle(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.csv"
@@ -301,6 +289,36 @@ def test_read_numeric_csv_matches_the_list_of_rows_oracle(text):
         assert _read(read_numeric_csv, path) == expected
         with patch("numpy.loadtxt", side_effect=ValueError("the float() path reads it")):
             assert _read(read_numeric_csv, path) == expected
+
+
+@pytest.mark.parametrize(
+    "row, special, says",
+    [
+        (b"1,2\n", b"x,2\n", "^non-numeric cell 'x' at row 40, column 'a'$"),
+        (b"1,2\n", b"1\n", "^row 40 has 1 cells, expected 2$"),
+        (b"1,2\n", b"3,inf\n", "^non-finite value at row 40$"),
+        (b"1,2\n", b"\xff,2\n", "stopped at line 42, column 1: byte 0xff is not UTF-8"),
+        (b"1,2\n", b"\xef\xbb\xbf1,2\n", r"^non-numeric cell '\\ufeff1' at row 40, column 'a'$"),
+        (b"1,2\n", b"\n", None),
+        (b"1,2\r\n", b"\r\n", None),
+        (b"1,2\r\n", b"3,4\r\n", None),
+    ],
+)
+def test_a_split_read_at_its_cut_reads_as_one_pass(tmp_path, row, special, says):
+    """40 good rows, a special line, 3 more rows: the loadtxt path and the
+    float() path give the oracle's result, or its message with the row
+    numbered from the file's start.
+    """
+    path = tmp_path / "cut.csv"
+    path.write_bytes(b"a,b" + row[3:] + row * 40 + special + row * 3)
+    expected = _read(read_numeric_csv_oracle, path)
+    if says is None:
+        assert isinstance(expected, tuple)
+    else:
+        assert re.search(says, expected.removesuffix(f" in {path}"))
+    assert _read(read_numeric_csv, path) == expected
+    with patch("numpy.loadtxt", side_effect=ValueError("the float() path reads it")):
+        assert _read(read_numeric_csv, path) == expected
 
 
 def test_a_written_file_is_read_by_loadtxt_and_1_000_by_float(tmp_path):
