@@ -9,6 +9,13 @@ b1 (h1), W2 (h2 x h1), b2 (h2), w3 (h2), b3 (one entry), with matrices
 row-major. Gradients and Adam's moments are vectors in the same layout,
 so an Adam step is one elementwise update. A model bundle stores the
 vector in this layout too, next to dims.
+
+The activations, the gradient vector and Adam's moments are preallocated
+once per fit and updated in place: train gives forward, backward and
+adam_step one Workspace sized for its largest batch, and they write through
+out= into its buffers, the parameter vector and the AdamState's moments.
+Called without a workspace, each of them allocates its outputs, runs the
+same kernel and leaves its inputs unmodified.
 """
 
 from __future__ import annotations
@@ -30,11 +37,16 @@ def _layout(dims: tuple[int, int, int]) -> list[tuple[str, tuple[int, ...]]]:
     ]
 
 
+def _vector_size(dims: tuple[int, int, int]) -> int:
+    return sum(math.prod(shape) for _, shape in _layout(dims))
+
+
 @dataclass(frozen=True)
 class MlpParams:
     """The parameter vector and dims = (d, h1, h2).
 
-    W1, b1, W2, b2 and w3 are views into the vector; b3 reads as a float.
+    W1, b1, W2, b2 and w3 are views into the vector; b3 reads vector[-1] as
+    a float at each access, so it follows in-place updates too.
     """
 
     vector: np.ndarray
@@ -43,23 +55,18 @@ class MlpParams:
     def __post_init__(self) -> None:
         if len(self.dims) != 3 or min(self.dims) < 1:
             raise ValueError(f"dims must be three integers >= 1, got {list(self.dims)}")
-        layout = _layout(self.dims)
-        size = sum(math.prod(shape) for _, shape in layout)
+        size = _vector_size(self.dims)
         if self.vector.shape != (size,):
             raise ValueError(f"parameter vector has shape {self.vector.shape}, dims need ({size},)")
         pos = 0
-        for name, shape in layout:
+        for name, shape in _layout(self.dims)[:-1]:  # all but b3
             view = self.vector[pos : pos + math.prod(shape)].reshape(shape)
-            object.__setattr__(self, name, view if shape else float(view))
+            object.__setattr__(self, name, view)
             pos += view.size
 
-
-def flatten_params(p: MlpParams) -> np.ndarray:
-    return p.vector.copy()
-
-
-def unflatten_params(vec: np.ndarray, like: MlpParams) -> MlpParams:
-    return MlpParams(vec, like.dims)
+    @property
+    def b3(self) -> float:
+        return float(self.vector[-1])
 
 
 def init_params(d: int, seed: int, hidden: tuple[int, int] = (32, 16)) -> MlpParams:
@@ -87,16 +94,74 @@ class ForwardCache:
     params: MlpParams
 
 
-def forward(params: MlpParams, X: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
+@dataclass(frozen=True)
+class Workspace:
+    """The buffers one fit's forward, backward and adam_step write into.
+
+    Row buffers have one row per batch row, for the fit's largest batch; a
+    batch of n rows uses their [:n] views. grads is the gradient vector with
+    its layer views, and adam_scratch two vectors of the parameters' length.
+    """
+
+    Z1: np.ndarray
+    H1: np.ndarray
+    Z2: np.ndarray
+    H2: np.ndarray
+    scores: np.ndarray
+    dZ1: np.ndarray
+    dZ2: np.ndarray
+    relu1: np.ndarray  # Z1 > 0, as bool
+    relu2: np.ndarray  # Z2 > 0, as bool
+    grads: MlpParams
+    adam_scratch: tuple[np.ndarray, np.ndarray]
+
+    @classmethod
+    def empty(cls, rows: int, dims: tuple[int, int, int]) -> Workspace:
+        _, h1, h2 = dims
+        size = _vector_size(dims)
+        return cls(
+            Z1=np.empty((rows, h1)),
+            H1=np.empty((rows, h1)),
+            Z2=np.empty((rows, h2)),
+            H2=np.empty((rows, h2)),
+            scores=np.empty(rows),
+            dZ1=np.empty((rows, h1)),
+            dZ2=np.empty((rows, h2)),
+            relu1=np.empty((rows, h1), dtype=bool),
+            relu2=np.empty((rows, h2), dtype=bool),
+            grads=MlpParams(np.empty(size), dims),
+            adam_scratch=(np.empty(size), np.empty(size)),
+        )
+
+
+def forward(
+    params: MlpParams, X: np.ndarray, work: Workspace | None = None
+) -> tuple[np.ndarray, ForwardCache]:
+    """Scores of the rows of X and the activations backward needs.
+
+    With work, the scores and activations are views of its buffers, valid
+    until the next call that writes them.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    d = params.dims[0]
+    d, h1, h2 = params.dims
     if X.shape[1] != d:
         raise ValueError(f"expected {d} feature columns, got {X.shape[1]}")
-    Z1 = X @ params.W1.T + params.b1
-    H1 = np.maximum(Z1, 0.0)
-    Z2 = H1 @ params.W2.T + params.b2
-    H2 = np.maximum(Z2, 0.0)
-    scores = H2 @ params.w3 + params.b3
+    n = X.shape[0]
+    if work is None:
+        Z1, H1 = np.empty((n, h1)), np.empty((n, h1))
+        Z2, H2 = np.empty((n, h2)), np.empty((n, h2))
+        scores = np.empty(n)
+    else:
+        Z1, H1, Z2, H2 = work.Z1[:n], work.H1[:n], work.Z2[:n], work.H2[:n]
+        scores = work.scores[:n]
+    np.matmul(X, params.W1.T, out=Z1)
+    np.add(Z1, params.b1, out=Z1)
+    np.maximum(Z1, 0.0, out=H1)
+    np.matmul(H1, params.W2.T, out=Z2)
+    np.add(Z2, params.b2, out=Z2)
+    np.maximum(Z2, 0.0, out=H2)
+    np.matmul(H2, params.w3, out=scores)
+    np.add(scores, params.b3, out=scores)
     return scores, ForwardCache(X=X, Z1=Z1, H1=H1, Z2=Z2, H2=H2, params=params)
 
 
@@ -108,37 +173,47 @@ def forward(params: MlpParams, X: np.ndarray) -> tuple[np.ndarray, ForwardCache]
 BATCH_CHUNK_ROWS = 1024
 
 
-def _batch_sum(dZ: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """dZ.T @ A, summed over BATCH_CHUNK_ROWS-row chunks in order."""
-    out = dZ[:BATCH_CHUNK_ROWS].T @ A[:BATCH_CHUNK_ROWS]
+def _batch_sum(dZ: np.ndarray, A: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """dZ.T @ A, summed over BATCH_CHUNK_ROWS-row chunks in order, into out if given."""
+    out = np.matmul(dZ[:BATCH_CHUNK_ROWS].T, A[:BATCH_CHUNK_ROWS], out=out)
     for r0 in range(BATCH_CHUNK_ROWS, dZ.shape[0], BATCH_CHUNK_ROWS):
         out += dZ[r0 : r0 + BATCH_CHUNK_ROWS].T @ A[r0 : r0 + BATCH_CHUNK_ROWS]
     return out
 
 
-def backward(cache: ForwardCache, grad_scores: np.ndarray) -> MlpParams:
+def backward(
+    cache: ForwardCache, grad_scores: np.ndarray, work: Workspace | None = None
+) -> MlpParams:
     """Exact gradient of sum_i grad_scores_i * score_i w.r.t. every parameter.
 
     The ReLU subgradient at 0 is taken as 0. Returns the gradient vector
-    packed in an MlpParams container.
+    packed in an MlpParams container: work.grads when work is given, which
+    the call overwrites, and a new one otherwise.
     """
     g = np.asarray(grad_scores, dtype=np.float64)
-    if g.shape != (cache.X.shape[0],):
+    n = cache.X.shape[0]
+    if g.shape != (n,):
         raise ValueError("stale cache: gradient length does not match forward batch")
     p = cache.params
-    dH2 = np.outer(g, p.w3)
-    dZ2 = dH2 * (cache.Z2 > 0.0)
-    dH1 = dZ2 @ p.W2
-    dZ1 = dH1 * (cache.Z1 > 0.0)
-    layers = [  # in vector order
-        _batch_sum(dZ1, cache.X),
-        dZ1.sum(axis=0),
-        _batch_sum(dZ2, cache.H1),
-        dZ2.sum(axis=0),
-        cache.H2.T @ g,
-        g.sum(),
-    ]
-    return MlpParams(np.concatenate(layers, axis=None), p.dims)
+    if work is None:
+        dZ1, dZ2 = np.empty_like(cache.Z1), np.empty_like(cache.Z2)
+        relu1 = np.empty(cache.Z1.shape, dtype=bool)
+        relu2 = np.empty(cache.Z2.shape, dtype=bool)
+        grads = MlpParams(np.empty_like(p.vector), p.dims)
+    else:
+        dZ1, dZ2, relu1, relu2 = work.dZ1[:n], work.dZ2[:n], work.relu1[:n], work.relu2[:n]
+        grads = work.grads
+    np.multiply(g[:, None], p.w3, out=dZ2)  # dH2, the outer product of g and w3
+    np.multiply(dZ2, np.greater(cache.Z2, 0.0, out=relu2), out=dZ2)
+    np.matmul(dZ2, p.W2, out=dZ1)  # dH1
+    np.multiply(dZ1, np.greater(cache.Z1, 0.0, out=relu1), out=dZ1)
+    _batch_sum(dZ1, cache.X, out=grads.W1)
+    np.sum(dZ1, axis=0, out=grads.b1)
+    _batch_sum(dZ2, cache.H1, out=grads.W2)
+    np.sum(dZ2, axis=0, out=grads.b2)
+    np.matmul(cache.H2.T, g, out=grads.w3)
+    grads.vector[-1] = g.sum()
+    return grads
 
 
 # Adam's moment decay rates and denominator guard; the learning rate is
@@ -157,25 +232,38 @@ class AdamState:
 
 
 def init_adam(params: MlpParams, learning_rate: float) -> AdamState:
-    zeros = np.zeros_like(params.vector)
-    return AdamState(m=zeros, v=zeros, step=0, learning_rate=learning_rate)
+    m, v = np.zeros_like(params.vector), np.zeros_like(params.vector)
+    return AdamState(m=m, v=v, step=0, learning_rate=learning_rate)
 
 
 def adam_step(
-    params: MlpParams, grads: MlpParams, state: AdamState
+    params: MlpParams, grads: MlpParams, state: AdamState, work: Workspace | None = None
 ) -> tuple[MlpParams, AdamState]:
-    """One bias-corrected Adam update of the whole parameter vector; purely functional."""
+    """One bias-corrected Adam update of the whole parameter vector.
+
+    With work, params.vector, state.m and state.v are updated in place and
+    returned; without, new arrays are returned and the inputs are unmodified.
+    """
+    if work is None:
+        params = MlpParams(params.vector.copy(), params.dims)
+        state = AdamState(state.m.copy(), state.v.copy(), state.step, state.learning_rate)
+        tmp, den = np.empty_like(params.vector), np.empty_like(params.vector)
+    else:
+        tmp, den = work.adam_scratch
     t = state.step + 1
-    g = grads.vector
-    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
-    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * g**2
-    m_hat = m / (1.0 - ADAM_BETA1**t)
-    v_hat = v / (1.0 - ADAM_BETA2**t)
-    step = state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
-    return (
-        MlpParams(params.vector - step, params.dims),
-        AdamState(m=m, v=v, step=t, learning_rate=state.learning_rate),
-    )
+    vec, g, m, v = params.vector, grads.vector, state.m, state.v
+    m *= ADAM_BETA1  # m = beta1 * m + (1 - beta1) * g
+    m += np.multiply(1.0 - ADAM_BETA1, g, out=tmp)
+    v *= ADAM_BETA2  # v = beta2 * v + (1 - beta2) * g**2
+    v += np.multiply(1.0 - ADAM_BETA2, np.square(g, out=tmp), out=tmp)
+    np.divide(m, 1.0 - ADAM_BETA1**t, out=tmp)  # m_hat
+    tmp *= state.learning_rate
+    np.divide(v, 1.0 - ADAM_BETA2**t, out=den)  # v_hat
+    np.sqrt(den, out=den)
+    den += ADAM_EPSILON
+    tmp /= den  # lr * m_hat / (sqrt(v_hat) + eps)
+    vec -= tmp
+    return params, AdamState(m=m, v=v, step=t, learning_rate=state.learning_rate)
 
 
 @dataclass(frozen=True)
@@ -202,17 +290,20 @@ class TrainConfig:
 def train(ds: Dataset, cfg: TrainConfig) -> tuple[MlpParams, list[float]]:
     """Minibatch training loop; returns params and mean in-batch loss per epoch.
 
-    Shuffling is reseeded per epoch from (cfg.seed, epoch) so runs are
-    bitwise reproducible. Trailing batches with a single row are dropped
-    for pairwise losses, which are undefined there. Raises ValueError,
-    naming the epoch and batch, at the first non-finite score, loss value
-    or score gradient.
+    Each step writes into one Workspace sized for the fit's largest batch
+    and updates the parameters and Adam's moments in place. Shuffling is
+    reseeded per epoch from (cfg.seed, epoch) so runs are bitwise
+    reproducible. Trailing batches with a single row are dropped for
+    pairwise losses, which are undefined there. Raises ValueError, naming
+    the epoch and batch, at the first non-finite score, loss value or score
+    gradient.
     """
     if is_ranking_loss(cfg.loss) and ds.n < 2:
         raise ValueError("pairwise losses need at least 2 rows")
 
     params = init_params(ds.d, cfg.seed)
     state = init_adam(params, cfg.learning_rate)
+    work = Workspace.empty(min(cfg.batch_size, ds.n), params.dims)
     history: list[float] = []
 
     for epoch in range(cfg.epochs):
@@ -224,7 +315,7 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[MlpParams, list[float]]:
             if idx.size < 2 and is_ranking_loss(cfg.loss):
                 continue
             X, y = ds.features[idx], ds.targets[idx]
-            scores, cache = forward(params, X)
+            scores, cache = forward(params, X, work)
             if not np.isfinite(scores).all():
                 raise ValueError(
                     f"training diverged at epoch {epoch}, batch {batch}: non-finite score"
@@ -236,8 +327,8 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[MlpParams, list[float]]:
                 raise ValueError(
                     f"training diverged at epoch {epoch}, batch {batch}: non-finite score gradient"
                 )
-            grads = backward(cache, grad_scores)
-            params, state = adam_step(params, grads, state)
+            grads = backward(cache, grad_scores, work)
+            params, state = adam_step(params, grads, state, work)
             batch_losses.append(value)
         history.append(float(np.mean(batch_losses)))
     return params, history

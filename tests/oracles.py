@@ -16,6 +16,10 @@ mid-rank by two binary searches, as rank did before it took its mid-ranks
 from one sort. pav_fit_unpruned is pav_fit as it
 was before the map kept only the ends of its levels: one knot per distinct
 training score, from its own copy of the PAV stack loop.
+train_oracle is the training loop as it was before forward, backward and
+adam_step wrote into one preallocated workspace per fit: each batch
+allocates its activations, concatenates its layer gradients into a new
+vector and builds new parameter and Adam vectors.
 """
 
 from __future__ import annotations
@@ -27,11 +31,26 @@ from typing import Callable
 
 import numpy as np
 
-from cairoreg.data import DataError
+from cairoreg.data import DataError, Dataset, make_rng
 from cairoreg.isotonic import CalibrationMap, _check_fit_inputs
-from cairoreg.losses import LossValueGrad, WeightVariant, _check_pair
+from cairoreg.losses import (
+    LossValueGrad,
+    WeightVariant,
+    _check_pair,
+    evaluate_loss,
+    is_ranking_loss,
+)
 from cairoreg.metrics import MetricError, _check
 from cairoreg.ranks import SoftRankConfig, _check_scores, mid_distribution, rank
+from cairoreg.scorer import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPSILON,
+    BATCH_CHUNK_ROWS,
+    MlpParams,
+    TrainConfig,
+    init_params,
+)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -325,3 +344,72 @@ def write_numeric_csv_oracle(path: str | Path, header: list[str], columns: list)
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
         fh.writelines(line % row for row in rows)
+
+
+def _forward_oracle(params: MlpParams, X: np.ndarray) -> tuple[np.ndarray, tuple]:
+    Z1 = X @ params.W1.T + params.b1
+    H1 = np.maximum(Z1, 0.0)
+    Z2 = H1 @ params.W2.T + params.b2
+    H2 = np.maximum(Z2, 0.0)
+    return H2 @ params.w3 + params.b3, (X, Z1, H1, Z2, H2)
+
+
+def _batch_sum_oracle(dZ: np.ndarray, A: np.ndarray) -> np.ndarray:
+    out = dZ[:BATCH_CHUNK_ROWS].T @ A[:BATCH_CHUNK_ROWS]
+    for r0 in range(BATCH_CHUNK_ROWS, dZ.shape[0], BATCH_CHUNK_ROWS):
+        out += dZ[r0 : r0 + BATCH_CHUNK_ROWS].T @ A[r0 : r0 + BATCH_CHUNK_ROWS]
+    return out
+
+
+def _backward_oracle(params: MlpParams, cache: tuple, g: np.ndarray) -> np.ndarray:
+    """Gradient vector of sum_i g_i * score_i, each layer in a new array, concatenated."""
+    X, Z1, H1, Z2, H2 = cache
+    dH2 = np.outer(g, params.w3)
+    dZ2 = dH2 * (Z2 > 0.0)
+    dH1 = dZ2 @ params.W2
+    dZ1 = dH1 * (Z1 > 0.0)
+    layers = [
+        _batch_sum_oracle(dZ1, X),
+        dZ1.sum(axis=0),
+        _batch_sum_oracle(dZ2, H1),
+        dZ2.sum(axis=0),
+        H2.T @ g,
+        g.sum(),
+    ]
+    return np.concatenate(layers, axis=None)
+
+
+def _adam_step_oracle(
+    vec: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, t: int, lr: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Step t of bias-corrected Adam; returns new (vec, m, v) and modifies none of its inputs."""
+    m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g**2
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    return vec - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON), m, v
+
+
+def train_oracle(ds: Dataset, cfg: TrainConfig) -> tuple[MlpParams, list[float]]:
+    """scorer.train's batches, shuffles, losses and updates, allocating anew at every step."""
+    params = init_params(ds.d, cfg.seed)
+    m = np.zeros_like(params.vector)
+    v = np.zeros_like(params.vector)
+    history: list[float] = []
+    t = 0
+    for epoch in range(cfg.epochs):
+        order = make_rng(np.random.SeedSequence([cfg.seed, epoch])).permutation(ds.n)
+        batch_losses = []
+        for start in range(0, ds.n, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            if idx.size < 2 and is_ranking_loss(cfg.loss):
+                continue
+            scores, cache = _forward_oracle(params, ds.features[idx])
+            value, grad_scores = evaluate_loss(cfg.loss, ds.targets[idx], scores)
+            grads = _backward_oracle(params, cache, grad_scores)
+            t += 1
+            vec, m, v = _adam_step_oracle(params.vector, grads, m, v, t, cfg.learning_rate)
+            params = MlpParams(vec, params.dims)
+            batch_losses.append(value)
+        history.append(float(np.mean(batch_losses)))
+    return params, history

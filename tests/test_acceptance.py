@@ -32,12 +32,11 @@ from cairoreg.metrics import kendall, spearman
 from cairoreg.pipeline import cairo_fit
 from cairoreg.ranks import SoftRankConfig, rank, softrank
 from cairoreg.scorer import (
+    MlpParams,
     TrainConfig,
     backward,
-    flatten_params,
     forward,
     init_params,
-    unflatten_params,
 )
 
 ALL_VARIANTS = (WeightVariant.UNIFORM, WeightVariant.ABSOLUTE_GAP, WeightVariant.RANK_GAP)
@@ -119,10 +118,10 @@ def test_criterion_03_gradient_suite():
     X = rng.normal(size=(8, 3))
     y = _tie_free(rng, 8)
     params = init_params(3, seed=103, hidden=(4, 3))
-    vec = flatten_params(params)
+    vec = params.vector
     # keep pre-activations off the relu kinks so central differences are valid
-    params = unflatten_params(vec + rng.uniform(0.05, 0.1, vec.size), params)
-    vec = flatten_params(params)
+    params = MlpParams(vec + rng.uniform(0.05, 0.1, vec.size), params.dims)
+    vec = params.vector
     _, cache = forward(params, X)
     assert min(np.abs(cache.Z1).min(), np.abs(cache.Z2).min()) > 1e-3
 
@@ -130,10 +129,10 @@ def test_criterion_03_gradient_suite():
     for spec in specs:
         scores, cache = forward(params, X)
         _, grad_scores = evaluate_loss(spec, y, scores)
-        got = flatten_params(backward(cache, grad_scores))
+        got = backward(cache, grad_scores).vector
 
         def loss_at(v):
-            s, _ = forward(unflatten_params(v, params), X)
+            s, _ = forward(MlpParams(v, params.dims), X)
             return evaluate_loss(spec, y, s).value
 
         h = 1e-5

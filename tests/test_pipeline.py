@@ -36,7 +36,7 @@ from cairoreg.pipeline import (
     variant_loss_spec,
     variant_train_config,
 )
-from cairoreg.scorer import TrainConfig, flatten_params, forward
+from cairoreg.scorer import TrainConfig, forward
 
 
 def _quick_cfg(**kw):
@@ -278,7 +278,7 @@ class TestSerialization:
         assert back.spec == model.spec
         assert back.feature_names == model.feature_names == ("x1", "x2", "x3", "x4")
         # the scorer section is the parameter vector in its documented layout, with dims
-        want = {"vector": flatten_params(model.scorer).tolist(), "dims": [4, 32, 16]}
+        want = {"vector": model.scorer.vector.tolist(), "dims": [4, 32, 16]}
         assert model_to_dict(model)["scorer"] == want
 
     def test_mse_round_trip(self, tmp_path):

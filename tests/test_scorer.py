@@ -6,28 +6,36 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import train_oracle
 
 import cairoreg
-from cairoreg.data import Dataset, config_from_dict, config_to_dict
+from cairoreg.data import (
+    Dataset,
+    apply_standardizer,
+    config_from_dict,
+    config_to_dict,
+    fit_standardizer,
+)
+from cairoreg.dgp import Scenario, ScenarioSpec, generate
 from cairoreg.losses import (
     PairwiseSurrogate,
     PointwiseMse,
     SoftGini,
     WeightVariant,
 )
+from cairoreg.pipeline import VARIANTS, FitHyper, variant_train_config
 from cairoreg.scorer import (
     BATCH_CHUNK_ROWS,
     MlpParams,
     TrainConfig,
+    Workspace,
     _batch_sum,
     adam_step,
     backward,
-    flatten_params,
     forward,
     init_adam,
     init_params,
     train,
-    unflatten_params,
 )
 
 
@@ -51,9 +59,9 @@ class TestInit:
     def test_deterministic(self):
         a = init_params(5, seed=7)
         b = init_params(5, seed=7)
-        np.testing.assert_array_equal(flatten_params(a), flatten_params(b))
+        np.testing.assert_array_equal(a.vector, b.vector)
         c = init_params(5, seed=8)
-        assert not np.array_equal(flatten_params(a), flatten_params(c))
+        assert not np.array_equal(a.vector, c.vector)
 
     def test_biases_zero(self):
         p = init_params(4, seed=3)
@@ -73,7 +81,7 @@ class TestInit:
 class TestForward:
     def test_zero_weights_give_output_bias(self):
         p = init_params(3, seed=0)
-        vec = np.zeros(flatten_params(p).size)
+        vec = np.zeros(p.vector.size)
         vec[-1] = 4.5  # b3
         zero = MlpParams(vec, p.dims)
         scores, _ = forward(zero, np.random.default_rng(0).normal(size=(6, 3)))
@@ -88,6 +96,15 @@ class TestForward:
         scores, _ = forward(p, np.array([[-1.0]]))
         # both relus clamp to 0, only the output bias survives
         assert scores[0] == 1.0
+
+    def test_output_bias_follows_the_vector(self):
+        p = init_params(4, seed=2)
+        X = np.random.default_rng(3).normal(size=(6, 4))
+        before, _ = forward(p, X)  # b3 is 0.0 at init
+        p.vector[-1] = 2.5
+        after, _ = forward(p, X)
+        assert isinstance(p.b3, float) and p.b3 == 2.5
+        np.testing.assert_array_equal(after, before + 2.5)
 
     def test_duplicated_rows_duplicated_scores(self):
         p = init_params(4, seed=2)
@@ -107,29 +124,29 @@ class TestBackward:
         X = np.random.default_rng(2).normal(size=(5, 3))
         _, cache = forward(p, X)
         g = backward(cache, np.zeros(5))
-        assert not flatten_params(g).any()
+        assert not g.vector.any()
 
     def test_finite_differences(self):
         rng = np.random.default_rng(3)
         p = init_params(3, seed=4, hidden=(4, 3))
         # nudge all params so no pre-activation sits on a relu kink, where
         # central differences straddle the subgradient convention
-        vec0 = flatten_params(p)
-        p = unflatten_params(vec0 + rng.uniform(0.05, 0.1, vec0.size), p)
+        vec0 = p.vector
+        p = MlpParams(vec0 + rng.uniform(0.05, 0.1, vec0.size), p.dims)
         X = rng.normal(size=(5, 3))
         cot = rng.normal(size=5)
         _, cache = forward(p, X)
         assert min(np.abs(cache.Z1).min(), np.abs(cache.Z2).min()) > 1e-4
-        got = flatten_params(backward(cache, cot))
+        got = backward(cache, cot).vector
 
-        vec = flatten_params(p)
+        vec = p.vector
         h = 1e-6
         fd = np.empty_like(vec)
         for k in range(vec.size):
             e = np.zeros_like(vec)
             e[k] = h
-            up, _ = forward(unflatten_params(vec + e, p), X)
-            dn, _ = forward(unflatten_params(vec - e, p), X)
+            up, _ = forward(MlpParams(vec + e, p.dims), X)
+            dn, _ = forward(MlpParams(vec - e, p.dims), X)
             fd[k] = cot @ (up - dn) / (2 * h)
         assert np.linalg.norm(got - fd) / np.linalg.norm(fd) < 1e-5
 
@@ -158,31 +175,32 @@ class TestBackward:
 class TestAdam:
     def test_zero_gradient_keeps_params(self):
         p = init_params(2, seed=7)
-        zero_g = unflatten_params(np.zeros(flatten_params(p).size), p)
+        zero_g = MlpParams(np.zeros(p.vector.size), p.dims)
         state = init_adam(p, 1e-3)
+        assert not np.shares_memory(state.m, state.v)
         p2, state2 = adam_step(p, zero_g, state)
-        np.testing.assert_array_equal(flatten_params(p2), flatten_params(p))
+        np.testing.assert_array_equal(p2.vector, p.vector)
         assert state2.step == 1
 
     def test_first_step_is_signed_learning_rate(self):
         p = init_params(2, seed=8)
         rng = np.random.default_rng(5)
-        g_vec = rng.choice([-1.0, 1.0], size=flatten_params(p).size) * rng.uniform(
-            0.1, 2.0, size=flatten_params(p).size
+        g_vec = rng.choice([-1.0, 1.0], size=p.vector.size) * rng.uniform(
+            0.1, 2.0, size=p.vector.size
         )
-        g = unflatten_params(g_vec, p)
+        g = MlpParams(g_vec, p.dims)
         lr = 1e-3
         p2, _ = adam_step(p, g, init_adam(p, lr))
-        delta = flatten_params(p2) - flatten_params(p)
+        delta = p2.vector - p.vector
         np.testing.assert_allclose(delta, -lr * np.sign(g_vec), atol=lr * 1e-6)
 
     def test_deterministic(self):
         p = init_params(2, seed=9)
-        g = unflatten_params(np.ones(flatten_params(p).size), p)
+        g = MlpParams(np.ones(p.vector.size), p.dims)
         s = init_adam(p, 1e-3)
         a1, s1 = adam_step(p, g, s)
         a2, s2 = adam_step(p, g, s)
-        np.testing.assert_array_equal(flatten_params(a1), flatten_params(a2))
+        np.testing.assert_array_equal(a1.vector, a2.vector)
         assert s1.step == s2.step == 1
 
     def test_matches_per_layer_textbook_update(self):
@@ -191,13 +209,13 @@ class TestAdam:
         names = ("W1", "b1", "W2", "b2", "w3", "b3")
         rng = np.random.default_rng(11)
         p = init_params(3, seed=12, hidden=(4, 3))
-        p = unflatten_params(rng.normal(size=p.vector.size), p)
+        p = MlpParams(rng.normal(size=p.vector.size), p.dims)
         want = {k: np.asarray(getattr(p, k)) for k in names}
         m = {k: np.zeros_like(a) for k, a in want.items()}
         v = {k: np.zeros_like(a) for k, a in want.items()}
         state = init_adam(p, lr)
         for t in range(1, 6):
-            g = unflatten_params(rng.normal(scale=t, size=p.vector.size), p)
+            g = MlpParams(rng.normal(scale=t, size=p.vector.size), p.dims)
             p, state = adam_step(p, g, state)
             for k in names:
                 gk = np.asarray(getattr(g, k))
@@ -210,6 +228,52 @@ class TestAdam:
                 ref_vec = np.concatenate([ref[k] for k in names], axis=None)
                 assert got.tobytes() == ref_vec.tobytes(), t
         assert state.step == 5
+
+
+class TestWorkspace:
+    """forward, backward and adam_step with a fit's buffers give the pure forms' bytes."""
+
+    @pytest.mark.parametrize("rows", [7, BATCH_CHUNK_ROWS + 476])
+    def test_forward_and_backward(self, rows):
+        rng = np.random.default_rng(rows)
+        p = MlpParams(rng.normal(size=init_params(5, seed=0).vector.size), (5, 32, 16))
+        X, g = rng.normal(size=(rows, 5)), rng.normal(size=rows)
+        inputs = [a.copy() for a in (p.vector, X, g)]
+        work = Workspace.empty(rows + 100, p.dims)  # a batch uses the first rows
+        work.grads.vector[:] = np.nan  # every entry is written
+        pure_scores, pure_cache = forward(p, X)
+        pure_grads = backward(pure_cache, g)
+        for got, want in zip((p.vector, X, g), inputs):  # the pure forms modify no input
+            assert got.tobytes() == want.tobytes()
+        scores, cache = forward(p, X, work)
+        grads = backward(cache, g, work)
+        assert grads is work.grads and np.shares_memory(scores, work.scores)
+        assert scores.tobytes() == pure_scores.tobytes()
+        for name in ("Z1", "H1", "Z2", "H2"):
+            assert getattr(cache, name).tobytes() == getattr(pure_cache, name).tobytes(), name
+        assert grads.vector.tobytes() == pure_grads.vector.tobytes()
+
+    def test_adam_step(self):
+        rng = np.random.default_rng(5)
+        p = init_params(3, seed=6, hidden=(4, 3))
+        work = Workspace.empty(1, p.dims)
+        pure_p, pure_state = p, init_adam(p, 0.01)
+        p = MlpParams(p.vector.copy(), p.dims)
+        state = init_adam(p, 0.01)
+        for t in range(1, 5):
+            g = MlpParams(rng.normal(scale=t, size=p.vector.size), p.dims)
+            inputs = [a.copy() for a in (pure_p.vector, g.vector, pure_state.m, pure_state.v)]
+            new_p, new_state = adam_step(pure_p, g, pure_state)
+            for got, want in zip((pure_p.vector, g.vector, pure_state.m, pure_state.v), inputs):
+                assert got.tobytes() == want.tobytes()  # the pure form modifies no input
+            pure_p, pure_state = new_p, new_state
+            m, v = state.m, state.v
+            got_p, state = adam_step(p, g, state, work)
+            assert got_p is p and state.m is m and state.v is v  # updated in place
+            assert state.step == pure_state.step == t
+            assert p.vector.tobytes() == pure_p.vector.tobytes(), t
+            assert state.m.tobytes() == pure_state.m.tobytes(), t
+            assert state.v.tobytes() == pure_state.v.tobytes(), t
 
 
 def _linear_ds(n=500, seed=7):
@@ -230,7 +294,7 @@ class TestTrain:
         ds = _linear_ds(n=50)
         params, hist = train(ds, TrainConfig(epochs=0, batch_size=16, seed=3))
         np.testing.assert_array_equal(
-            flatten_params(params), flatten_params(init_params(3, seed=3))
+            params.vector, init_params(3, seed=3).vector
         )
         assert hist == []
 
@@ -248,7 +312,7 @@ class TestTrain:
         cfg = TrainConfig(epochs=5, batch_size=32, seed=11)
         p1, h1 = train(ds, cfg)
         p2, h2 = train(ds, cfg)
-        np.testing.assert_array_equal(flatten_params(p1), flatten_params(p2))
+        np.testing.assert_array_equal(p1.vector, p2.vector)
         assert h1 == h2
 
     def test_ranking_losses_train(self):
@@ -260,7 +324,7 @@ class TestTrain:
             SoftGini(0.1),
         ):
             params, hist = train(ds, TrainConfig(epochs=3, batch_size=32, seed=0, loss=loss))
-            assert np.all(np.isfinite(flatten_params(params)))
+            assert np.all(np.isfinite(params.vector))
             assert np.all(np.isfinite(hist))
 
     def test_learning_rate_reaches_adam(self):
@@ -268,7 +332,7 @@ class TestTrain:
         cfg = TrainConfig(epochs=2, batch_size=32, seed=4, learning_rate=0.0)
         params, _ = train(ds, cfg)
         np.testing.assert_array_equal(
-            flatten_params(params), flatten_params(init_params(3, seed=4))
+            params.vector, init_params(3, seed=4).vector
         )
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the gap weights overflow
@@ -285,11 +349,26 @@ class TestTrain:
         with pytest.raises(ValueError, match="batch_size >= 2"):
             TrainConfig(batch_size=1, loss=PairwiseSurrogate())
 
+    @pytest.mark.parametrize("batch_size", [256, BATCH_CHUNK_ROWS, 1500, 2049])
+    def test_bits_match_train_oracle(self, batch_size):
+        # Two epochs of 2049 rows: the moments carry over an epoch, 256 and 1024
+        # leave a one-row last batch that ranking losses skip and MSE takes, 1500
+        # is a full and a partial chunk in backward, and 2049 is the whole set.
+        # _FIT_BITS checks one epoch of 4200 rows at 1 and 2 BLAS threads.
+        ds = generate(ScenarioSpec(Scenario.HEAVY_TAIL, n=2049, seed=3))
+        std = apply_standardizer(fit_standardizer(ds), ds)
+        for variant in VARIANTS:
+            cfg = variant_train_config(variant, 0, FitHyper(epochs=2, batch_size=batch_size))
+            params, history = train(std, cfg)
+            want_params, want_history = train_oracle(std, cfg)
+            assert params.vector.tobytes() == want_params.vector.tobytes(), variant
+            assert [h.hex() for h in history] == [h.hex() for h in want_history], variant
+
     def test_fit_bits_do_not_depend_on_the_blas_thread_count(self):
-        src = str(Path(cairoreg.__path__[0]).parent)
+        path = os.pathsep.join([str(Path(cairoreg.__path__[0]).parent), str(Path(__file__).parent)])
 
         def fits(threads):
-            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": str(threads)}
+            env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": str(threads)}
             run = subprocess.run(
                 [sys.executable, "-c", _FIT_BITS],
                 env=env,
@@ -300,28 +379,35 @@ class TestTrain:
             return run.stdout.splitlines()
 
         one, two = fits(1), fits(2)
-        assert len(one) == 12
+        assert len(one) == 16
+        assert all(line.endswith(" oracle") for line in one + two)  # train_oracle's bits
         assert one == two, [(a[:40], b[:40]) for a, b in zip(one, two) if a != b]
 
 
-# Fits every variant for one epoch on 4200 heavy-tail rows at three batch sizes
+# Fits every variant for one epoch on 4200 heavy-tail rows at four batch sizes
 # and prints the loss history of its scorer's training on the standardized rows
 # and a hash of its bundle. A 4200-row batch is long enough for a threaded BLAS
-# to split the sum over the batch of an unchunked weight-gradient product.
+# to split the sum over the batch of an unchunked weight-gradient product; a
+# 1500-row batch is one full and one partial BATCH_CHUNK_ROWS chunk. A line
+# ends in "oracle" when train_oracle gives the same parameters and history.
 _FIT_BITS = """
 import hashlib, json
+from oracles import train_oracle
 from cairoreg.data import apply_standardizer, fit_standardizer
 from cairoreg.dgp import Scenario, ScenarioSpec, generate
 from cairoreg.pipeline import VARIANTS, FitHyper, fit_variant, model_to_dict, variant_train_config
 from cairoreg.scorer import train
 ds = generate(ScenarioSpec(Scenario.HEAVY_TAIL, n=4200, seed=3))
 std = apply_standardizer(fit_standardizer(ds), ds)
-for batch_size in (256, 1024, 4200):
+for batch_size in (256, 1024, 1500, 4200):
     for variant in VARIANTS:
         cfg = variant_train_config(variant, 0, FitHyper(epochs=1, batch_size=batch_size))
-        _, history = train(std, cfg)
+        params, history = train(std, cfg)
+        want_params, want_history = train_oracle(std, cfg)
+        same = params.vector.tobytes() == want_params.vector.tobytes() and history == want_history
         bundle = json.dumps(model_to_dict(fit_variant(variant, ds, cfg))).encode()
-        print(batch_size, variant, [h.hex() for h in history], hashlib.sha256(bundle).hexdigest())
+        line = [batch_size, variant, [h.hex() for h in history], hashlib.sha256(bundle).hexdigest()]
+        print(*line, "oracle" if same else "differs")
 """
 
 
@@ -353,14 +439,14 @@ class TestEndToEndGradients:
         from cairoreg.losses import evaluate_loss
 
         p = init_params(3, seed=10, hidden=(4, 3))
-        vec = flatten_params(p)
+        vec = p.vector
         for spec in specs:
             scores, cache = forward(p, X)
             _, grad_scores = evaluate_loss(spec, y, scores)
-            got = flatten_params(backward(cache, grad_scores))
+            got = backward(cache, grad_scores).vector
 
             def loss_at(v):
-                s, _ = forward(unflatten_params(v, p), X)
+                s, _ = forward(MlpParams(v, p.dims), X)
                 return evaluate_loss(spec, y, s).value
 
             h = 1e-5
@@ -377,12 +463,12 @@ class TestSerialization:
     def test_round_trip(self):
         p = init_params(6, seed=12)
         obj = config_to_dict(p)
-        assert obj == {"vector": flatten_params(p).tolist(), "dims": [6, 32, 16]}
+        assert obj == {"vector": p.vector.tolist(), "dims": [6, 32, 16]}
         back = config_from_dict(MlpParams, obj, "scorer")
-        np.testing.assert_array_equal(flatten_params(back), flatten_params(p))
+        np.testing.assert_array_equal(back.vector, p.vector)
 
     def test_json_round_trip_exact(self):
         p = init_params(2, seed=13, hidden=(3, 2))
         obj = json.loads(json.dumps(config_to_dict(p)))
         back = config_from_dict(MlpParams, obj, "scorer")
-        np.testing.assert_array_equal(flatten_params(back), flatten_params(p))
+        np.testing.assert_array_equal(back.vector, p.vector)
