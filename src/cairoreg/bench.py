@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from .data import SplitSpec, _coerce, _table, config_to_dict, split
+from .data import SplitSpec, _coerce, _table, config_to_dict, split, split_sizes
 from .dgp import Scenario, ScenarioSpec, generate
 from .metrics import METRICS, AggregateReport, EvalReport, aggregate, kendall, rmse, spearman
 from .pipeline import VARIANTS, FitHyper, fit_variant, predict_model, variant_train_config
@@ -49,6 +49,12 @@ class BenchConfig(FitHyper):
             raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
         ScenarioSpec(n=self.n, d=self.d)
         SplitSpec(self.train_fraction, self.base_seed)
+        n_train, n_test = split_sizes(self.n, self.train_fraction)
+        if min(n_train, n_test) < 2:  # pairwise losses and the rank metrics need 2 rows
+            raise ValueError(
+                f"n={self.n} at train_fraction={self.train_fraction} splits into {n_train}"
+                f" train and {n_test} test rows; each side needs at least 2"
+            )
         overrides = self.overrides
         if not isinstance(overrides, dict) or not all(
             isinstance(kv, dict) for kv in overrides.values()

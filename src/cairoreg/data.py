@@ -191,10 +191,15 @@ class SplitSpec:
             raise DataError(f"seed must be >= 0, got {self.seed}")
 
 
+def split_sizes(n: int, train_fraction: float) -> tuple[int, int]:
+    """The train and test row counts that split gives n rows at train_fraction."""
+    n_train = int(np.floor(train_fraction * n))
+    return n_train, n - n_train
+
+
 def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     """Seeded random partition into train/test; both parts nonempty."""
-    n_train = int(np.floor(spec.train_fraction * ds.n))
-    n_test = ds.n - n_train
+    n_train, n_test = split_sizes(ds.n, spec.train_fraction)
     if n_train < 1 or n_test < 1:
         raise DataError(
             f"degenerate split: {n_train} train / {n_test} test rows from n={ds.n}"

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, SplitSpec, Standardizer, apply_standardizer, fit_standardizer, split
-from .data import _coerce, config_from_dict, config_to_dict
+from .data import _coerce, config_from_dict, config_to_dict, split_sizes
 from .isotonic import (
     CalibrationMap,
     pav_fit,
@@ -35,7 +35,7 @@ from .losses import (
     WeightVariant,
     is_ranking_loss,
 )
-from .scorer import MlpParams, TrainConfig, forward, train
+from .scorer import MlpParams, TrainConfig, Workspace, forward, train
 
 BUNDLE_VERSION = "cairo-model-v3"
 
@@ -98,11 +98,11 @@ def variant_train_config(variant: str, seed: int, hyper: FitHyper) -> TrainConfi
     )
 
 
-# Rows per chunk of the score path. Chunks bound its memory: forward keeps
-# four activations per row. They also fix its bits: one product over a long
-# matrix may take other bits at another BLAS thread count, while 8192-row
-# chunks gave the same bits at 1 and 2 threads for every size tried. A matrix
-# of at most this many rows is one chunk, as before chunking.
+# Rows per chunk of the score path. Chunks bound its memory: every chunk's
+# forward writes into one Workspace of this many rows. They also fix its bits:
+# one product over a long matrix may take other bits at another BLAS thread
+# count, while 8192-row chunks gave the same bits at 1 and 2 threads for every
+# size tried. A matrix of at most this many rows is one chunk, as before chunking.
 SCORE_CHUNK_ROWS = 8192
 
 
@@ -112,10 +112,11 @@ def score_rows(scorer: MlpParams, standardizer: Standardizer, X: np.ndarray) -> 
     predict_model, cairo_fit's calibration scores and the CLI's plot data all
     score here, so the same rows get the same scores on each path.
     """
+    work = Workspace.empty(min(X.shape[0], SCORE_CHUNK_ROWS), scorer.dims)
     scores = np.empty(X.shape[0])
     for r0 in range(0, X.shape[0], SCORE_CHUNK_ROWS):
         chunk = standardizer.transform(X[r0 : r0 + SCORE_CHUNK_ROWS])
-        scores[r0 : r0 + chunk.shape[0]], _ = forward(scorer, chunk)
+        scores[r0 : r0 + chunk.shape[0]], _ = forward(scorer, chunk, work)
     return scores
 
 
@@ -146,7 +147,9 @@ def cairo_fit(
     """Stage 1 (rank scorer) then Stage 2 (isotonic scale recovery).
 
     Calibration reuses the full training set by default; pass
-    calibration_fraction to fit it on a held-out slice instead.
+    calibration_fraction to fit it on a held-out slice instead. A fraction
+    that leaves the scorer fewer than 2 rows or the slice none raises
+    ValueError before training.
     """
     if not is_ranking_loss(loss):
         raise ValueError("cairo_fit needs a ranking objective; use mse_fit for the baseline")
@@ -156,6 +159,13 @@ def cairo_fit(
     if calibration_fraction is None:
         scorer_ds, calib_ds = train_ds, train_ds
     else:
+        n_scorer, n_calib = split_sizes(train_ds.n, 1.0 - calibration_fraction)
+        if n_scorer < 2 or n_calib < 1:
+            raise ValueError(
+                f"calibration_fraction={calibration_fraction} leaves {n_scorer} of {train_ds.n}"
+                f" rows to train the scorer and {n_calib} to calibrate; the scorer needs at"
+                " least 2 and the calibration slice at least 1"
+            )
         scorer_ds, calib_ds = split(
             train_ds, SplitSpec(train_fraction=1.0 - calibration_fraction, seed=cfg.seed)
         )

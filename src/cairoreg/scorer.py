@@ -10,12 +10,11 @@ row-major. Gradients and Adam's moments are vectors in the same layout,
 so an Adam step is one elementwise update. A model bundle stores the
 vector in this layout too, next to dims.
 
-The activations, the gradient vector and Adam's moments are preallocated
-once per fit and updated in place: train gives forward, backward and
-adam_step one Workspace sized for its largest batch, and they write through
-out= into its buffers, the parameter vector and the AdamState's moments.
-Called without a workspace, each of them allocates its outputs, runs the
-same kernel and leaves its inputs unmodified.
+The activations, the gradient vector and Adam's moments live in one
+Workspace, and forward, backward and adam_step write through out= into its
+buffers and the parameter vector. train builds one per fit, sized for its
+largest batch; forward and backward called without one build a fresh one
+for their rows.
 """
 
 from __future__ import annotations
@@ -96,11 +95,12 @@ class ForwardCache:
 
 @dataclass(frozen=True)
 class Workspace:
-    """The buffers one fit's forward, backward and adam_step write into.
+    """The buffers forward, backward and adam_step write into.
 
-    Row buffers have one row per batch row, for the fit's largest batch; a
+    Row buffers have one row per row of the largest batch they serve; a
     batch of n rows uses their [:n] views. grads is the gradient vector with
-    its layer views, and adam_scratch two vectors of the parameters' length.
+    its layer views, m and v are Adam's moments, zero until the first step,
+    and adam_scratch two more vectors of the parameters' length.
     """
 
     Z1: np.ndarray
@@ -113,6 +113,8 @@ class Workspace:
     relu1: np.ndarray  # Z1 > 0, as bool
     relu2: np.ndarray  # Z2 > 0, as bool
     grads: MlpParams
+    m: np.ndarray
+    v: np.ndarray
     adam_scratch: tuple[np.ndarray, np.ndarray]
 
     @classmethod
@@ -130,6 +132,8 @@ class Workspace:
             relu1=np.empty((rows, h1), dtype=bool),
             relu2=np.empty((rows, h2), dtype=bool),
             grads=MlpParams(np.empty(size), dims),
+            m=np.zeros(size),
+            v=np.zeros(size),
             adam_scratch=(np.empty(size), np.empty(size)),
         )
 
@@ -139,21 +143,16 @@ def forward(
 ) -> tuple[np.ndarray, ForwardCache]:
     """Scores of the rows of X and the activations backward needs.
 
-    With work, the scores and activations are views of its buffers, valid
-    until the next call that writes them.
+    The scores and activations are views of work's buffers, valid until the
+    next call that writes them; without work they are a fresh Workspace's.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    d, h1, h2 = params.dims
-    if X.shape[1] != d:
-        raise ValueError(f"expected {d} feature columns, got {X.shape[1]}")
+    if X.shape[1] != params.dims[0]:
+        raise ValueError(f"expected {params.dims[0]} feature columns, got {X.shape[1]}")
     n = X.shape[0]
-    if work is None:
-        Z1, H1 = np.empty((n, h1)), np.empty((n, h1))
-        Z2, H2 = np.empty((n, h2)), np.empty((n, h2))
-        scores = np.empty(n)
-    else:
-        Z1, H1, Z2, H2 = work.Z1[:n], work.H1[:n], work.Z2[:n], work.H2[:n]
-        scores = work.scores[:n]
+    work = Workspace.empty(n, params.dims) if work is None else work
+    Z1, H1, Z2, H2 = work.Z1[:n], work.H1[:n], work.Z2[:n], work.H2[:n]
+    scores = work.scores[:n]
     np.matmul(X, params.W1.T, out=Z1)
     np.add(Z1, params.b1, out=Z1)
     np.maximum(Z1, 0.0, out=H1)
@@ -186,23 +185,18 @@ def backward(
 ) -> MlpParams:
     """Exact gradient of sum_i grad_scores_i * score_i w.r.t. every parameter.
 
-    The ReLU subgradient at 0 is taken as 0. Returns the gradient vector
-    packed in an MlpParams container: work.grads when work is given, which
-    the call overwrites, and a new one otherwise.
+    The ReLU subgradient at 0 is taken as 0. Returns work.grads, the
+    gradient vector packed in an MlpParams container, which the call
+    overwrites; without work, a fresh Workspace's.
     """
     g = np.asarray(grad_scores, dtype=np.float64)
     n = cache.X.shape[0]
     if g.shape != (n,):
         raise ValueError("stale cache: gradient length does not match forward batch")
     p = cache.params
-    if work is None:
-        dZ1, dZ2 = np.empty_like(cache.Z1), np.empty_like(cache.Z2)
-        relu1 = np.empty(cache.Z1.shape, dtype=bool)
-        relu2 = np.empty(cache.Z2.shape, dtype=bool)
-        grads = MlpParams(np.empty_like(p.vector), p.dims)
-    else:
-        dZ1, dZ2, relu1, relu2 = work.dZ1[:n], work.dZ2[:n], work.relu1[:n], work.relu2[:n]
-        grads = work.grads
+    work = Workspace.empty(n, p.dims) if work is None else work
+    dZ1, dZ2, relu1, relu2 = work.dZ1[:n], work.dZ2[:n], work.relu1[:n], work.relu2[:n]
+    grads = work.grads
     np.multiply(g[:, None], p.w3, out=dZ2)  # dH2, the outer product of g and w3
     np.multiply(dZ2, np.greater(cache.Z2, 0.0, out=relu2), out=dZ2)
     np.matmul(dZ2, p.W2, out=dZ1)  # dH1
@@ -223,47 +217,26 @@ ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 
 
-@dataclass(frozen=True)
-class AdamState:
-    m: np.ndarray
-    v: np.ndarray
-    step: int
-    learning_rate: float
-
-
-def init_adam(params: MlpParams, learning_rate: float) -> AdamState:
-    m, v = np.zeros_like(params.vector), np.zeros_like(params.vector)
-    return AdamState(m=m, v=v, step=0, learning_rate=learning_rate)
-
-
 def adam_step(
-    params: MlpParams, grads: MlpParams, state: AdamState, work: Workspace | None = None
-) -> tuple[MlpParams, AdamState]:
-    """One bias-corrected Adam update of the whole parameter vector.
+    params: MlpParams, grads: MlpParams, t: int, learning_rate: float, work: Workspace
+) -> None:
+    """Step t >= 1 of bias-corrected Adam on the whole parameter vector.
 
-    With work, params.vector, state.m and state.v are updated in place and
-    returned; without, new arrays are returned and the inputs are unmodified.
+    Updates params.vector and Adam's moments work.m and work.v in place.
     """
-    if work is None:
-        params = MlpParams(params.vector.copy(), params.dims)
-        state = AdamState(state.m.copy(), state.v.copy(), state.step, state.learning_rate)
-        tmp, den = np.empty_like(params.vector), np.empty_like(params.vector)
-    else:
-        tmp, den = work.adam_scratch
-    t = state.step + 1
-    vec, g, m, v = params.vector, grads.vector, state.m, state.v
+    tmp, den = work.adam_scratch
+    vec, g, m, v = params.vector, grads.vector, work.m, work.v
     m *= ADAM_BETA1  # m = beta1 * m + (1 - beta1) * g
     m += np.multiply(1.0 - ADAM_BETA1, g, out=tmp)
     v *= ADAM_BETA2  # v = beta2 * v + (1 - beta2) * g**2
     v += np.multiply(1.0 - ADAM_BETA2, np.square(g, out=tmp), out=tmp)
     np.divide(m, 1.0 - ADAM_BETA1**t, out=tmp)  # m_hat
-    tmp *= state.learning_rate
+    tmp *= learning_rate
     np.divide(v, 1.0 - ADAM_BETA2**t, out=den)  # v_hat
     np.sqrt(den, out=den)
     den += ADAM_EPSILON
     tmp /= den  # lr * m_hat / (sqrt(v_hat) + eps)
     vec -= tmp
-    return params, AdamState(m=m, v=v, step=t, learning_rate=state.learning_rate)
 
 
 @dataclass(frozen=True)
@@ -302,9 +275,9 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[MlpParams, list[float]]:
         raise ValueError("pairwise losses need at least 2 rows")
 
     params = init_params(ds.d, cfg.seed)
-    state = init_adam(params, cfg.learning_rate)
     work = Workspace.empty(min(cfg.batch_size, ds.n), params.dims)
     history: list[float] = []
+    t = 0  # Adam steps taken
 
     for epoch in range(cfg.epochs):
         rng = make_rng(np.random.SeedSequence([cfg.seed, epoch]))
@@ -328,7 +301,8 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[MlpParams, list[float]]:
                     f"training diverged at epoch {epoch}, batch {batch}: non-finite score gradient"
                 )
             grads = backward(cache, grad_scores, work)
-            params, state = adam_step(params, grads, state, work)
+            t += 1
+            adam_step(params, grads, t, cfg.learning_rate, work)
             batch_losses.append(value)
         history.append(float(np.mean(batch_losses)))
     return params, history

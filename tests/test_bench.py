@@ -147,6 +147,7 @@ class TestRunBench:
             ({"train_fraction": 1.5}, "train_fraction must lie in"),
             ({"n": 1}, "need n >= 2"),
             ({"d": 0}, "need n >= 2 and d >= 1"),
+            ({"n": 3}, "n=3 at train_fraction=0.7 splits into 2 train and 1 test rows"),
             ({"temperature": float("nan")}, "temperature must be finite"),
             ({"models": ("nn-mse",), "sigma": -1.0}, "sigma must be finite"),
             ({"overrides": {"ranknet": {"sigma": -1}}}, "overrides.ranknet: sigma must be finite"),

@@ -87,6 +87,21 @@ class TestCairoFit:
         # scorers trained on different subsets differ
         assert not np.array_equal(held.scorer.W1, full.scorer.W1)
 
+    @pytest.mark.parametrize(
+        "fraction, message",
+        [
+            # 1 - 1e-17 rounds to 1.0: every row would train the scorer, none calibrate
+            (1e-17, "leaves 300 of 300 rows to train the scorer and 0 to calibrate"),
+            (0.995, "leaves 1 of 300 rows to train the scorer and 299 to calibrate"),
+        ],
+    )
+    def test_calibration_fraction_too_extreme_for_the_rows(self, fraction, message):
+        ds = generate(ScenarioSpec(Scenario.NORMAL, n=300, d=3, seed=4))
+        full = f"^calibration_fraction={fraction} {message}; the scorer needs at least 2"
+        with mock.patch.object(pipeline, "train", side_effect=AssertionError("trained")):
+            with pytest.raises(ValueError, match=full):
+                cairo_fit(ds, PairwiseSurrogate(), _quick_cfg(), calibration_fraction=fraction)
+
 
 # strictly increasing maps of the targets
 _MONOTONE = {

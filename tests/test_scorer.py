@@ -33,7 +33,6 @@ from cairoreg.scorer import (
     adam_step,
     backward,
     forward,
-    init_adam,
     init_params,
     train,
 )
@@ -175,33 +174,37 @@ class TestBackward:
 class TestAdam:
     def test_zero_gradient_keeps_params(self):
         p = init_params(2, seed=7)
+        before = p.vector.copy()
         zero_g = MlpParams(np.zeros(p.vector.size), p.dims)
-        state = init_adam(p, 1e-3)
-        assert not np.shares_memory(state.m, state.v)
-        p2, state2 = adam_step(p, zero_g, state)
-        np.testing.assert_array_equal(p2.vector, p.vector)
-        assert state2.step == 1
+        work = Workspace.empty(1, p.dims)
+        assert not np.shares_memory(work.m, work.v)
+        adam_step(p, zero_g, 1, 1e-3, work)
+        np.testing.assert_array_equal(p.vector, before)
+        assert not work.m.any() and not work.v.any()
 
     def test_first_step_is_signed_learning_rate(self):
         p = init_params(2, seed=8)
+        before = p.vector.copy()
         rng = np.random.default_rng(5)
         g_vec = rng.choice([-1.0, 1.0], size=p.vector.size) * rng.uniform(
             0.1, 2.0, size=p.vector.size
         )
         g = MlpParams(g_vec, p.dims)
         lr = 1e-3
-        p2, _ = adam_step(p, g, init_adam(p, lr))
-        delta = p2.vector - p.vector
+        adam_step(p, g, 1, lr, Workspace.empty(1, p.dims))
+        delta = p.vector - before
         np.testing.assert_allclose(delta, -lr * np.sign(g_vec), atol=lr * 1e-6)
 
     def test_deterministic(self):
         p = init_params(2, seed=9)
         g = MlpParams(np.ones(p.vector.size), p.dims)
-        s = init_adam(p, 1e-3)
-        a1, s1 = adam_step(p, g, s)
-        a2, s2 = adam_step(p, g, s)
-        np.testing.assert_array_equal(a1.vector, a2.vector)
-        assert s1.step == s2.step == 1
+        runs = []
+        for _ in range(2):
+            q, work = MlpParams(p.vector.copy(), p.dims), Workspace.empty(1, p.dims)
+            for t in (1, 2):
+                adam_step(q, g, t, 1e-3, work)
+            runs.append([a.tobytes() for a in (q.vector, work.m, work.v)])
+        assert runs[0] == runs[1]
 
     def test_matches_per_layer_textbook_update(self):
         # Kingma & Ba's Adam, written out layer by layer with their default constants
@@ -210,13 +213,16 @@ class TestAdam:
         rng = np.random.default_rng(11)
         p = init_params(3, seed=12, hidden=(4, 3))
         p = MlpParams(rng.normal(size=p.vector.size), p.dims)
-        want = {k: np.asarray(getattr(p, k)) for k in names}
+        want = {k: np.array(getattr(p, k)) for k in names}  # copies: p changes in place
         m = {k: np.zeros_like(a) for k, a in want.items()}
         v = {k: np.zeros_like(a) for k, a in want.items()}
-        state = init_adam(p, lr)
+        work = Workspace.empty(1, p.dims)
+        vec, work_m, work_v = p.vector, work.m, work.v
         for t in range(1, 6):
             g = MlpParams(rng.normal(scale=t, size=p.vector.size), p.dims)
-            p, state = adam_step(p, g, state)
+            g_before = g.vector.copy()
+            adam_step(p, g, t, lr, work)
+            assert g.vector.tobytes() == g_before.tobytes()  # the gradient is only read
             for k in names:
                 gk = np.asarray(getattr(g, k))
                 m[k] = beta1 * m[k] + (1.0 - beta1) * gk
@@ -224,14 +230,15 @@ class TestAdam:
                 m_hat = m[k] / (1.0 - beta1**t)
                 v_hat = v[k] / (1.0 - beta2**t)
                 want[k] = want[k] - lr * m_hat / (np.sqrt(v_hat) + eps)
-            for got, ref in ((p.vector, want), (state.m, m), (state.v, v)):
+            for got, ref in ((p.vector, want), (work.m, m), (work.v, v)):
                 ref_vec = np.concatenate([ref[k] for k in names], axis=None)
                 assert got.tobytes() == ref_vec.tobytes(), t
-        assert state.step == 5
+        # updated in place: the vector and the moments are the arrays the step was given
+        assert p.vector is vec and work.m is work_m and work.v is work_v
 
 
 class TestWorkspace:
-    """forward, backward and adam_step with a fit's buffers give the pure forms' bytes."""
+    """forward and backward give the same bytes in a shared, oversized workspace as in their own."""
 
     @pytest.mark.parametrize("rows", [7, BATCH_CHUNK_ROWS + 476])
     def test_forward_and_backward(self, rows):
@@ -241,39 +248,17 @@ class TestWorkspace:
         inputs = [a.copy() for a in (p.vector, X, g)]
         work = Workspace.empty(rows + 100, p.dims)  # a batch uses the first rows
         work.grads.vector[:] = np.nan  # every entry is written
-        pure_scores, pure_cache = forward(p, X)
-        pure_grads = backward(pure_cache, g)
-        for got, want in zip((p.vector, X, g), inputs):  # the pure forms modify no input
+        own_scores, own_cache = forward(p, X)
+        own_grads = backward(own_cache, g)
+        for got, want in zip((p.vector, X, g), inputs):  # neither call modifies an input
             assert got.tobytes() == want.tobytes()
         scores, cache = forward(p, X, work)
         grads = backward(cache, g, work)
         assert grads is work.grads and np.shares_memory(scores, work.scores)
-        assert scores.tobytes() == pure_scores.tobytes()
+        assert scores.tobytes() == own_scores.tobytes()
         for name in ("Z1", "H1", "Z2", "H2"):
-            assert getattr(cache, name).tobytes() == getattr(pure_cache, name).tobytes(), name
-        assert grads.vector.tobytes() == pure_grads.vector.tobytes()
-
-    def test_adam_step(self):
-        rng = np.random.default_rng(5)
-        p = init_params(3, seed=6, hidden=(4, 3))
-        work = Workspace.empty(1, p.dims)
-        pure_p, pure_state = p, init_adam(p, 0.01)
-        p = MlpParams(p.vector.copy(), p.dims)
-        state = init_adam(p, 0.01)
-        for t in range(1, 5):
-            g = MlpParams(rng.normal(scale=t, size=p.vector.size), p.dims)
-            inputs = [a.copy() for a in (pure_p.vector, g.vector, pure_state.m, pure_state.v)]
-            new_p, new_state = adam_step(pure_p, g, pure_state)
-            for got, want in zip((pure_p.vector, g.vector, pure_state.m, pure_state.v), inputs):
-                assert got.tobytes() == want.tobytes()  # the pure form modifies no input
-            pure_p, pure_state = new_p, new_state
-            m, v = state.m, state.v
-            got_p, state = adam_step(p, g, state, work)
-            assert got_p is p and state.m is m and state.v is v  # updated in place
-            assert state.step == pure_state.step == t
-            assert p.vector.tobytes() == pure_p.vector.tobytes(), t
-            assert state.m.tobytes() == pure_state.m.tobytes(), t
-            assert state.v.tobytes() == pure_state.v.tobytes(), t
+            assert getattr(cache, name).tobytes() == getattr(own_cache, name).tobytes(), name
+        assert grads.vector.tobytes() == own_grads.vector.tobytes()
 
 
 def _linear_ds(n=500, seed=7):
