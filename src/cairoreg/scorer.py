@@ -95,14 +95,18 @@ class ForwardCache:
 
 @dataclass(frozen=True)
 class Workspace:
-    """The buffers forward, backward and adam_step write into.
+    """The buffers train, forward, backward and adam_step write into.
 
     Row buffers have one row per row of the largest batch they serve; a
-    batch of n rows uses their [:n] views. grads is the gradient vector with
-    its layer views, m and v are Adam's moments, zero until the first step,
-    and adam_scratch two more vectors of the parameters' length.
+    batch of n rows uses their [:n] views. X and y hold the batch train
+    gathers and finite its finiteness checks. grads is the gradient vector
+    with its layer views, m and v are Adam's moments, zero until the first
+    step, and adam_scratch two more vectors of the parameters' length.
     """
 
+    X: np.ndarray
+    y: np.ndarray
+    finite: np.ndarray  # as bool
     Z1: np.ndarray
     H1: np.ndarray
     Z2: np.ndarray
@@ -119,9 +123,12 @@ class Workspace:
 
     @classmethod
     def empty(cls, rows: int, dims: tuple[int, int, int]) -> Workspace:
-        _, h1, h2 = dims
+        d, h1, h2 = dims
         size = _vector_size(dims)
         return cls(
+            X=np.empty((rows, d)),
+            y=np.empty(rows),
+            finite=np.empty(rows, dtype=bool),
             Z1=np.empty((rows, h1)),
             H1=np.empty((rows, h1)),
             Z2=np.empty((rows, h2)),
@@ -263,13 +270,13 @@ class TrainConfig:
 def train(ds: Dataset, cfg: TrainConfig) -> tuple[MlpParams, list[float]]:
     """Minibatch training loop; returns params and mean in-batch loss per epoch.
 
-    Each step writes into one Workspace sized for the fit's largest batch
-    and updates the parameters and Adam's moments in place. Shuffling is
-    reseeded per epoch from (cfg.seed, epoch) so runs are bitwise
-    reproducible. Trailing batches with a single row are dropped for
-    pairwise losses, which are undefined there. Raises ValueError, naming
-    the epoch and batch, at the first non-finite score, loss value or score
-    gradient.
+    Each step gathers its batch into one Workspace sized for the fit's
+    largest batch, writes every result there and updates the parameters and
+    Adam's moments in place. Shuffling is reseeded per epoch from
+    (cfg.seed, epoch) so runs are bitwise reproducible. Trailing batches
+    with a single row are dropped for pairwise losses, which are undefined
+    there. Raises ValueError, naming the epoch and batch, at the first
+    non-finite score, loss value or score gradient.
     """
     if is_ranking_loss(cfg.loss) and ds.n < 2:
         raise ValueError("pairwise losses need at least 2 rows")
@@ -287,16 +294,20 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[MlpParams, list[float]]:
             idx = order[start : start + cfg.batch_size]
             if idx.size < 2 and is_ranking_loss(cfg.loss):
                 continue
-            X, y = ds.features[idx], ds.targets[idx]
+            n = idx.size
+            # idx is in range, and mode="raise" would gather into a temporary first
+            X = np.take(ds.features, idx, axis=0, out=work.X[:n], mode="clip")
+            y = np.take(ds.targets, idx, out=work.y[:n], mode="clip")
+            finite = work.finite[:n]
             scores, cache = forward(params, X, work)
-            if not np.isfinite(scores).all():
+            if not np.isfinite(scores, out=finite).all():
                 raise ValueError(
                     f"training diverged at epoch {epoch}, batch {batch}: non-finite score"
                 )
             value, grad_scores = evaluate_loss(cfg.loss, y, scores)
             if not math.isfinite(value):
                 raise ValueError(f"training diverged at epoch {epoch}, batch {batch}: loss {value}")
-            if not np.isfinite(grad_scores).all():
+            if not np.isfinite(grad_scores, out=finite).all():
                 raise ValueError(
                     f"training diverged at epoch {epoch}, batch {batch}: non-finite score gradient"
                 )

@@ -1,7 +1,12 @@
+import contextlib
 import csv
+import itertools
 import json
+import os
 import re
+import signal
 import tempfile
+import time
 import tracemalloc
 from dataclasses import fields
 from pathlib import Path
@@ -287,8 +292,35 @@ def test_read_numeric_csv_matches_the_list_of_rows_oracle(text):
         path.write_bytes(text.encode("utf-8", "surrogateescape"))
         expected = _read(read_numeric_csv_oracle, path)
         assert _read(read_numeric_csv, path) == expected
+        with _windows_forced():
+            assert _read(read_numeric_csv, path) == expected
+        _no_child_left()
         with patch("numpy.loadtxt", side_effect=ValueError("the float() path reads it")):
             assert _read(read_numeric_csv, path) == expected
+
+
+@contextlib.contextmanager
+def _windows_forced(cpus: int = 3):
+    """Cut every file of 8 bytes or more into up to cpus windows of 4 bytes or more."""
+    with patch("cairoreg.data.WINDOW_MIN_BYTES", 4), patch(
+        "os.sched_getaffinity", return_value=set(range(cpus))
+    ):
+        yield
+
+
+def _no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _cut_at(path: Path, text: bytes, cut: int, tail: bytes) -> None:
+    """Write text, then as many copies of tail as put a cut of a three-window read at cut."""
+    for copies in range(200):
+        path.write_bytes(text + tail * copies)
+        cuts = data._cuts(path, path.stat().st_size, 3)
+        if len(cuts) == 2 and cut in cuts:
+            return
+    raise AssertionError(f"no copy count of {tail!r} puts a cut at {cut}")
 
 
 @pytest.mark.parametrize(
@@ -307,10 +339,12 @@ def test_read_numeric_csv_matches_the_list_of_rows_oracle(text):
 def test_a_split_read_at_its_cut_reads_as_one_pass(tmp_path, row, special, says):
     """40 good rows, a special line, 3 more rows: the loadtxt path and the
     float() path give the oracle's result, or its message with the row
-    numbered from the file's start.
+    numbered from the file's start. So do three windows with a cut just
+    before the special line and with one just after it.
     """
     path = tmp_path / "cut.csv"
-    path.write_bytes(b"a,b" + row[3:] + row * 40 + special + row * 3)
+    head = b"a,b" + row[3:] + row * 40
+    path.write_bytes(head + special + row * 3)
     expected = _read(read_numeric_csv_oracle, path)
     if says is None:
         assert isinstance(expected, tuple)
@@ -319,6 +353,101 @@ def test_a_split_read_at_its_cut_reads_as_one_pass(tmp_path, row, special, says)
     assert _read(read_numeric_csv, path) == expected
     with patch("numpy.loadtxt", side_effect=ValueError("the float() path reads it")):
         assert _read(read_numeric_csv, path) == expected
+    for cut in (len(head), len(head + special)):
+        _cut_at(path, head + special + row * 3, cut, row)
+        expected = _read(read_numeric_csv_oracle, path)
+        with _windows_forced(), patch("os.fork", wraps=os.fork) as fork:
+            assert _read(read_numeric_csv, path) == expected
+        assert fork.call_count == 2
+        _no_child_left()
+
+
+def test_a_windowed_read_leaves_no_child_process(tmp_path):
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    good.write_text("a,b\n" + "1,2\n" * 200)
+    bad.write_text("a,b\n" + "1,2\n" * 200 + "x,2\n")
+    parent, loadtxt = os.getpid(), np.loadtxt
+
+    def failing_parent(*args, **kwargs):
+        if os.getpid() == parent:
+            raise ValueError("the parent's window fails")
+        return loadtxt(*args, **kwargs)
+
+    def stuck_children(*args, **kwargs):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    with _windows_forced(), patch("os.fork", wraps=os.fork) as fork:
+        assert _read(read_numeric_csv, good) == _read(read_numeric_csv_oracle, good)
+        _no_child_left()
+        with pytest.raises(DataError, match="^non-numeric cell 'x' at row 200, column 'a'"):
+            read_numeric_csv(bad)
+        _no_child_left()
+        with patch("numpy.loadtxt", failing_parent), patch(
+            "cairoreg.data._read_float", wraps=data._read_float
+        ) as slow:
+            assert _read(read_numeric_csv, good) == _read(read_numeric_csv_oracle, good)
+        slow.assert_called_once()
+        _no_child_left()
+        start = time.perf_counter()
+        with patch("numpy.loadtxt", stuck_children), pytest.raises(KeyboardInterrupt):
+            read_numeric_csv(good)
+        _no_child_left()
+        assert time.perf_counter() - start < 30, "a stuck child was waited for, not killed"
+    assert fork.call_count == 8
+
+
+@pytest.mark.parametrize("children_parse", [False, True], ids=["a short pipe", "a non-zero exit"])
+def test_a_child_that_fails_gives_the_one_pass_result(tmp_path, children_parse):
+    """Children that fail and exit 0 write nothing; children that parse exit 3."""
+    path = tmp_path / "t.csv"
+    path.write_text("a,b\n" + "1,2\n3,4\n" * 100)
+    parent, loadtxt, exit_ = os.getpid(), np.loadtxt, os._exit
+
+    def parent_only(*args, **kwargs):
+        if os.getpid() != parent:
+            raise ValueError("a child's window fails")
+        return loadtxt(*args, **kwargs)
+
+    with _windows_forced(), patch(
+        "os._exit", lambda code: exit_(3 if children_parse else 0)
+    ), patch("numpy.loadtxt", loadtxt if children_parse else parent_only), patch(
+        "cairoreg.data._read_float", wraps=data._read_float
+    ) as slow:
+        assert _read(read_numeric_csv, path) == _read(read_numeric_csv_oracle, path)
+    slow.assert_called_once()
+    _no_child_left()
+
+
+def test_a_failed_fork_reads_in_one_window(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("a,b\n" + "1,2\n3,4\n" * 100)
+    fork, calls = os.fork, itertools.count(1)
+
+    def second_fork_fails():
+        if next(calls) == 2:
+            raise BlockingIOError("no process left")
+        return fork()
+
+    with _windows_forced(), patch("os.fork", side_effect=second_fork_fails), patch(
+        "cairoreg.data._read_float", wraps=data._read_float
+    ) as slow:
+        assert _read(read_numeric_csv, path) == _read(read_numeric_csv_oracle, path)
+    slow.assert_not_called()
+    _no_child_left()
+
+
+def test_a_process_that_ignores_sigchld_reads_in_one_window(tmp_path):
+    """The kernel would reap the children at once, leaving no exit status to check."""
+    path = tmp_path / "t.csv"
+    path.write_text("a,b\n" + "1,2\n" * 100)
+    ignored = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        with _windows_forced(), patch("os.fork", side_effect=AssertionError("forked")):
+            assert _read(read_numeric_csv, path) == _read(read_numeric_csv_oracle, path)
+    finally:
+        signal.signal(signal.SIGCHLD, ignored)
 
 
 def test_a_written_file_is_read_by_loadtxt_and_1_000_by_float(tmp_path):
@@ -372,14 +501,21 @@ def test_read_numeric_csv_peak_memory_is_near_its_result(tmp_path):
     rng = make_rng(3)
     path = tmp_path / "wide.csv"
     write_numeric_csv(path, [f"x{j}" for j in range(12)], list(rng.normal(size=(12, 20_000))))
-    tracemalloc.start()
-    try:
-        _, matrix = read_numeric_csv(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert matrix.shape == (20_000, 12)
-    assert peak < 3 * matrix.nbytes, f"peak {peak / matrix.nbytes:.1f}x the result"
+    assert path.stat().st_size > 3 * data.WINDOW_MIN_BYTES
+    expected = read_numeric_csv_oracle(path)[1]
+    for cpus in (1, 2, 3):  # one window, then two and three
+        tracemalloc.start()
+        try:
+            with patch("os.sched_getaffinity", return_value=set(range(cpus))), patch(
+                "os.fork", wraps=os.fork
+            ) as fork:
+                _, matrix = read_numeric_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fork.call_count == cpus - 1
+        assert matrix.tobytes() == expected.tobytes() and matrix.shape == (20_000, 12)
+        assert peak < 3 * matrix.nbytes, f"peak {peak / matrix.nbytes:.1f}x the result at {cpus}"
 
 
 def test_dataset_rejects_nan():
