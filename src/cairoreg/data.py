@@ -23,7 +23,7 @@ from collections import Counter
 from collections.abc import Iterator, Sequence
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from enum import Enum
-from itertools import chain
+from itertools import chain, zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -330,22 +330,62 @@ def _loadtxt_agrees(path: Path) -> bool:
     return True
 
 
-# Bytes of CSV that each window of a read parses at the least. np.loadtxt
-# parses about 50 MB/s on a 2-vCPU Xeon, so 1 MiB is about 20 ms, against
-# 2-4 ms to fork a 150 MB process, pipe back its cells and reap it.
+# Bytes of CSV that each window of a read or a write handles at the least.
+# On a 2-vCPU Xeon np.loadtxt parses about 50 MB/s and "%.17g" formats about
+# 27 MB/s, so 1 MiB is 20-37 ms, against 2-4 ms to fork a 150 MB process,
+# pipe back its part and reap it.
 WINDOW_MIN_BYTES = 1 << 20
 
 
 def _window_count(size: int) -> int:
-    """Windows for a file of size bytes: min(usable CPUs, size // WINDOW_MIN_BYTES), and 1 where
-    the process cannot fork, cannot tell its CPUs or ignores SIGCHLD, which lets the kernel reap
-    a child before its exit status can be read.
+    """Windows for size bytes of CSV: min(usable CPUs, size // WINDOW_MIN_BYTES) but at least 1,
+    and 1 where the process cannot fork, cannot tell its CPUs or ignores SIGCHLD, which lets the
+    kernel reap a child before its exit status can be read.
     """
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
     if signal.getsignal(signal.SIGCHLD) == signal.SIG_IGN:
         return 1
-    return min(len(os.sched_getaffinity(0)), size // WINDOW_MIN_BYTES)
+    return max(1, min(len(os.sched_getaffinity(0)), size // WINDOW_MIN_BYTES))
+
+
+def _fork(produce, *args) -> tuple[int, typing.BinaryIO]:
+    """(pid, pipe) of a forked child that pipes back the buffers that produce(*args) returns.
+
+    The child writes their total size, 8 bytes little-endian, then the buffers, and exits 0;
+    where produce returns None or raises, it exits 1. It writes nothing else and runs no exit
+    handler of the parent.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            buffers = produce(*args)
+            if buffers is not None:
+                with open(write_fd, "wb") as out:
+                    out.write(sum(memoryview(b).nbytes for b in buffers).to_bytes(8, "little"))
+                    out.writelines(buffers)
+                code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _stop(children: dict[int, typing.BinaryIO]) -> None:
+    """Kill and reap each child not yet reaped, closing its pipe."""
+    while children:
+        pid, pipe = children.popitem()
+        pipe.close()
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
 
 
 def _cuts(path: Path, size: int, windows: int) -> list[int]:
@@ -401,44 +441,15 @@ def _loadtxt(fh: io.TextIOWrapper) -> np.ndarray:
         )
 
 
-def _fork_window(path: Path, start: int, end: int | None, width: int):
-    """(pid, pipe) of a forked child that parses bytes start to end of path with _loadtxt.
-
-    With width columns, the child pipes back its cell count, 8 bytes little-endian, then its
-    cells as float64 bytes, and exits 0; otherwise it exits 1. It writes nothing else and runs
-    no exit handler of the parent.
+def _parse_window(
+    path: Path, start: int, end: int | None, width: int
+) -> list[np.ndarray] | None:
+    """[cells] of bytes start to end of path as _loadtxt reads them; None unless it finds width
+    columns.
     """
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_fd)
-            with _window(path, start, end) as fh:
-                cells = _loadtxt(fh)
-            if cells.shape[1] == width:
-                with open(write_fd, "wb") as out:
-                    out.write(cells.size.to_bytes(8, "little"))
-                    out.write(cells)
-                code = 0
-        finally:
-            os._exit(code)
-    os.close(write_fd)
-    return pid, open(read_fd, "rb")
-
-
-def _stop(children: dict[int, typing.BinaryIO]) -> None:
-    """Kill and reap each child not yet reaped, closing its pipe."""
-    while children:
-        pid, pipe = children.popitem()
-        pipe.close()
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
+    with _window(path, start, end) as fh:
+        cells = _loadtxt(fh)
+    return [cells] if cells.shape[1] == width else None
 
 
 def _read_loadtxt(
@@ -465,7 +476,7 @@ def _read_loadtxt(
             width = len(header)
             for start, end in zip(cuts, [*cuts[1:], None]):
                 try:
-                    pid, pipe = _fork_window(path, start, end, width)
+                    pid, pipe = _fork(_parse_window, path, start, end, width)
                 except OSError:
                     _stop(children)
                     return _read_loadtxt(path, [])
@@ -475,10 +486,10 @@ def _read_loadtxt(
             return None
         if not children:
             return header, first
-        counts = [pipe.read(8) for pipe in children.values()]
-        if any(len(count) < 8 for count in counts):
+        sizes = [pipe.read(8) for pipe in children.values()]
+        if any(len(size) < 8 for size in sizes):
             return None
-        rows = [int.from_bytes(count, "little") // width for count in counts]
+        rows = [int.from_bytes(size, "little") // (8 * width) for size in sizes]
         matrix = np.empty((len(first) + sum(rows), width))
         matrix[: len(first)] = first
         row = len(first)
@@ -598,27 +609,94 @@ def load_csv(path: str | Path, target_column: str = TARGET_COLUMN) -> Dataset:
 # for this many rows are all it holds beyond the columns.
 WRITE_BLOCK_ROWS = 8192
 
-def write_numeric_csv(path: str | Path, header: list[str], columns: list[np.ndarray]) -> None:
-    """Write equal-length float columns under a header row of distinct names.
 
-    Cells carry 17 significant digits, so every float64 reads back exactly.
-    A repeated name or columns of unequal lengths raise DataError before the
-    file is opened.
+def _lines(arrays: list[np.ndarray], line: str, r0: int, r1: int) -> Iterator[Iterator[str]]:
+    """The CSV lines of rows r0 to r1 of arrays, one WRITE_BLOCK_ROWS block at a time."""
+    for b0 in range(r0, r1, WRITE_BLOCK_ROWS):
+        block = zip(*(a[b0 : min(b0 + WRITE_BLOCK_ROWS, r1)].tolist() for a in arrays))
+        yield (line % row for row in block)
+
+
+def _encoded_lines(arrays: list[np.ndarray], line: str, r0: int, r1: int) -> list[bytes]:
+    """The bytes of _lines(arrays, line, r0, r1), one buffer per block."""
+    return ["".join(lines).encode() for lines in _lines(arrays, line, r0, r1)]
+
+
+def _copied(pid: int, children: dict[int, typing.BinaryIO], fh: io.TextIOWrapper) -> bool:
+    """Whether the child pid pipes all its bytes into fh and exits 0; if not, fh is cut back.
+
+    The child is reaped and leaves children either way.
+    """
+    start = fh.tell()  # flushes fh, so the bytes follow its text
+    pipe = children[pid]
+    size = pipe.read(8)
+    left = int.from_bytes(size, "little") if len(size) == 8 else -1
+    buffer = memoryview(bytearray(1 << 16))
+    while left > 0 and (n := pipe.readinto(buffer[: min(left, len(buffer))])):
+        fh.buffer.write(buffer[:n])
+        left -= n
+    del children[pid]
+    pipe.close()
+    if os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0 and left == 0:
+        return True
+    fh.seek(start)
+    fh.truncate()
+    return False
+
+
+def write_numeric_csv(path: str | Path, header: list[str], columns: list[np.ndarray]) -> None:
+    """Write equal-length finite float columns under a header row of distinct names.
+
+    Cells carry 17 significant digits, so every float64 reads back exactly. A repeated
+    name, a name count other than the column count, a column that is not 1-d or holds a
+    non-finite value, and columns of unequal lengths raise DataError before the file is
+    opened.
+
+    The rows are cut into _window_count(rows x columns x 25) ranges, 25 bytes being the
+    longest cell and its separator. A forked child formats each range after the first and
+    pipes back its bytes, which the parent copies after its own range. The parent formats
+    itself each range that has no child or whose child fails, and every range of an output
+    that is not a regular file, so the file has the one-window bytes. No child outlives the
+    call.
     """
     duplicated = _duplicates(header)
     if duplicated:
         raise DataError(f"duplicate column names {duplicated} for {path}")
     arrays = [np.asarray(c, dtype=np.float64) for c in columns]
+    if len(header) != len(arrays):
+        raise DataError(f"{len(header)} column names for {len(arrays)} columns for {path}")
+    for name, a in zip(header, arrays):
+        if a.ndim != 1:
+            raise DataError(f"column {name!r} has shape {a.shape}, not 1-d, for {path}")
+        finite = np.isfinite(a)
+        if not finite.all():
+            raise DataError(
+                f"non-finite value at row {int(np.argmin(finite))}, column {name!r} for {path}"
+            )
     lengths = [a.shape[0] for a in arrays]
     if len(set(lengths)) > 1:
         raise DataError(f"columns of unequal lengths {lengths} for {path}")
     line = ",".join(["%.17g"] * len(arrays)) + "\r\n"
     n = lengths[0] if lengths else 0
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(header)
-        for r0 in range(0, n, WRITE_BLOCK_ROWS):
-            block = zip(*(a[r0 : r0 + WRITE_BLOCK_ROWS].tolist() for a in arrays))
-            fh.writelines(line % row for row in block)
+    k = _window_count(n * len(arrays) * 25)  # "%.17g" of -2.2250738585072014e-308 is 24
+    ranges = [(i * n // k, (i + 1) * n // k) for i in range(k)]
+    children: dict[int, typing.BinaryIO] = {}
+    try:
+        with contextlib.suppress(OSError):  # the parent formats each range left without a child
+            for r0, r1 in ranges[1:]:
+                pid, pipe = _fork(_encoded_lines, arrays, line, r0, r1)
+                children[pid] = pipe
+        pids = [None, *children]
+        with Path(path).open("w", newline="", encoding="utf-8") as fh:
+            if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                _stop(children)  # a pipe or device cannot be cut back after a failed child
+            csv.writer(fh).writerow(header)
+            for (r0, r1), pid in zip_longest(ranges, pids):
+                if pid not in children or not _copied(pid, children, fh):
+                    for lines in _lines(arrays, line, r0, r1):
+                        fh.writelines(lines)
+    finally:
+        _stop(children)
 
 
 def write_csv(ds: Dataset, path: str | Path) -> None:

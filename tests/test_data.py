@@ -10,11 +10,11 @@ import time
 import tracemalloc
 from dataclasses import fields
 from pathlib import Path
-from unittest.mock import patch
+from unittest.mock import Mock, patch
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import read_numeric_csv_oracle, undecodable_oracle, write_numeric_csv_oracle
 
@@ -202,6 +202,157 @@ def test_write_numeric_csv_blocks_write_the_one_pass_bytes(tmp_path, rows):
     write_numeric_csv(tmp_path / "blocks.csv", ["a", "b"], columns)
     write_numeric_csv_oracle(tmp_path / "one.csv", ["a", "b"], columns)
     assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "column, says",
+    [
+        ([[1.0, 2.0], [3.0, 4.0]], r"column 'b' has shape \(2, 2\), not 1-d, for "),
+        (5.0, r"column 'b' has shape \(\), not 1-d, for "),
+        ([1.0, float("nan")], "non-finite value at row 1, column 'b' for "),
+        ([-np.inf, 1.0], "non-finite value at row 0, column 'b' for "),
+    ],
+    ids=["2-d", "0-d", "nan", "-inf"],
+)
+def test_write_numeric_csv_rejects_a_bad_column_before_it_forks(tmp_path, column, says):
+    f = tmp_path / "bad.csv"
+    with _windows_forced(), patch("os.fork", wraps=os.fork) as fork:
+        with pytest.raises(DataError, match="^" + says + re.escape(str(f)) + "$"):
+            write_numeric_csv(f, ["a", "b"], [[1.0, 2.0], column])
+        with pytest.raises(DataError, match=r"^2 column names for 3 columns for "):
+            write_numeric_csv(f, ["a", "b"], [[1.0], [2.0], [3.0]])
+    fork.assert_not_called()
+    assert not f.exists()
+
+
+# Cells whose text is longest or least usual: -0, subnormals, the smallest
+# normal and the largest finite values.
+_EDGE_VALUES = [-0.0, 0.0, 5e-324, -1e-310, -2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    rows=st.sampled_from([0, 1, 2, WRITE_BLOCK_ROWS - 1, WRITE_BLOCK_ROWS + 1]),
+    width=st.integers(1, 12),
+    seed=st.integers(0, 2**32),
+    edges=st.lists(
+        st.tuples(st.integers(0), st.integers(0), st.sampled_from(_EDGE_VALUES)), max_size=8
+    ),
+)
+def test_a_windowed_write_writes_the_one_window_bytes(rows, width, seed, edges):
+    """Rows of numbers of every scale, with edge values at drawn cells, in three windows."""
+    rng = make_rng(seed)
+    columns = rng.standard_normal((width, rows)) * 10.0 ** rng.integers(-300, 300, (width, rows))
+    for r, j, value in edges:
+        if rows:
+            columns[j % width, r % rows] = value
+    header = [f"x{j}" for j in range(width)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path, one = Path(tmp) / "windows.csv", Path(tmp) / "one.csv"
+        with _windows_forced(), patch("os.fork", wraps=os.fork) as fork:
+            write_numeric_csv(path, header, list(columns))
+        _no_child_left()
+        assert fork.call_count == (2 if rows else 0)
+        write_numeric_csv_oracle(one, header, list(columns))
+        assert path.read_bytes() == one.read_bytes()
+
+
+def _write_in_windows(path: Path, patches: dict) -> None:
+    """Check that a three-window write of 300 rows of 2 columns, with each name in patches
+    patched to its value, writes the oracle's bytes and leaves no child.
+    """
+    columns = list(make_rng(9).standard_cauchy(size=(2, 300)))
+    with _windows_forced(), contextlib.ExitStack() as stack:
+        for name, value in patches.items():
+            stack.enter_context(patch(name, value))
+        write_numeric_csv(path, ["a", "b"], columns)
+    _no_child_left()
+    write_numeric_csv_oracle(path.with_suffix(".one"), ["a", "b"], columns)
+    assert path.read_bytes() == path.with_suffix(".one").read_bytes()
+
+
+def _second_fork_fails() -> Mock:
+    """An os.fork whose second call fails as it does when no process is left."""
+    fork, calls = os.fork, itertools.count(1)
+
+    def second_fork_fails():
+        if next(calls) == 2:
+            raise BlockingIOError("no process left")
+        return fork()
+
+    return Mock(side_effect=second_fork_fails)
+
+
+def test_a_write_whose_second_fork_fails_formats_that_range_itself(tmp_path):
+    fork = _second_fork_fails()
+    _write_in_windows(tmp_path / "t.csv", {"os.fork": fork})
+    assert fork.call_count == 2
+
+
+@pytest.mark.parametrize("code", [0, 3], ids=["a short pipe", "a non-zero exit"])
+def test_a_write_whose_children_fail_formats_their_ranges_itself(tmp_path, code):
+    """Children that exit 0 write nothing, as their lines fail; children that exit 3 first
+    pipe back one byte more than each block of their lines holds, all wrong, which the parent
+    cuts from the file again.
+    """
+    parent, encoded, exit_ = os.getpid(), data._encoded_lines, os._exit
+
+    def failing_child(*args):
+        if os.getpid() != parent:
+            if code == 0:
+                raise ValueError("a child's lines fail")
+            return [b"?" * (len(block) + 1) for block in encoded(*args)]
+        return encoded(*args)
+
+    with patch("os.fork", wraps=os.fork) as fork:
+        _write_in_windows(
+            tmp_path / "t.csv",
+            {"cairoreg.data._encoded_lines": failing_child, "os._exit": lambda _: exit_(code)},
+        )
+    assert fork.call_count == 2
+
+
+def test_a_write_in_a_process_that_ignores_sigchld_does_not_fork(tmp_path):
+    ignored = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        _write_in_windows(tmp_path / "t.csv", {"os.fork": Mock(side_effect=AssertionError("forked"))})
+    finally:
+        signal.signal(signal.SIGCHLD, ignored)
+
+
+def test_a_write_into_a_pipe_stops_its_children_and_formats_every_range(tmp_path):
+    """The 12 kB fit in the pipe's buffer, so the write needs no reader beside it."""
+    read_fd, write_fd = os.pipe()
+    columns = list(make_rng(9).standard_cauchy(size=(2, 300)))
+    with open(read_fd, "rb") as pipe:
+        try:
+            with _windows_forced(), patch("os.fork", wraps=os.fork) as fork:
+                write_numeric_csv(f"/dev/fd/{write_fd}", ["a", "b"], columns)
+        finally:
+            os.close(write_fd)
+        written = pipe.read()
+    _no_child_left()
+    assert fork.call_count == 2
+    write_numeric_csv_oracle(tmp_path / "one.csv", ["a", "b"], columns)
+    assert written == (tmp_path / "one.csv").read_bytes()
+
+
+def test_a_windowed_write_that_is_interrupted_leaves_no_child(tmp_path):
+    parent, lines = os.getpid(), data._lines
+
+    def stuck_children(*args):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)
+        return lines(*args)
+
+    start = time.perf_counter()
+    with _windows_forced(), patch("cairoreg.data._lines", stuck_children), pytest.raises(
+        KeyboardInterrupt
+    ):
+        write_numeric_csv(tmp_path / "t.csv", ["a"], [np.arange(100.0)])
+    _no_child_left()
+    assert time.perf_counter() - start < 30, "a stuck child was waited for, not killed"
 
 
 # Cells float() accepts with a finite value, including five that np.loadtxt
@@ -423,14 +574,7 @@ def test_a_child_that_fails_gives_the_one_pass_result(tmp_path, children_parse):
 def test_a_failed_fork_reads_in_one_window(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("a,b\n" + "1,2\n3,4\n" * 100)
-    fork, calls = os.fork, itertools.count(1)
-
-    def second_fork_fails():
-        if next(calls) == 2:
-            raise BlockingIOError("no process left")
-        return fork()
-
-    with _windows_forced(), patch("os.fork", side_effect=second_fork_fails), patch(
+    with _windows_forced(), patch("os.fork", _second_fork_fails()), patch(
         "cairoreg.data._read_float", wraps=data._read_float
     ) as slow:
         assert _read(read_numeric_csv, path) == _read(read_numeric_csv_oracle, path)
