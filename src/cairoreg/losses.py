@@ -8,9 +8,13 @@ SoftRankConfig, and trusts the spec's checks. The two ranking kernels,
 the surrogate here and softrank in ranks, sort their input once and walk
 the strict lower triangle of pairs in blocks of PAIR_BLOCK_ROWS rows, so
 they hold no n x n temporaries; soft-Gini passes its cotangent to
-softrank, so one walk gives its value and gradient. Their dense forms,
-and the hard pairwise losses the surrogate bounds, are test oracles in
-tests/oracles.py.
+softrank, so one walk gives its value and gradient. The surrogate forms
+each pair's exp(-sigma (s_i - s_j)) as a product of two per-row
+exponentials, exact while sigma times the span of the scores is at most
+EXP_SPAN_LIMIT = 700, where the products stay within float64's range;
+beyond it, and for non-finite scores, it takes the stable per-pair
+softplus over the same blocks. Their dense forms, and the hard pairwise
+losses the surrogate bounds, are test oracles in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -27,6 +31,11 @@ from .ranks import (
     mid_distribution,
     softrank,
 )
+
+# The widest span of sigma * s that the surrogate handles in exponential space.
+# Its factors then stay within exp(+-350) and their products within exp(+-700),
+# short of float64's overflow at exp(709.78) and of subnormals below exp(-708.4).
+EXP_SPAN_LIMIT = 700.0
 
 
 class WeightVariant(Enum):
@@ -91,10 +100,19 @@ def surrogate_pairwise_loss(
 
     The rows are sorted by target once, so the pairs with y_i > y_j are
     j < first[i] (the first row tied with i): a lower triangle, cut back
-    at ties, walked in blocks of PAIR_BLOCK_ROWS rows. One exp(-|x|) per
-    pair serves both softplus(x) and sigmoid(x). A weighted pair's weight is
+    at ties, walked in blocks of PAIR_BLOCK_ROWS rows. With xs = sigma s in
+    target order, a pair's term is softplus(x) and its slope sigmoid(x) for
+    x = xs_j - xs_i. While the span of xs is at most EXP_SPAN_LIMIT, the
+    kernel works in exponential space: with c the middle of that span, it
+    forms u = exp(xs - c) and v = exp(c - xs) once per call, and a block's
+    exp(x) as the outer product v_i u_j, so softplus is log1p(E) and
+    sigmoid E / (1 + E) with no exp per pair. A wider span, or a non-finite
+    one, takes the stable per-pair forms max(x, 0) + log1p(exp(-|x|)) and
+    the matching sigmoid over the same blocks. A weighted pair's weight is
     its gap in g, the sorted targets or (RANK_GAP) their mid-distribution,
-    both nondecreasing. O(n^2) time and O(n * PAIR_BLOCK_ROWS) memory.
+    both nondecreasing. O(n^2) time and O(n * PAIR_BLOCK_ROWS) memory; the
+    exponential form writes every block into three buffers allocated once
+    per call.
     """
     y, s = _check_pair(y, s)
     n = y.size
@@ -103,9 +121,15 @@ def surrogate_pairwise_loss(
     xs = spec.sigma * s[order]
     first = np.searchsorted(ys, ys, side="left")
     g = mid_distribution(y)[order] if spec.variant is WeightVariant.RANK_GAP else ys
+    lo, hi = xs.min(), xs.max()
+    stable = not (hi - lo <= EXP_SPAN_LIMIT)  # NaN and inf spans take the stable forms
+    if not stable:
+        mid = lo + 0.5 * (hi - lo)
+        u, v = np.exp(xs - mid), np.exp(mid - xs)
 
     value = 0.0
     grad = np.zeros(n)
+    buffers = np.empty((3, PAIR_BLOCK_ROWS * n))
     for r0 in range(0, n, PAIR_BLOCK_ROWS):
         r1 = min(r0 + PAIR_BLOCK_ROWS, n)
         # columns below c0 pair with every row of the block, those in [c0, c1) with some
@@ -113,24 +137,33 @@ def surrogate_pairwise_loss(
         if c1 == 0:
             continue
         rows = slice(r0, r1)
-        x = xs[:c1] - xs[rows, None]  # -sigma (s_i - s_j)
-        e = np.abs(x)
-        np.negative(e, out=e)
-        np.exp(e, out=e)
-        slope = np.maximum(e, x >= 0.0)  # sigmoid(x) = (1 if x >= 0 else e) / (1 + e)
-        np.maximum(x, 0.0, out=x)
-        x += np.log1p(e)  # softplus(x)
-        e += 1.0
-        slope /= e
+        size = (r1 - r0) * c1
+        softplus, slope, scratch = (b[:size].reshape(r1 - r0, c1) for b in buffers)
         pairs = np.arange(c0, c1) < first[rows, None]
-        if spec.variant is WeightVariant.UNIFORM:
+        if stable:
+            x = np.subtract(xs[:c1], xs[rows, None], out=softplus)  # -sigma (s_i - s_j)
+            e = np.abs(x, out=scratch)
+            np.negative(e, out=e)
+            np.exp(e, out=e)
+            np.maximum(e, x >= 0.0, out=slope)  # 1 if x >= 0 else e
+            np.maximum(x, 0.0, out=x)
+            x += np.log1p(e)  # softplus(x)
+            # masked after, so that a NaN or infinite term still makes the result NaN
             x[:, c0:] *= pairs
             slope[:, c0:] *= pairs
-            value += float(x.sum())
         else:
-            w = g[rows, None] - g[:c1]
-            w[:, c0:] *= pairs
-            value += float(np.einsum("ij,ij->", w, x))  # fixed order for any BLAS thread count
+            # exp(x) as an outer product, which einsum forms faster than broadcasting
+            e = np.einsum("i,j->ij", v[rows], u[:c1], out=slope)
+            e[:, c0:] *= pairs  # softplus and sigmoid are 0 where exp(x) is
+            np.log1p(e, out=softplus)
+        np.add(e, 1.0, out=scratch)
+        slope /= scratch  # sigmoid(x)
+        if spec.variant is WeightVariant.UNIFORM:
+            value += float(softplus.sum())
+        else:
+            w = np.subtract(g[rows, None], g[:c1], out=scratch)
+            # einsum sums in a fixed order for any BLAS thread count
+            value += float(np.einsum("ij,ij->", w, softplus))
             slope *= w
         grad[:c1] += slope.sum(axis=0)
         grad[rows] -= slope.sum(axis=1)

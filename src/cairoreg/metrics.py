@@ -1,7 +1,8 @@
 """Evaluation statistics: RMSE, Spearman's rho, Kendall's tau, aggregation.
 
 Both rank correlations use mid-ranks under ties; kendall is the tau-b variant
-(tie-corrected), O(n log^2 n) by merge-sort inversion counting: log2(n) sorts.
+(tie-corrected), by merge-sort inversion counting: one sort of n int64 codes
+for each of the log2(n) merge levels, and no binary searches.
 """
 
 from __future__ import annotations
@@ -76,24 +77,37 @@ def _dense_ranks(v: np.ndarray) -> tuple[np.ndarray, int]:
     return ranks, int(np.sum(counts * (counts - 1)) // 2)
 
 
+def _right_half_position_sum(n: int, width: int) -> int:
+    """Sum of the positions i < n whose block of 2 * width puts them in its right half."""
+    full = n // (2 * width)  # full blocks, the right half of block b is [2wb + w, 2wb + 2w)
+    start = 2 * width * full + width
+    partial = max(n - start, 0)
+    in_full = full * width * (2 * width * full + width - 1) // 2
+    return in_full + partial * start + partial * (partial - 1) // 2
+
+
 def _discordant_pairs(keys: np.ndarray) -> int:
     """Pairs i < j with keys[i] > keys[j], for integer keys in [0, n), by bottom-up merge sort.
 
-    Keys offset by block * n let one sort and two searchsorted calls merge every block of a level.
+    A merge level sorts one int64 code per key, ((block << bits | key) << 1) | side, with side
+    1 in a block's right half, so ties put left keys first. Sorting moves each right key left
+    past the left keys of its block that exceed it, so a level's discordant pairs are its right
+    keys' positions before the sort less their positions after it. Codes need 2 log2(n) + 1 bits.
     """
     n = keys.size
-    position = np.arange(n)
+    bits = max(n - 1, 1).bit_length()
+    position = np.arange(n, dtype=np.int64)
+    key_mask = ((1 << bits) - 1) << 1
+    codes = keys.astype(np.int64) << 1
     discordant = 0
-    width = 1
-    while width < n:
-        block = position // (2 * width) * n
-        right = position // width % 2 == 1
-        blocked = block + keys
-        left = blocked[~right]  # sorted: each run is sorted and blocks ascend
-        ends = np.searchsorted(left, block[right] + n)  # where each block's left run ends
-        discordant += int(np.sum(ends - np.searchsorted(left, blocked[right], "right")))
-        keys = np.sort(blocked) - block
-        width *= 2
+    level = 0
+    while 1 << level < n:
+        codes &= key_mask
+        codes |= (position >> (level + 1)) << (bits + 1)
+        codes |= (position >> level) & 1
+        codes.sort()
+        discordant += _right_half_position_sum(n, 1 << level) - int(position @ (codes & 1))
+        level += 1
     return discordant
 
 

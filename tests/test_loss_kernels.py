@@ -2,7 +2,9 @@
 
 Sizes cross several PAIR_BLOCK_ROWS boundaries; inputs mix tied and
 tie-free targets and scores, all three weight variants, and temperatures
-and sigmas over four decades.
+and sigmas over four decades. The surrogate is also checked with scores
+whose span sits just inside and just outside EXP_SPAN_LIMIT, where it
+switches between its exponential-space and stable forms.
 """
 
 import os
@@ -12,12 +14,14 @@ import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from oracles import softrank_oracle, surrogate_pairwise_loss_oracle
 
 import cairoreg
 from cairoreg.losses import (
+    EXP_SPAN_LIMIT,
     PairwiseSurrogate,
     SoftGini,
     WeightVariant,
@@ -64,6 +68,27 @@ def test_surrogate_matches_oracle(n, seed, y_tied, s_tied, variant, log_sigma):
     assert _close(got.grad, want.grad, np.max(np.abs(want.grad)))
     again = surrogate_pairwise_loss(y, s, PairwiseSurrogate(variant, sigma))
     assert again.value == got.value and again.grad.tobytes() == got.grad.tobytes()
+
+
+@pytest.mark.parametrize("span", [EXP_SPAN_LIMIT - 1.0, EXP_SPAN_LIMIT + 1.0])
+@pytest.mark.parametrize("n", [PAIR_BLOCK_ROWS - 1, PAIR_BLOCK_ROWS + 1, 2 * PAIR_BLOCK_ROWS + 1])
+@pytest.mark.parametrize("y_tied", [False, True])
+@pytest.mark.parametrize("variant", list(WeightVariant))
+def test_surrogate_matches_oracle_on_both_sides_of_the_exponential_span_limit(
+    span, n, y_tied, variant
+):
+    # Just inside the limit the kernel multiplies factors up to exp(+-349.5); just outside
+    # it takes the stable per-pair forms. sigma * s spans [20, 20 + span], where exp(sigma * s)
+    # alone would overflow, so the factors must be centred.
+    rng = np.random.default_rng(n)
+    y, s = _vector(rng, n, y_tied), rng.standard_t(2, size=n)
+    sigma = 3.0
+    s = (s - s.min()) * (span / (sigma * np.ptp(s))) + 20.0 / sigma
+    assert (np.ptp(sigma * s) <= EXP_SPAN_LIMIT) == (span < EXP_SPAN_LIMIT)
+    got = surrogate_pairwise_loss(y, s, PairwiseSurrogate(variant, sigma))
+    want = surrogate_pairwise_loss_oracle(y, s, variant, sigma)
+    assert _close(got.value, want.value, abs(want.value))
+    assert _close(got.grad, want.grad, np.max(np.abs(want.grad)))
 
 
 @given(n=SIZES, seed=SEEDS, s_tied=st.booleans(), log_tau=LOG_SCALE)
