@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from .data import SplitSpec, _coerce, _table, config_to_dict, split, split_sizes
+from .data import SplitSpec, _coerce, _table, config_to_dict, split, split_sizes, usable_cpus
 from .dgp import Scenario, ScenarioSpec, generate
 from .metrics import METRICS, AggregateReport, EvalReport, aggregate, kendall, rmse, spearman
 from .pipeline import VARIANTS, FitHyper, fit_variant, predict_model, variant_train_config
@@ -141,13 +141,16 @@ def _tasks(cfg: BenchConfig, max_workers: int) -> list[tuple[BenchConfig, Scenar
     return tasks
 
 
-def run_bench(cfg: BenchConfig, max_workers: int = 1) -> BenchResult:
+def run_bench(cfg: BenchConfig, max_workers: int | None = None) -> BenchResult:
     """Run every (scenario, repetition), aggregate per (scenario, model).
 
-    Above one worker, the tasks of _tasks run on a process pool. Workers
-    receive forked seeds; results are ordered by task index, so the report is
-    identical for any worker count.
+    Above one worker, the tasks of _tasks run on a process pool of
+    max_workers, by default one per usable CPU. Workers receive forked
+    seeds; results are ordered by task index, so the report is identical
+    for any worker count.
     """
+    if max_workers is None:
+        max_workers = usable_cpus()
     if max_workers < 1:
         raise ValueError(f"max_workers must be >= 1, got {max_workers}")
     tasks = _tasks(cfg, max_workers)

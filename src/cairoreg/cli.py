@@ -40,6 +40,7 @@ from .data import (
     load_csv,
     read_numeric_csv,
     select_columns,
+    usable_cpus,
     write_csv,
     write_numeric_csv,
 )
@@ -307,7 +308,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = _command(sub, "bench", cmd_bench, "run the synthetic comparison harness")
-    p.add_argument("--threads", type=int, default=1, help="worker processes; default: 1")
+    p.add_argument(
+        "--threads",
+        type=int,
+        default=usable_cpus(),
+        help="worker processes; default: one per usable CPU (%(default)s here)",
+    )
     p.add_argument("--out-dir", required=True)
     return parser
 

@@ -337,16 +337,21 @@ def _loadtxt_agrees(path: Path) -> bool:
 WINDOW_MIN_BYTES = 1 << 20
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where the platform cannot tell."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
 def _window_count(size: int) -> int:
-    """Windows for size bytes of CSV: min(usable CPUs, size // WINDOW_MIN_BYTES) but at least 1,
-    and 1 where the process cannot fork, cannot tell its CPUs or ignores SIGCHLD, which lets the
-    kernel reap a child before its exit status can be read.
+    """Windows for size bytes of CSV: min(usable_cpus(), size // WINDOW_MIN_BYTES) but at least
+    1, and 1 where the process cannot fork or ignores SIGCHLD, which lets the kernel reap a child
+    before its exit status can be read.
     """
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+    if not hasattr(os, "fork"):
         return 1
     if signal.getsignal(signal.SIGCHLD) == signal.SIG_IGN:
         return 1
-    return max(1, min(len(os.sched_getaffinity(0)), size // WINDOW_MIN_BYTES))
+    return max(1, min(usable_cpus(), size // WINDOW_MIN_BYTES))
 
 
 def _fork(produce, *args) -> tuple[int, typing.BinaryIO]:

@@ -8,13 +8,14 @@ SoftRankConfig, and trusts the spec's checks. The two ranking kernels,
 the surrogate here and softrank in ranks, sort their input once and walk
 the strict lower triangle of pairs in blocks of PAIR_BLOCK_ROWS rows, so
 they hold no n x n temporaries; soft-Gini passes its cotangent to
-softrank, so one walk gives its value and gradient. The surrogate forms
-each pair's exp(-sigma (s_i - s_j)) as a product of two per-row
-exponentials, exact while sigma times the span of the scores is at most
-EXP_SPAN_LIMIT = 700, where the products stay within float64's range;
-beyond it, and for non-finite scores, it takes the stable per-pair
-softplus over the same blocks. Their dense forms, and the hard pairwise
-losses the surrogate bounds, are test oracles in tests/oracles.py.
+softrank, so one walk gives its value and gradient. Both form each pair's
+exponential, exp(-sigma (s_i - s_j)) here and exp(-(s_i - s_j)/tau) in
+softrank, as a product of two per-row exponentials from ranks.exp_factors,
+exact while the span of the scaled scores is at most ranks.EXP_SPAN_LIMIT
+= 700, where the products stay within float64's range; beyond it, and for
+non-finite scaled scores, each takes its stable per-pair form over the same
+blocks. Their dense forms, and the hard pairwise losses the surrogate
+bounds, are test oracles in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -26,16 +27,13 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .ranks import (
+    EXP_SPAN_LIMIT,  # noqa: F401 (callers read the surrogate's limit here too)
     PAIR_BLOCK_ROWS,
     SoftRankConfig,
+    exp_factors,
     mid_distribution,
     softrank,
 )
-
-# The widest span of sigma * s that the surrogate handles in exponential space.
-# Its factors then stay within exp(+-350) and their products within exp(+-700),
-# short of float64's overflow at exp(709.78) and of subnormals below exp(-708.4).
-EXP_SPAN_LIMIT = 700.0
 
 
 class WeightVariant(Enum):
@@ -121,11 +119,7 @@ def surrogate_pairwise_loss(
     xs = spec.sigma * s[order]
     first = np.searchsorted(ys, ys, side="left")
     g = mid_distribution(y)[order] if spec.variant is WeightVariant.RANK_GAP else ys
-    lo, hi = xs.min(), xs.max()
-    stable = not (hi - lo <= EXP_SPAN_LIMIT)  # NaN and inf spans take the stable forms
-    if not stable:
-        mid = lo + 0.5 * (hi - lo)
-        u, v = np.exp(xs - mid), np.exp(mid - xs)
+    factors = exp_factors(xs)  # None for a NaN, inf or too wide span: the stable forms
 
     value = 0.0
     grad = np.zeros(n)
@@ -140,7 +134,7 @@ def surrogate_pairwise_loss(
         size = (r1 - r0) * c1
         softplus, slope, scratch = (b[:size].reshape(r1 - r0, c1) for b in buffers)
         pairs = np.arange(c0, c1) < first[rows, None]
-        if stable:
+        if factors is None:
             x = np.subtract(xs[:c1], xs[rows, None], out=softplus)  # -sigma (s_i - s_j)
             e = np.abs(x, out=scratch)
             np.negative(e, out=e)
@@ -153,6 +147,7 @@ def surrogate_pairwise_loss(
             slope[:, c0:] *= pairs
         else:
             # exp(x) as an outer product, which einsum forms faster than broadcasting
+            u, v = factors
             e = np.einsum("i,j->ij", v[rows], u[:c1], out=slope)
             e[:, c0:] *= pairs  # softplus and sigmoid are 0 where exp(x) is
             np.log1p(e, out=softplus)

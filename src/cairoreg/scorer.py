@@ -14,7 +14,8 @@ The activations, the gradient vector and Adam's moments live in one
 Workspace, and forward, backward and adam_step write through out= into its
 buffers and the parameter vector. train builds one per fit, sized for its
 largest batch; forward and backward called without one build a fresh one
-for their rows.
+for their rows. A workspace allocates each buffer at its first use, so a
+call allocates only the buffers it writes.
 """
 
 from __future__ import annotations
@@ -99,50 +100,44 @@ class Workspace:
 
     Row buffers have one row per row of the largest batch they serve; a
     batch of n rows uses their [:n] views. X and y hold the batch train
-    gathers and finite its finiteness checks. grads is the gradient vector
-    with its layer views, m and v are Adam's moments, zero until the first
-    step, and adam_scratch two more vectors of the parameters' length.
+    gathers and finite its finiteness checks; relu1 and relu2 mark Z1 > 0
+    and Z2 > 0. finite, relu1 and relu2 are bool. grads is the gradient
+    vector with its layer views, m and v are Adam's moments, zero until the
+    first step, and adam_scratch two more vectors of the parameters' length.
+    Each buffer is allocated at its first use, so a workspace that only
+    forward writes, as score_rows' does, holds only forward's buffers.
     """
 
-    X: np.ndarray
-    y: np.ndarray
-    finite: np.ndarray  # as bool
-    Z1: np.ndarray
-    H1: np.ndarray
-    Z2: np.ndarray
-    H2: np.ndarray
-    scores: np.ndarray
-    dZ1: np.ndarray
-    dZ2: np.ndarray
-    relu1: np.ndarray  # Z1 > 0, as bool
-    relu2: np.ndarray  # Z2 > 0, as bool
-    grads: MlpParams
-    m: np.ndarray
-    v: np.ndarray
-    adam_scratch: tuple[np.ndarray, np.ndarray]
+    rows: int
+    dims: tuple[int, int, int]
 
     @classmethod
     def empty(cls, rows: int, dims: tuple[int, int, int]) -> Workspace:
-        d, h1, h2 = dims
-        size = _vector_size(dims)
-        return cls(
-            X=np.empty((rows, d)),
-            y=np.empty(rows),
-            finite=np.empty(rows, dtype=bool),
-            Z1=np.empty((rows, h1)),
-            H1=np.empty((rows, h1)),
-            Z2=np.empty((rows, h2)),
-            H2=np.empty((rows, h2)),
-            scores=np.empty(rows),
-            dZ1=np.empty((rows, h1)),
-            dZ2=np.empty((rows, h2)),
-            relu1=np.empty((rows, h1), dtype=bool),
-            relu2=np.empty((rows, h2), dtype=bool),
-            grads=MlpParams(np.empty(size), dims),
-            m=np.zeros(size),
-            v=np.zeros(size),
-            adam_scratch=(np.empty(size), np.empty(size)),
-        )
+        return cls(rows, dims)
+
+    def __getattr__(self, name: str):
+        """Allocates a buffer at its first use; the instance then holds it."""
+        if name.startswith("_"):  # copy and pickle look up dunders before dims is set
+            raise AttributeError(name)
+        d, h1, h2 = self.dims
+        n, size = self.rows, _vector_size(self.dims)
+        floats = {"X": (n, d), "y": (n,), "scores": (n,), "Z1": (n, h1), "H1": (n, h1)}
+        floats |= {"dZ1": (n, h1), "Z2": (n, h2), "H2": (n, h2), "dZ2": (n, h2)}
+        masks = {"finite": (n,), "relu1": (n, h1), "relu2": (n, h2)}
+        if name in floats:
+            buffer = np.empty(floats[name])
+        elif name in masks:
+            buffer = np.empty(masks[name], dtype=bool)
+        elif name in ("m", "v"):
+            buffer = np.zeros(size)
+        elif name == "grads":
+            buffer = MlpParams(np.empty(size), self.dims)
+        elif name == "adam_scratch":
+            buffer = (np.empty(size), np.empty(size))
+        else:
+            raise AttributeError(name)
+        object.__setattr__(self, name, buffer)
+        return buffer
 
 
 def forward(

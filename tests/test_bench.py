@@ -1,9 +1,11 @@
 import json
+import os
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from cairoreg import bench
 from cairoreg.bench import (
     BenchConfig,
     BenchError,
@@ -13,6 +15,7 @@ from cairoreg.bench import (
     write_results_json,
     write_table_csv,
 )
+from cairoreg.data import usable_cpus
 from cairoreg.dgp import Scenario
 from cairoreg.pipeline import VARIANTS, FitHyper
 
@@ -130,6 +133,16 @@ class TestRunBench:
         with pytest.raises(ValueError, match=f"^max_workers must be >= 1, got {max_workers}$"):
             run_bench(_smoke_cfg(), max_workers=max_workers)
         assert not generated
+
+    def test_default_worker_count_is_the_usable_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        workers = []
+        monkeypatch.setattr(bench, "_tasks", lambda cfg, w: workers.append(w) or [])
+        run_bench(_smoke_cfg())
+        assert workers == [usable_cpus()] == [3]
+        monkeypatch.delattr(os, "sched_getaffinity")
+        run_bench(_smoke_cfg())
+        assert workers[1:] == [usable_cpus()] == [1]
 
     def test_forked_seeds_differ_across_reps(self):
         result = run_bench(

@@ -1,13 +1,14 @@
 import argparse
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
 
 from cairoreg.bench import BenchConfig
 from cairoreg.cli import OPTIONS, build_parser, main
-from cairoreg.data import TARGET_COLUMN, load_csv
+from cairoreg.data import TARGET_COLUMN, load_csv, usable_cpus
 from cairoreg.isotonic import predict as calibration_predict
 from cairoreg.losses import PairwiseSurrogate, SoftGini
 from cairoreg.pipeline import load_model, mse_fit, predict_model, save_model
@@ -783,6 +784,13 @@ class TestOptionTable:
 
 
 class TestBenchCommand:
+    def test_default_thread_count_is_the_usable_cpu_count(self, monkeypatch, capsys):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1, 3, 4}, raising=False)
+        assert build_parser().parse_args(["bench", "--out-dir", "b"]).threads == usable_cpus() == 3
+        with pytest.raises(SystemExit):
+            main(["bench", "--help"])
+        assert "default: one per usable CPU (3 here)" in " ".join(capsys.readouterr().out.split())
+
     @pytest.mark.parametrize("threads", [0, -3])
     def test_worker_count_below_one_fails_naming_the_option(
         self, tmp_path, capsys, monkeypatch, threads

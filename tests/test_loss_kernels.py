@@ -2,9 +2,9 @@
 
 Sizes cross several PAIR_BLOCK_ROWS boundaries; inputs mix tied and
 tie-free targets and scores, all three weight variants, and temperatures
-and sigmas over four decades. The surrogate is also checked with scores
-whose span sits just inside and just outside EXP_SPAN_LIMIT, where it
-switches between its exponential-space and stable forms.
+and sigmas over four decades. Both kernels are also checked with scores
+whose scaled span sits just inside and just outside EXP_SPAN_LIMIT, where
+they switch between their exponential-space and stable forms.
 """
 
 import os
@@ -112,6 +112,27 @@ def test_softrank_matches_oracle(n, seed, s_tied, log_tau):
     values_alone, zero_grad = softrank(s, cfg)  # the cotangent defaults to zeros
     assert values_alone.tobytes() == values.tobytes()
     assert not zero_grad.any()
+
+
+@pytest.mark.parametrize("span", [EXP_SPAN_LIMIT - 1.0, EXP_SPAN_LIMIT + 1.0])
+@pytest.mark.parametrize("n", [PAIR_BLOCK_ROWS - 1, PAIR_BLOCK_ROWS + 1, 2 * PAIR_BLOCK_ROWS + 1])
+@pytest.mark.parametrize("s_tied", [False, True])
+def test_softrank_matches_oracle_on_both_sides_of_the_exponential_span_limit(span, n, s_tied):
+    # Just inside the limit the kernel multiplies factors up to exp(+-349.5); just outside
+    # it takes the stable per-pair form. s / tau spans [20, 20 + span], where exp(s / tau)
+    # alone would overflow, so the factors must be centred.
+    rng = np.random.default_rng(n)
+    s, v = _vector(rng, n, s_tied), rng.normal(size=n)
+    cfg = SoftRankConfig(0.01)
+    s = (s - s.min()) * (span * cfg.temperature / np.ptp(s)) + 20.0 * cfg.temperature
+    assert (np.ptp(s / cfg.temperature) <= EXP_SPAN_LIMIT) == (span < EXP_SPAN_LIMIT)
+    values, grad = softrank(s, cfg, v)
+    want_values, want_jac = softrank_oracle(s, cfg)
+    assert _close(values, want_values, np.max(np.abs(want_values)))
+    assert abs(values.sum() - n * (n + 1) / 2) <= 1e-9
+    floor = 4 * n * EPS * np.max(np.abs(v)) / cfg.temperature
+    want_grad = want_jac(v)
+    assert np.max(np.abs(grad - want_grad)) <= TOL * np.max(np.abs(want_grad)) + floor
 
 
 @given(n=SIZES, seed=SEEDS, s_tied=st.booleans(), log_tau=LOG_SCALE)

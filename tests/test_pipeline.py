@@ -36,7 +36,7 @@ from cairoreg.pipeline import (
     variant_loss_spec,
     variant_train_config,
 )
-from cairoreg.scorer import TrainConfig, forward
+from cairoreg.scorer import TrainConfig, Workspace, forward
 
 
 def _quick_cfg(**kw):
@@ -375,6 +375,38 @@ class TestScorePath:
         finally:
             tracemalloc.stop()
         assert peak < 3 * X.nbytes, f"peak {peak / X.nbytes:.1f}x the feature matrix"
+
+    def test_score_rows_allocates_only_the_buffers_forward_writes(self, wide_models, monkeypatch):
+        model = wide_models["ranknet"]
+        X = make_rng(7).standard_normal((SCORE_CHUNK_ROWS, 10))
+
+        def peak():
+            tracemalloc.start()
+            try:
+                scores = score_rows(model.scorer, model.standardizer, X)
+                return tracemalloc.get_traced_memory()[1], scores
+            finally:
+                tracemalloc.stop()
+
+        def unused(work):
+            """The training rows X, y and finite, backward's buffers, the gradient and Adam's."""
+            rows = [work.X, work.y, work.finite, work.dZ1, work.dZ2, work.relu1, work.relu2]
+            return rows + [work.grads.vector, work.m, work.v, *work.adam_scratch]
+
+        empty = Workspace.empty
+
+        def allocated_up_front(rows, dims):  # every buffer at once
+            work = empty(rows, dims)
+            unused(work)
+            return work
+
+        lean, want = peak()
+        monkeypatch.setattr(Workspace, "empty", allocated_up_front)
+        full, got = peak()
+        assert got.tobytes() == want.tobytes()
+        unused_bytes = sum(a.nbytes for a in unused(empty(SCORE_CHUNK_ROWS, model.scorer.dims)))
+        assert unused_bytes > 4 * 2**20  # 0.7 MB of training rows and vectors, 3.4 MB of backward's
+        assert full - lean >= unused_bytes, (full, lean, unused_bytes)
 
     def test_prediction_bits_do_not_depend_on_the_blas_thread_count(self):
         src = str(Path(cairoreg.__path__[0]).parent)
