@@ -15,8 +15,10 @@ import contextlib
 import csv
 import io
 import os
+import shutil
 import signal
 import stat
+import tempfile
 import typing
 import warnings
 from collections import Counter
@@ -333,7 +335,7 @@ def _loadtxt_agrees(path: Path) -> bool:
 # Bytes of CSV that each window of a read or a write handles at the least.
 # On a 2-vCPU Xeon np.loadtxt parses about 50 MB/s and "%.17g" formats about
 # 27 MB/s, so 1 MiB is 20-37 ms, against 2-4 ms to fork a 150 MB process,
-# pipe back its part and reap it.
+# hand back its part in a temporary file and reap it.
 WINDOW_MIN_BYTES = 1 << 20
 
 
@@ -355,40 +357,47 @@ def _window_count(size: int) -> int:
 
 
 def _fork(produce, *args) -> tuple[int, typing.BinaryIO]:
-    """(pid, pipe) of a forked child that pipes back the buffers that produce(*args) returns.
+    """(pid, file) of a forked child that writes its part into file by produce(file, *args).
 
-    The child writes their total size, 8 bytes little-endian, then the buffers, and exits 0;
-    where produce returns None or raises, it exits 1. It writes nothing else and runs no exit
-    handler of the parent.
+    file is an anonymous temporary file, opened before the fork in tempfile's directory. The
+    child exits 0 once produce returns and file is flushed, and 1 where produce raises; it runs
+    no exit handler of the parent. The parent may use file only after _finished.
     """
-    read_fd, write_fd = os.pipe()
+    file = tempfile.TemporaryFile()
     try:
         pid = os.fork()
     except BaseException:
-        os.close(read_fd)
-        os.close(write_fd)
+        file.close()
         raise
     if pid == 0:
         code = 1
         try:
-            os.close(read_fd)
-            buffers = produce(*args)
-            if buffers is not None:
-                with open(write_fd, "wb") as out:
-                    out.write(sum(memoryview(b).nbytes for b in buffers).to_bytes(8, "little"))
-                    out.writelines(buffers)
-                code = 0
+            produce(file, *args)
+            file.flush()
+            code = 0
         finally:
             os._exit(code)
-    os.close(write_fd)
-    return pid, open(read_fd, "rb")
+    return pid, file
+
+
+def _finished(pid: int, children: dict[int, typing.BinaryIO]) -> typing.BinaryIO | None:
+    """The file of child pid, rewound, where the child exits 0; None, the file closed, where
+    it does not. The child is reaped and leaves children either way.
+    """
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    file = children.pop(pid)
+    if code == 0:
+        file.seek(0)
+        return file
+    file.close()
+    return None
 
 
 def _stop(children: dict[int, typing.BinaryIO]) -> None:
-    """Kill and reap each child not yet reaped, closing its pipe."""
+    """Kill and reap each child not yet reaped, closing its file."""
     while children:
-        pid, pipe = children.popitem()
-        pipe.close()
+        pid, file = children.popitem()
+        file.close()
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
 
@@ -446,71 +455,73 @@ def _loadtxt(fh: io.TextIOWrapper) -> np.ndarray:
         )
 
 
-def _parse_window(
-    path: Path, start: int, end: int | None, width: int
-) -> list[np.ndarray] | None:
-    """[cells] of bytes start to end of path as _loadtxt reads them; None unless it finds width
-    columns.
+def _parse_window(path: Path, start: int, end: int | None, width: int) -> np.ndarray:
+    """The cells of bytes start to end of path, or to its end when end is None, as _loadtxt
+    reads them; ValueError unless it finds width columns.
     """
     with _window(path, start, end) as fh:
         cells = _loadtxt(fh)
-    return [cells] if cells.shape[1] == width else None
+    if cells.shape[1] != width:
+        raise ValueError(f"{cells.shape[1]} columns, not {width}")
+    return cells
 
 
-def _read_loadtxt(
-    path: Path, cuts: list[int] | None = None
-) -> tuple[list[str], np.ndarray] | None:
+def _write_window(file: typing.BinaryIO, *args) -> None:
+    """Write into file the float64 cells of _parse_window(*args)."""
+    file.write(_parse_window(*args))
+
+
+def _read_loadtxt(path: Path) -> tuple[list[str], np.ndarray] | None:
     """Header and matrix of path, np.loadtxt parsing the rows after the header; None where it
     might read them otherwise than float(), or any window fails, warns or finds other than one
     column per name, or a child does not exit 0.
 
-    path is cut just after newline bytes, at cuts when given, into at most _window_count
-    windows. The parent parses the first, header included, and a forked child each other one,
-    whose cells the parent reads into a view of the result. A failed fork reads the file in one
-    window. No child outlives the call, however it ends.
+    path is cut just after newline bytes into at most _window_count windows. A forked child
+    parses each window after the first into a temporary file (_fork), which the parent reads
+    into a view of the result once the child exits 0. The parent parses the first window,
+    header included, and every window left without a child, as when a fork or a temporary
+    file fails. No child outlives the call, however it ends.
     """
-    if cuts is None:
-        if not _loadtxt_agrees(path):
-            return None
-        size = path.stat().st_size
-        cuts = _cuts(path, size, _window_count(size))
+    if not _loadtxt_agrees(path):
+        return None
+    size = path.stat().st_size
+    cuts = _cuts(path, size, _window_count(size))
     children: dict[int, typing.BinaryIO] = {}
+    files: list[typing.BinaryIO] = []
     try:
         with _window(path, 0, cuts[0] if cuts else None) as fh:
             header = _header(filter(None, csv.reader(fh)), path)
             width = len(header)
-            for start, end in zip(cuts, [*cuts[1:], None]):
-                try:
-                    pid, pipe = _fork(_parse_window, path, start, end, width)
-                except OSError:
-                    _stop(children)
-                    return _read_loadtxt(path, [])
-                children[pid] = pipe
+            with contextlib.suppress(OSError):  # the parent parses each window left without a child
+                for start, end in zip(cuts, [*cuts[1:], None]):
+                    pid, file = _fork(_write_window, path, start, end, width)
+                    children[pid] = file
             first = _loadtxt(fh)
         if first.shape[1] != width:
             return None
-        if not children:
-            return header, first
-        sizes = [pipe.read(8) for pipe in children.values()]
-        if any(len(size) < 8 for size in sizes):
-            return None
-        rows = [int.from_bytes(size, "little") // (8 * width) for size in sizes]
-        matrix = np.empty((len(first) + sum(rows), width))
+        if len(children) == len(cuts):
+            last = np.empty((0, width))
+        else:  # the windows left without a child, parsed as one
+            last = _parse_window(path, cuts[len(children)], None, width)
+        for pid in list(children):
+            file = _finished(pid, children)
+            if file is None:
+                return None
+            files.append(file)
+        rows = [os.fstat(file.fileno()).st_size // (8 * width) for file in files]
+        matrix = np.empty((len(first) + sum(rows) + len(last), width))
         matrix[: len(first)] = first
         row = len(first)
-        for (pid, pipe), n in zip(list(children.items()), rows):
-            view = matrix[row : row + n]
+        for file, n in zip(files, rows):
+            file.readinto(matrix[row : row + n])
             row += n
-            if pipe.readinto(view) != view.nbytes:
-                return None
-            del children[pid]
-            pipe.close()
-            if os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) != 0:
-                return None
+        matrix[row:] = last
     except Exception:  # whatever stopped loadtxt, the float() path reads or names it
         return None
     finally:
         _stop(children)
+        for file in files:
+            file.close()
     return header, matrix
 
 
@@ -542,8 +553,9 @@ def read_numeric_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
     """Parse a fully numeric CSV with a header row into (column names, float64 matrix).
 
     csv reads the header and np.loadtxt the rows after it, in one window per usable CPU
-    for a large file (see _read_loadtxt). Where loadtxt fails in any window or might read
-    the rows otherwise, the float() path reads the file again in one pass: it
+    for a large file, a forked child parsing each window after the first and handing back
+    its cells in a temporary file (see _read_loadtxt). Where loadtxt fails in any window or
+    might read the rows otherwise, the float() path reads the file again in one pass: it
     alone accepts cells such as 1_000, non-ASCII digits and quoted cells, and it alone
     makes the error messages, so both give the same result or message. A non-numeric
     cell, a missing or non-finite value and a repeated column name are hard errors
@@ -610,8 +622,9 @@ def load_csv(path: str | Path, target_column: str = TARGET_COLUMN) -> Dataset:
     )
 
 
-# Rows formatted at a time by write_numeric_csv: its Python floats and lines
-# for this many rows are all it holds beyond the columns.
+# Rows formatted at a time by write_numeric_csv and each of its window children:
+# their Python floats and lines for this many rows are all each holds beyond the
+# columns.
 WRITE_BLOCK_ROWS = 8192
 
 
@@ -622,31 +635,12 @@ def _lines(arrays: list[np.ndarray], line: str, r0: int, r1: int) -> Iterator[It
         yield (line % row for row in block)
 
 
-def _encoded_lines(arrays: list[np.ndarray], line: str, r0: int, r1: int) -> list[bytes]:
-    """The bytes of _lines(arrays, line, r0, r1), one buffer per block."""
-    return ["".join(lines).encode() for lines in _lines(arrays, line, r0, r1)]
-
-
-def _copied(pid: int, children: dict[int, typing.BinaryIO], fh: io.TextIOWrapper) -> bool:
-    """Whether the child pid pipes all its bytes into fh and exits 0; if not, fh is cut back.
-
-    The child is reaped and leaves children either way.
-    """
-    start = fh.tell()  # flushes fh, so the bytes follow its text
-    pipe = children[pid]
-    size = pipe.read(8)
-    left = int.from_bytes(size, "little") if len(size) == 8 else -1
-    buffer = memoryview(bytearray(1 << 16))
-    while left > 0 and (n := pipe.readinto(buffer[: min(left, len(buffer))])):
-        fh.buffer.write(buffer[:n])
-        left -= n
-    del children[pid]
-    pipe.close()
-    if os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0 and left == 0:
-        return True
-    fh.seek(start)
-    fh.truncate()
-    return False
+def _write_lines(
+    out: typing.BinaryIO, arrays: list[np.ndarray], line: str, r0: int, r1: int
+) -> None:
+    """Write the UTF-8 bytes of _lines(arrays, line, r0, r1) into out, one block at a time."""
+    for lines in _lines(arrays, line, r0, r1):
+        out.write("".join(lines).encode())
 
 
 def write_numeric_csv(path: str | Path, header: list[str], columns: list[np.ndarray]) -> None:
@@ -658,11 +652,11 @@ def write_numeric_csv(path: str | Path, header: list[str], columns: list[np.ndar
     opened.
 
     The rows are cut into _window_count(rows x columns x 25) ranges, 25 bytes being the
-    longest cell and its separator. A forked child formats each range after the first and
-    pipes back its bytes, which the parent copies after its own range. The parent formats
-    itself each range that has no child or whose child fails, and every range of an output
-    that is not a regular file, so the file has the one-window bytes. No child outlives the
-    call.
+    longest cell and its separator. A forked child formats each range after the first into
+    a temporary file (_fork), one WRITE_BLOCK_ROWS block at a time, which the parent copies
+    after its own range once the child exits 0. The parent formats itself each range that
+    has no child or whose child fails, so the output, a pipe or device included, has the
+    one-window bytes. No child outlives the call.
     """
     duplicated = _duplicates(header)
     if duplicated:
@@ -689,17 +683,19 @@ def write_numeric_csv(path: str | Path, header: list[str], columns: list[np.ndar
     try:
         with contextlib.suppress(OSError):  # the parent formats each range left without a child
             for r0, r1 in ranges[1:]:
-                pid, pipe = _fork(_encoded_lines, arrays, line, r0, r1)
-                children[pid] = pipe
+                pid, file = _fork(_write_lines, arrays, line, r0, r1)
+                children[pid] = file
         pids = [None, *children]
         with Path(path).open("w", newline="", encoding="utf-8") as fh:
-            if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                _stop(children)  # a pipe or device cannot be cut back after a failed child
             csv.writer(fh).writerow(header)
+            fh.flush()  # the rows go to fh.buffer, after the header
             for (r0, r1), pid in zip_longest(ranges, pids):
-                if pid not in children or not _copied(pid, children, fh):
-                    for lines in _lines(arrays, line, r0, r1):
-                        fh.writelines(lines)
+                file = None if pid is None else _finished(pid, children)
+                if file is None:
+                    _write_lines(fh.buffer, arrays, line, r0, r1)
+                else:
+                    with file:
+                        shutil.copyfileobj(file, fh.buffer)
     finally:
         _stop(children)
 

@@ -27,7 +27,6 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .ranks import (
-    EXP_SPAN_LIMIT,  # noqa: F401 (callers read the surrogate's limit here too)
     PAIR_BLOCK_ROWS,
     SoftRankConfig,
     exp_factors,

@@ -21,14 +21,13 @@ from oracles import softrank_oracle, surrogate_pairwise_loss_oracle
 
 import cairoreg
 from cairoreg.losses import (
-    EXP_SPAN_LIMIT,
     PairwiseSurrogate,
     SoftGini,
     WeightVariant,
     soft_gini_loss,
     surrogate_pairwise_loss,
 )
-from cairoreg.ranks import PAIR_BLOCK_ROWS, SoftRankConfig, softrank
+from cairoreg.ranks import EXP_SPAN_LIMIT, PAIR_BLOCK_ROWS, SoftRankConfig, softrank
 
 EPS = np.finfo(np.float64).eps
 TOL = 1e-12
