@@ -32,6 +32,7 @@ from .bench import (
 )
 from .data import (
     TARGET_COLUMN,
+    DataError,
     _coerce,
     _plain,
     _table,
@@ -151,6 +152,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
     # The bundle records the model first, then the data path, then the rest.
     config = {"model": model_name, "data": str(args.data), **opts}
     ds = load_csv(args.data, opts["target_column"])
+    if ds.d == 0:
+        raise CliError(f"no feature columns in {args.data}")
     model = fit_variant(model_name, ds, train_cfg, opts["calibration_fraction"])
     try:  # mse_fit leaves its last step unchecked; a model that overflows is not written
         predict_model(model, ds.features)
@@ -175,16 +178,20 @@ def _emit_plot_data(model, ds, path: Path, config: dict) -> None:
     _write_sidecar(path, PLOT_DATA_VERSION, config)
 
 
-def _load_feature_matrix(path: str, target_column: str, names: tuple[str, ...]) -> np.ndarray:
-    header, parsed = read_numeric_csv(path)
-    keep = feature_columns(header, target_column)
-    return select_columns([header[j] for j in keep], parsed[:, keep], names)
+def _model_features(args: argparse.Namespace, model, header: list[str], matrix: np.ndarray):
+    """The columns of matrix that model was fitted on; a mismatch names --data and --model."""
+    try:
+        return select_columns(header, matrix, model.feature_names)
+    except DataError as exc:
+        raise CliError(f"{exc}; data {args.data}, model {args.model}") from None
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
     target_column = _resolve(args)["target_column"]
     model = load_model(args.model)
-    X = _load_feature_matrix(args.data, target_column, model.feature_names)
+    header, parsed = read_numeric_csv(args.data)
+    keep = feature_columns(header, target_column)
+    X = _model_features(args, model, [header[j] for j in keep], parsed[:, keep])
     yhat = predict_model(model, X)
     out = Path(args.out)
     write_numeric_csv(out, ["prediction"], [yhat])
@@ -201,9 +208,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     ds = load_csv(args.data, target_column)
     if args.model is not None:
         model = load_model(args.model)
-        yhat = predict_model(
-            model, select_columns(ds.feature_names, ds.features, model.feature_names)
-        )
+        yhat = predict_model(model, _model_features(args, model, ds.feature_names, ds.features))
         model_label = str(args.model)
     else:
         header, parsed = read_numeric_csv(args.pred)
@@ -212,7 +217,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         yhat = parsed[:, header.index("prediction")]
         if yhat.size != ds.n:
             raise CliError(
-                f"row mismatch: {yhat.size} predictions vs {ds.n} data rows"
+                f"row mismatch: {yhat.size} predictions in {args.pred}"
+                f" vs {ds.n} data rows in {args.data}"
             )
         model_label = str(args.pred)
     config = {

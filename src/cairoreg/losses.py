@@ -12,10 +12,11 @@ softrank, so one walk gives its value and gradient. Both form each pair's
 exponential, exp(-sigma (s_i - s_j)) here and exp(-(s_i - s_j)/tau) in
 softrank, as a product of two per-row exponentials from ranks.exp_factors,
 exact while the span of the scaled scores is at most ranks.EXP_SPAN_LIMIT
-= 700, where the products stay within float64's range; beyond it, and for
-non-finite scaled scores, each takes its stable per-pair form over the same
-blocks. Their dense forms, and the hard pairwise losses the surrogate
-bounds, are test oracles in tests/oracles.py.
+= 700, where the products stay within float64's range. Beyond it, and for
+non-finite scaled scores, the surrogate takes its stable per-pair forms over
+the same blocks, and softrank changes only how it forms each exponential:
+with an exp per pair. Their dense forms, and the hard pairwise losses the
+surrogate bounds, are test oracles in tests/oracles.py.
 """
 
 from __future__ import annotations

@@ -8,7 +8,8 @@ the soft ranks and a VJP; sigmoid(-x) = 1 - sigmoid(x) gives the upper one.
 Both pairwise kernels, softrank here and the surrogate loss in losses, work
 in exponential space while their scaled scores span at most EXP_SPAN_LIMIT:
 exp_factors forms two exponentials per score once per call, and a pair's
-exp(x_j - x_i) is the product of one from each row, with no exp per pair.
+exp(x_j - x_i) is the product of one from each row. In softrank, a wider span
+changes only how that exponential is formed: with an exp per pair.
 """
 
 from __future__ import annotations
@@ -97,10 +98,9 @@ def softrank(
     for every input and converge to mid-ranks as tau -> 0 on tie-free input.
     One walk over the strict lower triangle of the sorted scores, in blocks
     of PAIR_BLOCK_ROWS rows, gives both: O(n^2) time, O(n * PAIR_BLOCK_ROWS) memory.
-    While (max s - min s)/tau is at most EXP_SPAN_LIMIT, each pair's exponential
-    is a product of exp_factors, and every block is written into one buffer
-    allocated once per call; a wider span, or a non-finite one, takes an exp
-    per pair, the stable form.
+    Every block is written into one buffer allocated once per call. A block's
+    pair exponentials are products of exp_factors while (max s - min s)/tau is
+    at most EXP_SPAN_LIMIT; a wider or non-finite span takes an exp per pair.
     """
     s = _check_scores(scores)
     n = s.size
@@ -118,54 +118,42 @@ def softrank(
     # d softrank_i / d s_k is -(1/tau) sig'((s_i-s_k)/tau) off the diagonal and
     # (1/tau) sum_j sig'((s_i-s_j)/tau) on it and sig' is even, with D the lower
     # triangle of sig' = e p^2, v^T J = (v (D 1 + D^T 1) - D v - D^T v)/tau.
+    # A block's m rows of p and of D are stacked in the buffer: one sum gives both
+    # row sums, and one product with [[1, 0], [0, 1], [0, v]] the column sums and
+    # v^T D, over an inner dimension of 2m <= 2 PAIR_BLOCK_ROWS, which a threaded
+    # BLAS sums alike for any thread count.
     below = np.zeros(n)
     above = np.zeros(n)
     out = np.zeros(n)
     factors = exp_factors(scaled)
-    if factors is not None:
-        # e = exp(scaled_j - scaled_i) is the product of a factor of row i and one of
-        # column j. A block's m rows of p and of D are stacked in one buffer allocated
-        # once per call: one sum gives both row sums, and one product with
-        # [[1, 0], [0, 1], [0, v]] the column sums and v^T D, over an inner dimension of
-        # 2m <= 2 PAIR_BLOCK_ROWS, which a threaded BLAS sums alike for any thread count.
-        col, row = factors
-        buffer = np.empty(2 * PAIR_BLOCK_ROWS * n)
-        lower = np.tri(PAIR_BLOCK_ROWS, k=-1, dtype=bool)
+    buffer = np.empty(2 * PAIR_BLOCK_ROWS * n)
+    lower = np.tri(PAIR_BLOCK_ROWS, k=-1, dtype=bool)
     for r0 in range(0, n, PAIR_BLOCK_ROWS):
         r1 = min(r0 + PAIR_BLOCK_ROWS, n)  # rows [r0, r1) over the columns j < r1
-        if factors is None:
-            e = scaled[:r1] - scaled[r0:r1, None]  # <= 0 below the diagonal
-            square = e[:, r0:]  # holds the diagonal; p is masked on and above it
+        m = r1 - r0
+        pd = buffer[: 2 * m * r1].reshape(2 * m, r1)
+        p, d = pd[:m], pd[m:]
+        if factors is None:  # e = exp(scaled_j - scaled_i), <= 1 below the diagonal
+            np.subtract(scaled[:r1], scaled[r0:r1, None], out=d)
+            square = d[:, r0:]  # holds the diagonal; p is masked on and above it
             np.minimum(square, 0.0, out=square)  # so that exp cannot overflow there
-            np.exp(e, out=e)
-            p = e + 1.0
-            np.reciprocal(p, out=p)
-            p[:, r0:] *= np.arange(r0, r1) < np.arange(r0, r1)[:, None]
-            below[r0:r1] += p.sum(axis=1)
-            above[:r1] += p.sum(axis=0)
-            p *= p
-            p *= e  # now D
-            out[r0:r1] += p.sum(axis=1) * v[r0:r1] - p @ v[:r1]
-            out[:r1] += p.sum(axis=0) * v[:r1] - v[r0:r1] @ p
-        else:
-            m = r1 - r0
-            pd = buffer[: 2 * m * r1].reshape(2 * m, r1)
-            p, d = pd[:m], pd[m:]
-            e = np.einsum("i,j->ij", row[r0:r1], col[:r1], out=d)
-            np.add(e, 1.0, out=p)
-            np.reciprocal(p, out=p)
-            p[:, r0:] *= lower[:m, :m]  # e is finite, up to exp(EXP_SPAN_LIMIT), above it
-            d *= p
-            d *= p  # now D = e p^2, 0 where p is
-            sums = pd.sum(axis=1)
-            below[r0:r1] += sums[:m]
-            out[r0:r1] += sums[m:] * v[r0:r1] - d @ v[:r1]
-            left = np.zeros((3, 2 * m))
-            left[0, :m] = left[1, m:] = 1.0
-            left[2, m:] = v[r0:r1]
-            cols = left @ pd  # 1^T p, 1^T D and v^T D
-            above[:r1] += cols[0]
-            out[:r1] += cols[1] * v[:r1] - cols[2]
+            np.exp(d, out=d)
+        else:  # e as the product of a factor of row i and one of column j
+            np.einsum("i,j->ij", factors[1][r0:r1], factors[0][:r1], out=d)
+        np.add(d, 1.0, out=p)
+        np.reciprocal(p, out=p)
+        p[:, r0:] *= lower[:m, :m]  # e <= exp(EXP_SPAN_LIMIT) above it, so p is 0 there
+        d *= p
+        d *= p  # now D = e p^2, 0 where p is
+        sums = pd.sum(axis=1)
+        below[r0:r1] += sums[:m]
+        out[r0:r1] += sums[m:] * v[r0:r1] - d @ v[:r1]
+        left = np.zeros((3, 2 * m))
+        left[0, :m] = left[1, m:] = 1.0
+        left[2, m:] = v[r0:r1]
+        cols = left @ pd  # 1^T p, 1^T D and v^T D
+        above[:r1] += cols[0]
+        out[:r1] += cols[1] * v[:r1] - cols[2]
     values = np.empty(n)
     values[order] = (n - np.arange(n)) + below - above
     grad = np.empty(n)

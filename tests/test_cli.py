@@ -208,7 +208,45 @@ class TestFitPredictEval:
             assert a.replace(str(data), str(swapped)) == b
             capsys.readouterr()
             assert run(command, renamed, tmp_path / f"c.{ext}") == 1
-            assert "missing ['x1']" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert "missing ['x1']" in err and f"data {renamed}, model {model_path}" in err
+            assert not (tmp_path / f"c.{ext}").exists()
+
+    def test_a_csv_that_does_not_fit_the_command_fails_naming_its_files(self, tmp_path, capsys):
+        data = _simulate(tmp_path, n=4)
+        model_path = _fit(tmp_path, data, model="nn-mse")
+        target_only = tmp_path / "target-only.csv"
+        target_only.write_text("__target\n1\n2\n3\n4\n")
+        short = tmp_path / "short.csv"
+        short.write_text("prediction\n1\n2\n")
+        out = tmp_path / "out"
+        model = ["--model", str(model_path)]
+        columns = (
+            "feature columns differ from the model's: missing ['x1', 'x2', 'x3'], unexpected [];"
+            f" data {target_only}, model {model_path}"
+        )
+        for args, says in (
+            (
+                ["fit", "--data", str(target_only), "--model", "ranknet"],
+                f"no feature columns in {target_only}",
+            ),
+            (["predict", *model, "--data", str(target_only)], columns),
+            (["eval", *model, "--data", str(target_only)], columns),
+            (
+                ["eval", "--pred", str(short), "--data", str(data)],
+                f"row mismatch: 2 predictions in {short} vs 4 data rows in {data}",
+            ),
+        ):
+            capsys.readouterr()
+            assert main([*args, "--out", str(out)]) == 1, args
+            assert capsys.readouterr().err == f"error: {says}\n"
+            assert not out.exists()
+        # a predictions file needs no feature columns
+        pred = tmp_path / "pred.csv"
+        pred.write_text("prediction\n4\n3\n2\n1\n")
+        args = ["eval", "--pred", str(pred), "--data", str(target_only)]
+        assert main([*args, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["kendall"] == -1.0
 
     def test_duplicate_column_names_rejected(self, tmp_path, capsys):
         data = _simulate(tmp_path, d=2)

@@ -155,6 +155,7 @@ def test_full_batch_memory():
     for call in (
         lambda: surrogate_pairwise_loss(y, s, PairwiseSurrogate(WeightVariant.ABSOLUTE_GAP)),
         lambda: soft_gini_loss(y, s, SoftGini()),
+        lambda: soft_gini_loss(y, s, SoftGini(1e-4)),  # a span beyond EXP_SPAN_LIMIT
     ):
         tracemalloc.start()
         try:
@@ -166,12 +167,17 @@ def test_full_batch_memory():
 
 
 # Prints each surrogate's value and gradient bits for heavy-tailed targets at
-# two batch sizes. Its blocks hold 64 x 256 and 64 x 4200 pair terms, from
-# where a threaded BLAS dot product sums in an order set by its thread count.
+# two batch sizes, then soft-Gini's at tau = 0.1, where the scores' span/tau is
+# within EXP_SPAN_LIMIT, and at tau = 1e-4, where it is beyond. Their blocks
+# hold 64 x 256 and 64 x 4200 pair terms, from where a threaded BLAS dot product
+# sums in an order set by its thread count.
 _SURROGATE_BITS = """
 import hashlib
 import numpy as np
-from cairoreg.losses import PairwiseSurrogate, WeightVariant, surrogate_pairwise_loss
+from cairoreg.losses import (
+    PairwiseSurrogate, SoftGini, WeightVariant, soft_gini_loss, surrogate_pairwise_loss
+)
+from cairoreg.ranks import exp_factors
 for n in (256, 4200):
     for seed in range(3):
         rng = np.random.default_rng(seed)
@@ -179,6 +185,10 @@ for n in (256, 4200):
         for variant in WeightVariant:
             got = surrogate_pairwise_loss(y, s, PairwiseSurrogate(variant))
             print(n, seed, variant.value, got.value.hex(), hashlib.sha256(got.grad).hexdigest())
+        for tau in (0.1, 1e-4):
+            got = soft_gini_loss(y, s, SoftGini(tau))
+            form = "products" if exp_factors(s / tau) is not None else "exp-per-pair"
+            print(n, seed, tau, form, got.value.hex(), hashlib.sha256(got.grad).hexdigest())
 """
 
 
@@ -197,5 +207,7 @@ def test_surrogate_bits_do_not_depend_on_the_blas_thread_count():
         return run.stdout.splitlines()
 
     one, two = bits(1), bits(2)
-    assert len(one) == 18
+    assert len(one) == 30
+    forms = [line.split()[3] for line in one if line.split()[2] in ("0.1", "0.0001")]
+    assert sorted(forms) == ["exp-per-pair"] * 6 + ["products"] * 6
     assert one == two, [(a, b) for a, b in zip(one, two) if a != b]
