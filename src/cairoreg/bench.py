@@ -15,7 +15,16 @@ import json
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from .data import SplitSpec, _coerce, _table, config_to_dict, split, split_sizes, usable_cpus
+from .data import (
+    SplitSpec,
+    _coerce,
+    _plain,
+    _table,
+    config_to_dict,
+    split,
+    split_sizes,
+    usable_cpus,
+)
 from .dgp import Scenario, ScenarioSpec, generate
 from .metrics import METRICS, AggregateReport, EvalReport, aggregate, kendall, rmse, spearman
 from .pipeline import VARIANTS, FitHyper, fit_variant, predict_model, variant_train_config
@@ -43,6 +52,10 @@ class BenchConfig(FitHyper):
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        for key in ("scenarios", "models"):
+            values = tuple(map(_plain, getattr(self, key)))
+            if not values or len(set(values)) < len(values):
+                raise ValueError(f"{key} must name each entry once, at least one: got {values}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         if self.base_seed < 0:

@@ -248,8 +248,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.threads < 1:
         raise CliError(f"threads must be >= 1, got {args.threads}")
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    nearest = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not nearest.is_dir():  # found before the run, which it would otherwise waste
+        raise CliError(f"out_dir {out_dir} cannot be made: {nearest} is not a directory")
     result = run_bench(cfg, max_workers=args.threads)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_results_json(result, out_dir / "results.json")
     write_table_csv(result, out_dir / "table1.csv")
     _write_sidecar(out_dir / "table1.csv", RESULTS_VERSION, config_to_dict(cfg))

@@ -10,7 +10,6 @@ model bundles share, is here too: config_to_dict and config_from_dict.
 
 from __future__ import annotations
 
-import codecs
 import contextlib
 import csv
 import io
@@ -271,37 +270,23 @@ def _non_numeric(header: list[str], i: int, row: list[str], path: Path) -> DataE
 
 def _undecodable(path: Path) -> str:
     """The line and column of the first byte of path that is not UTF-8, and why, as a decode
-    of each line of bytes.splitlines() names them, from 1 MiB blocks of path.
+    of each line of bytes.splitlines() names them, from path read one line at a time.
 
-    The text layer decodes in chunks, so a decode error gives no line. No UTF-8
-    multibyte sequence holds a line-break byte, so the file's first bad byte is its line's.
+    The text layer decodes in chunks, so a decode error gives no line. Read as latin-1 with
+    universal newlines, path has one character per byte and ends its lines where
+    bytes.splitlines() does, at \\n, \\r\\n and a lone \\r; only lines that are not ASCII
+    are decoded. No UTF-8 multibyte sequence holds a line-break byte, so the file's first
+    bad byte is the first bad line's.
     """
-    number, line_start, offset, data = 1, 0, 0, b""  # data starts at byte offset of path
-    with path.open("rb") as fh:
-        while True:
-            block = fh.read(1 << 20)
-            data += block  # after at most 3 bytes of a sequence that the last block cut
+    with path.open(encoding="latin-1", newline=None) as fh:
+        for number, text in enumerate(fh, 1):
             try:
-                used, bad = codecs.utf_8_decode(data, "strict", not block)[1], None
+                if not text.isascii():
+                    text.rstrip("\n").encode("latin-1").decode("utf-8")
             except UnicodeDecodeError as exc:
-                used, bad = exc.start, exc.start
-            if bad is None and block and data[used - 1 : used] == b"\r":
-                used -= 1  # it may open a \r\n that the next block closes
-            done = data[:used]
-            number += done.count(b"\n") + done.count(b"\r") - done.count(b"\r\n")
-            last_break = max(done.rfind(b"\n"), done.rfind(b"\r"))
-            if last_break >= 0:
-                line_start = offset + last_break + 1
-            if bad is not None:
-                break
-            if not block:
-                return "a byte that is not UTF-8"  # the file changed after the failed read
-            offset, data = offset + used, data[used:]
-    try:  # the bytes from the bad one to the end of its line, at most one sequence's four
-        data[bad : bad + 4].splitlines()[0].decode("utf-8")
-    except UnicodeDecodeError as exc:  # so the reason is the one the whole line gives
-        column, byte = offset + bad - line_start + 1, data[bad]
-        return f"line {number}, column {column}: byte 0x{byte:02x} is not UTF-8 ({exc.reason})"
+                why = f"byte 0x{exc.object[exc.start]:02x} is not UTF-8 ({exc.reason})"
+                return f"line {number}, column {exc.start + 1}: {why}"
+    return "a byte that is not UTF-8"  # the file changed after the failed read
 
 
 def _header(rows: Iterator[list[str]], path: Path) -> list[str]:
@@ -628,19 +613,15 @@ def load_csv(path: str | Path, target_column: str = TARGET_COLUMN) -> Dataset:
 WRITE_BLOCK_ROWS = 8192
 
 
-def _lines(arrays: list[np.ndarray], line: str, r0: int, r1: int) -> Iterator[Iterator[str]]:
-    """The CSV lines of rows r0 to r1 of arrays, one WRITE_BLOCK_ROWS block at a time."""
-    for b0 in range(r0, r1, WRITE_BLOCK_ROWS):
-        block = zip(*(a[b0 : min(b0 + WRITE_BLOCK_ROWS, r1)].tolist() for a in arrays))
-        yield (line % row for row in block)
-
-
 def _write_lines(
     out: typing.BinaryIO, arrays: list[np.ndarray], line: str, r0: int, r1: int
 ) -> None:
-    """Write the UTF-8 bytes of _lines(arrays, line, r0, r1) into out, one block at a time."""
-    for lines in _lines(arrays, line, r0, r1):
-        out.write("".join(lines).encode())
+    """Write the UTF-8 CSV lines of rows r0 to r1 of arrays into out, one WRITE_BLOCK_ROWS
+    block at a time.
+    """
+    for b0 in range(r0, r1, WRITE_BLOCK_ROWS):
+        block = zip(*(a[b0 : min(b0 + WRITE_BLOCK_ROWS, r1)].tolist() for a in arrays))
+        out.write("".join(line % row for row in block).encode())
 
 
 def write_numeric_csv(path: str | Path, header: list[str], columns: list[np.ndarray]) -> None:

@@ -155,6 +155,16 @@ class TestRunBench:
         # every value is checked when the config is built, before any data exists
         for kw, message in (
             ({"models": ("nope",)}, "unknown model variant: 'nope'"),
+            ({"models": ()}, r"models must name each entry once, at least one: got \(\)"),
+            (
+                {"models": ("ranknet", "ranknet")},
+                r"models must name each entry once, at least one: got \('ranknet', 'ranknet'\)",
+            ),
+            ({"scenarios": ()}, r"scenarios must name each entry once, at least one: got \(\)"),
+            (
+                {"scenarios": (Scenario.NORMAL, Scenario.NORMAL)},
+                r"scenarios must name each entry once, at least one: got \('normal', 'normal'\)",
+            ),
             ({"overrides": {"nope": {}}}, "overrides.nope: unknown model variant: 'nope'"),
             ({"overrides": {"ranknet": {"bogus": 1}}}, "unknown override keys"),
             ({"train_fraction": 1.5}, "train_fraction must lie in"),

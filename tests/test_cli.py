@@ -11,6 +11,7 @@ from cairoreg.cli import OPTIONS, build_parser, main
 from cairoreg.data import TARGET_COLUMN, load_csv, usable_cpus
 from cairoreg.isotonic import predict as calibration_predict
 from cairoreg.losses import PairwiseSurrogate, SoftGini
+from cairoreg.metrics import MetricError
 from cairoreg.pipeline import load_model, mse_fit, predict_model, save_model
 from cairoreg.scorer import TrainConfig
 
@@ -842,7 +843,23 @@ class TestBenchCommand:
         assert capsys.readouterr().err == f"error: threads must be >= 1, got {threads}\n"
         assert not generated and not (tmp_path / "bench").exists()
 
-    def test_smoke(self, tmp_path):
+    @pytest.mark.parametrize("under", ["", "sub"])
+    def test_an_out_dir_that_is_or_lies_in_a_file_fails_before_the_run(
+        self, tmp_path, capsys, monkeypatch, under
+    ):
+        generated = []
+        monkeypatch.setattr("cairoreg.bench.generate", lambda spec: generated.append(spec))
+        (tmp_path / "f").touch()
+        out_dir = tmp_path / "f" / under
+        args = ["bench", "--scenarios", "normal", "--models", "nn-mse", "--n", "200"]
+        args += ["--repetitions", "1", "--epochs", "1", "--threads", "1", "--out-dir", str(out_dir)]
+        capsys.readouterr()
+        assert main(args) == 1
+        says = f"error: out_dir {out_dir} cannot be made: {tmp_path / 'f'} is not a directory\n"
+        assert capsys.readouterr().err == says
+        assert not generated
+
+    def test_smoke(self, tmp_path, capsys, monkeypatch):
         out_dir = tmp_path / "bench"
         rc = main(
             [
@@ -872,3 +889,16 @@ class TestBenchCommand:
         assert len(results["raw"]) == 2
         assert (out_dir / "table1.csv").exists()
         assert (out_dir / "table1.csv.meta.json").exists()
+
+        # a repetition that fails, as one whose predictions are constant does
+        def constant(a, b):
+            raise MetricError("undefined correlation: constant input")
+
+        monkeypatch.setattr("cairoreg.bench.spearman", constant)
+        failed = tmp_path / "failed"
+        capsys.readouterr()
+        args = ["bench", "--scenarios", "normal", "--models", "ranknet", "--n", "200"]
+        args += ["--repetitions", "1", "--epochs", "1", "--threads", "1", "--out-dir", str(failed)]
+        assert main(args) == 1
+        assert "constant input" in capsys.readouterr().err
+        assert not failed.exists(), "a failed bench leaves its --out-dir behind"

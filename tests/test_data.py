@@ -389,16 +389,16 @@ def test_a_write_child_peaks_no_higher_than_its_parent(tmp_path):
 
 
 def test_a_windowed_write_that_is_interrupted_leaves_no_child(tmp_path):
-    parent, lines = os.getpid(), data._lines
+    parent, write_lines = os.getpid(), data._write_lines
 
     def stuck_children(*args):
         if os.getpid() == parent:
             raise KeyboardInterrupt
         time.sleep(60)
-        return lines(*args)
+        return write_lines(*args)
 
     start = time.perf_counter()
-    with _windows_forced(), patch("cairoreg.data._lines", stuck_children), pytest.raises(
+    with _windows_forced(), patch("cairoreg.data._write_lines", stuck_children), pytest.raises(
         KeyboardInterrupt
     ):
         write_numeric_csv(tmp_path / "t.csv", ["a"], [np.arange(100.0)])
@@ -685,8 +685,8 @@ def test_read_numeric_csv_names_an_undecodable_byte_after_many_good_rows(tmp_pat
     for head, line in [
         # 26 000 bytes of good rows, past the text layer's first decode chunk
         (b"a,b\n" + b"1.0000000000,2.0000000000\n" * 1000, 1002),
-        # lines ended by \r\n, a lone \r and \n, then a \r\n that the scan's first 1 MiB
-        # block cuts after its \r
+        # lines ended by \r\n, a lone \r and \n, then a \r\n whose \r is the file's
+        # 1 MiB-th byte
         (b"a,b\n1,2\r\n1,2\r1,2\n" + b"1,2\n" * 262_138 + b"1,0000\r\n", 262_144),
     ]:
         path.write_bytes(head + b"\xff,3\n")
@@ -695,6 +695,43 @@ def test_read_numeric_csv_names_an_undecodable_byte_after_many_good_rows(tmp_pat
             read_numeric_csv(path)
         assert str(raised.value) == f"cannot read {path}, stopped at {undecodable_oracle(path)}"
     assert head[(1 << 20) - 1 : (1 << 20) + 1] == b"\r\n"
+
+
+# Pieces of byte strings for the undecodable-byte property: every line end that
+# bytes.splitlines() knows, bytes that str.splitlines() alone breaks at (\x0b, \x0c,
+# \x1c, \x85 and U+2028), lone continuation bytes, multi-byte sequences that are cut
+# short and whole ones, and ASCII cells.
+_BYTE_PIECES = [
+    *[b"\n", b"\r", b"\r\n", b"\x0b", b"\x0c", b"\x1c", b"\x85", b"\xe2\x80\xa8"],
+    *[b"\x80", b"\xbf", b"\xe2\x82", b"\xf0\x9f\x98", b"\xc3", b"\xff", b"\xc3\xa9"],
+    *[b"\xef\xbb\xbf", b"1", b"a,b", b","],
+]
+
+
+@given(pieces=st.lists(st.sampled_from(_BYTE_PIECES), min_size=1, max_size=30))
+@example(pieces=[b"1", b"\r", b"\n", b"\xe2\x82", b"\r\n", b"\xff"])
+@example(pieces=[b"\x85", b"\x0b", b"\xe2\x80\xa8", b"\x1c", b"\r", b"\xc3", b"\x0c"])
+def test_undecodable_names_the_oracles_line_column_and_reason(pieces):
+    """Valid UTF-8 included, for which both give the fallback of a file that changed."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        path.write_bytes(b"".join(pieces))
+        assert data._undecodable(path) == undecodable_oracle(path)
+
+
+def test_undecodable_reads_a_long_file_in_little_memory(tmp_path):
+    """A file of \\r-only line ends, as an old Mac writes, with its bad byte on its last line."""
+    path = tmp_path / "mac.csv"
+    path.write_bytes(b"a,b\r" + b"1.0000000000,2.0000000000\r" * 50_000 + b"3,\x8e\r")
+    assert path.stat().st_size > 1 << 20
+    tracemalloc.start()
+    try:
+        says = data._undecodable(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert says == "line 50002, column 3: byte 0x8e is not UTF-8 (invalid start byte)"
+    assert peak < 256 << 10, f"peak {peak >> 10} KiB"
 
 
 def test_read_numeric_csv_peak_memory_is_near_its_result(tmp_path):
