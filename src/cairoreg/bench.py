@@ -52,6 +52,13 @@ class BenchConfig(FitHyper):
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        try:  # a scenario may be named by its value, as in a config file
+            object.__setattr__(self, "scenarios", tuple(map(Scenario, self.scenarios)))
+        except ValueError:
+            known = ", ".join(s.value for s in Scenario)
+            raise ValueError(
+                f"scenarios must be among {known}: got {tuple(map(_plain, self.scenarios))}"
+            ) from None
         for key in ("scenarios", "models"):
             values = tuple(map(_plain, getattr(self, key)))
             if not values or len(set(values)) < len(values):

@@ -15,8 +15,11 @@ exact while the span of the scaled scores is at most ranks.EXP_SPAN_LIMIT
 = 700, where the products stay within float64's range. Beyond it, and for
 non-finite scaled scores, the surrogate takes its stable per-pair forms over
 the same blocks, and softrank changes only how it forms each exponential:
-with an exp per pair. Their dense forms, and the hard pairwise losses the
-surrogate bounds, are test oracles in tests/oracles.py.
+with an exp per pair. The surrogate's gap-weighted variants form no pair
+weight: a weight is a difference of per-row values, so each block's weighted
+sums come from products with two columns or rows. Their dense forms, and the
+hard pairwise losses the surrogate bounds, are test oracles in
+tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -106,11 +109,19 @@ def surrogate_pairwise_loss(
     exp(x) as the outer product v_i u_j, so softplus is log1p(E) and
     sigmoid E / (1 + E) with no exp per pair. A wider span, or a non-finite
     one, takes the stable per-pair forms max(x, 0) + log1p(exp(-|x|)) and
-    the matching sigmoid over the same blocks. A weighted pair's weight is
-    its gap in g, the sorted targets or (RANK_GAP) their mid-distribution,
-    both nondecreasing. O(n^2) time and O(n * PAIR_BLOCK_ROWS) memory; the
-    exponential form writes every block into three buffers allocated once
-    per call.
+    the matching sigmoid over the same blocks. O(n^2) time and
+    O(n * PAIR_BLOCK_ROWS) memory; every block is written into three
+    buffers allocated once per call.
+
+    A weighted pair's weight is its gap g_i - g_j in g, the sorted targets
+    or (RANK_GAP) their mid-distribution, both nondecreasing, centred on the
+    middle of their span as xs is and scaled by a power of two to |g| <= 1.
+    No weight is formed. In exponential space sigmoid(x) is v_i M_ij u_j
+    with M = 1/(1 + E), so a block of m rows takes M @ [u, g u] and
+    S @ [1, g], over an inner dimension of c1 columns (up to n), for its
+    row sums and its value, S the block's softplus; and [v, g v]^T @ M,
+    over m <= PAIR_BLOCK_ROWS rows, for its column sums. The stable form
+    takes the same products with M = sigmoid(x) and u = v = 1.
     """
     y, s = _check_pair(y, s)
     n = y.size
@@ -118,8 +129,21 @@ def surrogate_pairwise_loss(
     ys = y[order]
     xs = spec.sigma * s[order]
     first = np.searchsorted(ys, ys, side="left")
-    g = mid_distribution(y)[order] if spec.variant is WeightVariant.RANK_GAP else ys
     factors = exp_factors(xs)  # None for a NaN, inf or too wide span: the stable forms
+    u, v = factors if factors is not None else (np.ones(n), np.ones(n))
+    weighted = spec.variant is not WeightVariant.UNIFORM
+    if weighted:
+        g = mid_distribution(y)[order] if spec.variant is WeightVariant.RANK_GAP else ys
+        # centred, as exp_factors centres xs, and scaled by a power of two to |g| <= 1,
+        # so that g u stays finite where u is large; the products are linear in g
+        g = g - (g[0] + 0.5 * (g[-1] - g[0]))
+        g_exp = int(np.frexp(g[-1])[1])
+        g = np.ldexp(g, -g_exp)
+        ones_g = np.stack([np.ones(n), g], axis=1)  # [1, g]
+        right = ones_g * u[:, None]  # [u, g u]
+        left = (ones_g * v[:, None]).T  # [v, g v]^T
+        # per row: M [u, g u] and S [1, g]; per column: [v, g v]^T M summed over blocks
+        m_rows, s_rows, m_cols = np.zeros((n, 2)), np.zeros((n, 2)), np.zeros((2, n))
 
     value = 0.0
     grad = np.zeros(n)
@@ -145,25 +169,37 @@ def surrogate_pairwise_loss(
             # masked after, so that a NaN or infinite term still makes the result NaN
             x[:, c0:] *= pairs
             slope[:, c0:] *= pairs
+            np.add(e, 1.0, out=scratch)
+            slope /= scratch  # sigmoid(x)
         else:
             # exp(x) as an outer product, which einsum forms faster than broadcasting
-            u, v = factors
             e = np.einsum("i,j->ij", v[rows], u[:c1], out=slope)
             e[:, c0:] *= pairs  # softplus and sigmoid are 0 where exp(x) is
             np.log1p(e, out=softplus)
-        np.add(e, 1.0, out=scratch)
-        slope /= scratch  # sigmoid(x)
-        if spec.variant is WeightVariant.UNIFORM:
-            value += float(softplus.sum())
+            if weighted:  # M = 1/(1 + exp(x)), so that sigmoid(x) is v_i M_ij u_j
+                np.add(e, 1.0, out=e)
+                np.reciprocal(e, out=e)
+                e[:, c0:] *= pairs
+            else:
+                np.add(e, 1.0, out=scratch)
+                slope /= scratch  # sigmoid(x)
+        if weighted:
+            np.matmul(slope, right[:c1], out=m_rows[rows])
+            np.matmul(softplus, ones_g[:c1], out=s_rows[rows])
+            m_cols[:, :c1] += left[:, rows] @ slope
         else:
-            w = np.subtract(g[rows, None], g[:c1], out=scratch)
-            # einsum sums in a fixed order for any BLAS thread count
-            value += float(np.einsum("ij,ij->", w, softplus))
-            slope *= w
-        grad[:c1] += slope.sum(axis=0)
-        grad[rows] -= slope.sum(axis=1)
-
+            value += float(softplus.sum())
+            grad[:c1] += slope.sum(axis=0)
+            grad[rows] -= slope.sum(axis=1)
     scale = 1.0 / (n * (n - 1))
+    if weighted:
+        # With w_ij = g_i - g_j, sum_j w_ij sigmoid_ij = v_i (g_i (M u)_i - (M (g u))_i),
+        # sum_i w_ij sigmoid_ij = u_j (((g v)^T M)_j - g_j (v^T M)_j), and the value is
+        # sum_i g_i (S 1)_i - (S g)_i: no pair weight is formed. In the stable form M is
+        # sigmoid(x) itself and u = v = 1.
+        grad = u * (m_cols[1] - g * m_cols[0]) - v * (g * m_rows[:, 0] - m_rows[:, 1])
+        value = float((g * s_rows[:, 0] - s_rows[:, 1]).sum())
+        scale = float(np.ldexp(scale, g_exp))  # undoes g's power-of-two scaling
     out = np.empty(n)
     out[order] = grad * (spec.sigma * scale)
     return LossValueGrad(value * scale, out)

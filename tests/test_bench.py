@@ -179,6 +179,15 @@ class TestRunBench:
             with pytest.raises(ValueError, match=f"^{message}"):
                 BenchConfig(**kw)
 
+    def test_scenarios_named_by_value_are_members(self):
+        cfg = _smoke_cfg(scenarios=("normal",), models=("nn-mse",))
+        assert cfg.scenarios == (Scenario.NORMAL,)
+        assert [r.scenario for r in run_bench(cfg).raw] == ["normal"]
+        with pytest.raises(ValueError, match=r"^scenarios must be among normal, gamma, heavy: "):
+            BenchConfig(scenarios=("nope",))
+        with pytest.raises(ValueError, match=r"^scenarios must name each entry once"):
+            BenchConfig(scenarios=("normal", Scenario.NORMAL))
+
     def test_overrides_are_typed_at_construction(self):
         for kv, path in (({"sigma": True}, "sigma must be"), ({"epochs": 1.7}, "epochs must be")):
             with pytest.raises(ValueError, match=f"^overrides.ranknet.{path}"):

@@ -4,7 +4,9 @@ Sizes cross several PAIR_BLOCK_ROWS boundaries; inputs mix tied and
 tie-free targets and scores, all three weight variants, and temperatures
 and sigmas over four decades. Both kernels are also checked with scores
 whose scaled span sits just inside and just outside EXP_SPAN_LIMIT, where
-they switch between their exponential-space and stable forms.
+they switch between their exponential-space and stable forms; the surrogate
+there also with targets shifted by 1e8 and scaled by 1e200, which its
+gap-weighted products must centre and scale.
 """
 
 import os
@@ -73,14 +75,21 @@ def test_surrogate_matches_oracle(n, seed, y_tied, s_tied, variant, log_sigma):
 @pytest.mark.parametrize("n", [PAIR_BLOCK_ROWS - 1, PAIR_BLOCK_ROWS + 1, 2 * PAIR_BLOCK_ROWS + 1])
 @pytest.mark.parametrize("y_tied", [False, True])
 @pytest.mark.parametrize("variant", list(WeightVariant))
+@pytest.mark.parametrize(
+    "y_shift, y_scale", [(0.0, 1.0), (1e8, 1.0), (0.0, 1e200)], ids=["y", "y+1e8", "y*1e200"]
+)
 def test_surrogate_matches_oracle_on_both_sides_of_the_exponential_span_limit(
-    span, n, y_tied, variant
+    span, n, y_tied, variant, y_shift, y_scale
 ):
     # Just inside the limit the kernel multiplies factors up to exp(+-349.5); just outside
     # it takes the stable per-pair forms. sigma * s spans [20, 20 + span], where exp(sigma * s)
-    # alone would overflow, so the factors must be centred.
+    # alone would overflow, so the factors must be centred. The gap weights y_i - y_j are
+    # never formed: the kernel takes products with the targets and subtracts per row. For
+    # targets near 1e8 that keeps about 8 digits of a unit gap unless the targets are
+    # centred, and targets near 1e200 times factors near exp(349.5) overflow unless the
+    # targets are scaled down.
     rng = np.random.default_rng(n)
-    y, s = _vector(rng, n, y_tied), rng.standard_t(2, size=n)
+    y, s = _vector(rng, n, y_tied) * y_scale + y_shift, rng.standard_t(2, size=n)
     sigma = 3.0
     s = (s - s.min()) * (span / (sigma * np.ptp(s))) + 20.0 / sigma
     assert (np.ptp(sigma * s) <= EXP_SPAN_LIMIT) == (span < EXP_SPAN_LIMIT)
@@ -167,10 +176,12 @@ def test_full_batch_memory():
 
 
 # Prints each surrogate's value and gradient bits for heavy-tailed targets at
-# two batch sizes, then soft-Gini's at tau = 0.1, where the scores' span/tau is
-# within EXP_SPAN_LIMIT, and at tau = 1e-4, where it is beyond. Their blocks
-# hold 64 x 256 and 64 x 4200 pair terms, from where a threaded BLAS dot product
-# sums in an order set by its thread count.
+# four batch sizes, at sigma = 1, where the scaled scores' span is within
+# EXP_SPAN_LIMIT, and at sigma = 1e4, where it is beyond; then soft-Gini's at
+# tau = 0.1 (within) and tau = 1e-4 (beyond). Each line is tagged with its form.
+# The weighted surrogate's row products sum over a whole block row, up to 4200
+# terms, and a threaded BLAS may split a long sum in an order set by its thread
+# count; softrank's sum over at most 2 PAIR_BLOCK_ROWS terms.
 _SURROGATE_BITS = """
 import hashlib
 import numpy as np
@@ -178,17 +189,21 @@ from cairoreg.losses import (
     PairwiseSurrogate, SoftGini, WeightVariant, soft_gini_loss, surrogate_pairwise_loss
 )
 from cairoreg.ranks import exp_factors
-for n in (256, 4200):
+def form(x):
+    return "products" if exp_factors(x) is not None else "exp-per-pair"
+for n in (256, 1024, 1500, 4200):
     for seed in range(3):
         rng = np.random.default_rng(seed)
         y, s = rng.standard_t(2, size=n), rng.normal(size=n)
         for variant in WeightVariant:
-            got = surrogate_pairwise_loss(y, s, PairwiseSurrogate(variant))
-            print(n, seed, variant.value, got.value.hex(), hashlib.sha256(got.grad).hexdigest())
+            for sigma in (1.0, 1e4):
+                got = surrogate_pairwise_loss(y, s, PairwiseSurrogate(variant, sigma))
+                tag = (variant.value, sigma, form(sigma * s))
+                print(n, seed, *tag, got.value.hex(), hashlib.sha256(got.grad).hexdigest())
         for tau in (0.1, 1e-4):
             got = soft_gini_loss(y, s, SoftGini(tau))
-            form = "products" if exp_factors(s / tau) is not None else "exp-per-pair"
-            print(n, seed, tau, form, got.value.hex(), hashlib.sha256(got.grad).hexdigest())
+            tag = ("soft-gini", tau, form(s / tau))
+            print(n, seed, *tag, got.value.hex(), hashlib.sha256(got.grad).hexdigest())
 """
 
 
@@ -207,7 +222,8 @@ def test_surrogate_bits_do_not_depend_on_the_blas_thread_count():
         return run.stdout.splitlines()
 
     one, two = bits(1), bits(2)
-    assert len(one) == 30
-    forms = [line.split()[3] for line in one if line.split()[2] in ("0.1", "0.0001")]
-    assert sorted(forms) == ["exp-per-pair"] * 6 + ["products"] * 6
+    assert len(one) == 4 * 3 * (3 * 2 + 2)
+    # each size and seed takes both forms in every kernel
+    forms = [line.split()[4] for line in one]
+    assert forms == ["products", "exp-per-pair"] * (len(one) // 2)
     assert one == two, [(a, b) for a, b in zip(one, two) if a != b]
