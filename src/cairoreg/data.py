@@ -212,6 +212,26 @@ def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     return ds.take(perm[:n_train]), ds.take(perm[n_train:])
 
 
+# Rows per chunk of the sums over rows that backward and fit_standardizer take as
+# BLAS products. OpenBLAS splits a product's sum over rows across its threads once
+# there are enough rows, which changes the bits with the thread count; chunks of this
+# many rows, summed in order, keep the bits the same for any thread count. At most this
+# many rows are one product, as before chunking.
+BATCH_CHUNK_ROWS = 1024
+
+
+def _batch_sum(L: np.ndarray, R: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """L.T @ R, summed over BATCH_CHUNK_ROWS-row chunks in order, into out if given.
+
+    With L a vector of ones, the column sums of R, much faster than R.sum(axis=0),
+    which runs one inner loop per row of R.
+    """
+    out = np.matmul(L[:BATCH_CHUNK_ROWS].T, R[:BATCH_CHUNK_ROWS], out=out)
+    for r0 in range(BATCH_CHUNK_ROWS, R.shape[0], BATCH_CHUNK_ROWS):
+        out += L[r0 : r0 + BATCH_CHUNK_ROWS].T @ R[r0 : r0 + BATCH_CHUNK_ROWS]
+    return out
+
+
 @dataclass(frozen=True)
 class Standardizer:
     """Per-column affine map to zero mean, unit spread.
@@ -233,12 +253,24 @@ class Standardizer:
 
 
 def fit_standardizer(ds: Dataset) -> Standardizer:
+    """Column means and population stds (ddof 0), as np.mean and np.std give them to
+    within rounding, with column sums taken by _batch_sum.
+
+    The two-pass variance runs on the rows less the first row, so a column whose values
+    are all equal has deviations of exactly 0: its mean is that value and its std 1.
+    Like np.std, this holds one temporary of the features' shape.
+    """
     if ds.n < 2:
         raise DataError("standardizer needs at least 2 rows")
-    mean = ds.features.mean(axis=0)
-    std = ds.features.std(axis=0)
+    X = ds.features
+    ones = np.ones(ds.n)
+    dev = np.subtract(X, X[0])
+    shift = _batch_sum(ones, dev) / ds.n
+    dev -= shift
+    var = _batch_sum(ones, np.square(dev, out=dev)) / ds.n
+    std = np.sqrt(var)
     std = np.where(std > 0.0, std, 1.0)
-    return Standardizer(mean=_freeze(mean), std=_freeze(std))
+    return Standardizer(mean=_freeze(X[0] + shift), std=_freeze(std))
 
 
 def apply_standardizer(st: Standardizer, ds: Dataset) -> Dataset:

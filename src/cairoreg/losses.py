@@ -111,7 +111,8 @@ def surrogate_pairwise_loss(
     one, takes the stable per-pair forms max(x, 0) + log1p(exp(-|x|)) and
     the matching sigmoid over the same blocks. O(n^2) time and
     O(n * PAIR_BLOCK_ROWS) memory; every block is written into three
-    buffers allocated once per call.
+    buffers allocated once per call. Under uniform weights a block's value,
+    row sums and column sums are products with a vector of ones.
 
     A weighted pair's weight is its gap g_i - g_j in g, the sorted targets
     or (RANK_GAP) their mid-distribution, both nondecreasing, centred on the
@@ -130,7 +131,8 @@ def surrogate_pairwise_loss(
     xs = spec.sigma * s[order]
     first = np.searchsorted(ys, ys, side="left")
     factors = exp_factors(xs)  # None for a NaN, inf or too wide span: the stable forms
-    u, v = factors if factors is not None else (np.ones(n), np.ones(n))
+    ones = np.ones(n)
+    u, v = factors if factors is not None else (ones, ones)
     weighted = spec.variant is not WeightVariant.UNIFORM
     if weighted:
         g = mid_distribution(y)[order] if spec.variant is WeightVariant.RANK_GAP else ys
@@ -139,13 +141,14 @@ def surrogate_pairwise_loss(
         g = g - (g[0] + 0.5 * (g[-1] - g[0]))
         g_exp = int(np.frexp(g[-1])[1])
         g = np.ldexp(g, -g_exp)
-        ones_g = np.stack([np.ones(n), g], axis=1)  # [1, g]
+        ones_g = np.stack([ones, g], axis=1)  # [1, g]
         right = ones_g * u[:, None]  # [u, g u]
         left = (ones_g * v[:, None]).T  # [v, g v]^T
         # per row: M [u, g u] and S [1, g]; per column: [v, g v]^T M summed over blocks
         m_rows, s_rows, m_cols = np.zeros((n, 2)), np.zeros((n, 2)), np.zeros((2, n))
+    else:
+        s_rows = np.zeros(n)  # per row: S 1, summed for the value
 
-    value = 0.0
     grad = np.zeros(n)
     buffers = np.empty((3, PAIR_BLOCK_ROWS * n))
     for r0 in range(0, n, PAIR_BLOCK_ROWS):
@@ -188,9 +191,9 @@ def surrogate_pairwise_loss(
             np.matmul(softplus, ones_g[:c1], out=s_rows[rows])
             m_cols[:, :c1] += left[:, rows] @ slope
         else:
-            value += float(softplus.sum())
-            grad[:c1] += slope.sum(axis=0)
-            grad[rows] -= slope.sum(axis=1)
+            np.matmul(softplus, ones[:c1], out=s_rows[rows])
+            grad[:c1] += ones[: r1 - r0] @ slope
+            grad[rows] -= slope @ ones[:c1]
     scale = 1.0 / (n * (n - 1))
     if weighted:
         # With w_ij = g_i - g_j, sum_j w_ij sigmoid_ij = v_i (g_i (M u)_i - (M (g u))_i),
@@ -200,6 +203,8 @@ def surrogate_pairwise_loss(
         grad = u * (m_cols[1] - g * m_cols[0]) - v * (g * m_rows[:, 0] - m_rows[:, 1])
         value = float((g * s_rows[:, 0] - s_rows[:, 1]).sum())
         scale = float(np.ldexp(scale, g_exp))  # undoes g's power-of-two scaling
+    else:
+        value = float(s_rows.sum())
     out = np.empty(n)
     out[order] = grad * (spec.sigma * scale)
     return LossValueGrad(value * scale, out)

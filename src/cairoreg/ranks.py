@@ -118,14 +118,15 @@ def softrank(
     # d softrank_i / d s_k is -(1/tau) sig'((s_i-s_k)/tau) off the diagonal and
     # (1/tau) sum_j sig'((s_i-s_j)/tau) on it and sig' is even, with D the lower
     # triangle of sig' = e p^2, v^T J = (v (D 1 + D^T 1) - D v - D^T v)/tau.
-    # A block's m rows of p and of D are stacked in the buffer: one sum gives both
-    # row sums, and one product with [[1, 0], [0, 1], [0, v]] the column sums and
-    # v^T D, over an inner dimension of 2m <= 2 PAIR_BLOCK_ROWS, which a threaded
-    # BLAS sums alike for any thread count.
+    # A block's m rows of p and of D are stacked in the buffer: one product with a
+    # vector of ones gives both row sums, and one with [[1, 0], [0, 1], [0, v]] the
+    # column sums and v^T D, over an inner dimension of 2m <= 2 PAIR_BLOCK_ROWS, which
+    # a threaded BLAS sums alike for any thread count.
     below = np.zeros(n)
     above = np.zeros(n)
     out = np.zeros(n)
     factors = exp_factors(scaled)
+    ones = np.ones(n)
     buffer = np.empty(2 * PAIR_BLOCK_ROWS * n)
     lower = np.tri(PAIR_BLOCK_ROWS, k=-1, dtype=bool)
     for r0 in range(0, n, PAIR_BLOCK_ROWS):
@@ -145,7 +146,7 @@ def softrank(
         p[:, r0:] *= lower[:m, :m]  # e <= exp(EXP_SPAN_LIMIT) above it, so p is 0 there
         d *= p
         d *= p  # now D = e p^2, 0 where p is
-        sums = pd.sum(axis=1)
+        sums = pd @ ones[:r1]
         below[r0:r1] += sums[:m]
         out[r0:r1] += sums[m:] * v[r0:r1] - d @ v[:r1]
         left = np.zeros((3, 2 * m))

@@ -16,6 +16,11 @@ buffers and the parameter vector. train builds one per fit, sized for its
 largest batch; forward and backward called without one build a fresh one
 for their rows. A workspace allocates each buffer at its first use, so a
 call allocates only the buffers it writes.
+
+Backward takes every sum over the batch as a BLAS product: the weight
+gradients as dZ.T @ A and the bias gradients as 1.T @ dZ, both summed over
+data.BATCH_CHUNK_ROWS-row chunks in order (data._batch_sum), so a fit's bits
+do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, make_rng
+from .data import Dataset, _batch_sum, make_rng
 from .losses import LossSpec, PointwiseMse, evaluate_loss, is_ranking_loss
 
 
@@ -101,9 +106,10 @@ class Workspace:
     Row buffers have one row per row of the largest batch they serve; a
     batch of n rows uses their [:n] views. X and y hold the batch train
     gathers and finite its finiteness checks; relu1 and relu2 mark Z1 > 0
-    and Z2 > 0. finite, relu1 and relu2 are bool. grads is the gradient
-    vector with its layer views, m and v are Adam's moments, zero until the
-    first step, and adam_scratch two more vectors of the parameters' length.
+    and Z2 > 0. finite, relu1 and relu2 are bool; ones is all ones, for
+    backward's bias sums. grads is the gradient vector with its layer views,
+    m and v are Adam's moments, zero until the first step, and adam_scratch
+    two more vectors of the parameters' length.
     Each buffer is allocated at its first use, so a workspace that only
     forward writes, as score_rows' does, holds only forward's buffers.
     """
@@ -130,6 +136,8 @@ class Workspace:
             buffer = np.empty(masks[name], dtype=bool)
         elif name in ("m", "v"):
             buffer = np.zeros(size)
+        elif name == "ones":
+            buffer = np.ones(n)
         elif name == "grads":
             buffer = MlpParams(np.empty(size), self.dims)
         elif name == "adam_scratch":
@@ -166,22 +174,6 @@ def forward(
     return scores, ForwardCache(X=X, Z1=Z1, H1=H1, Z2=Z2, H2=H2, params=params)
 
 
-# Rows per chunk of backward's weight-gradient products. OpenBLAS splits a
-# product's sum over the batch across its threads once the batch is long
-# enough, which changes the bits with the thread count; chunks of this many
-# rows, summed in order, keep a fit's bits the same for any thread count.
-# A batch of at most this many rows is one product, as before chunking.
-BATCH_CHUNK_ROWS = 1024
-
-
-def _batch_sum(dZ: np.ndarray, A: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """dZ.T @ A, summed over BATCH_CHUNK_ROWS-row chunks in order, into out if given."""
-    out = np.matmul(dZ[:BATCH_CHUNK_ROWS].T, A[:BATCH_CHUNK_ROWS], out=out)
-    for r0 in range(BATCH_CHUNK_ROWS, dZ.shape[0], BATCH_CHUNK_ROWS):
-        out += dZ[r0 : r0 + BATCH_CHUNK_ROWS].T @ A[r0 : r0 + BATCH_CHUNK_ROWS]
-    return out
-
-
 def backward(
     cache: ForwardCache, grad_scores: np.ndarray, work: Workspace | None = None
 ) -> MlpParams:
@@ -203,10 +195,11 @@ def backward(
     np.multiply(dZ2, np.greater(cache.Z2, 0.0, out=relu2), out=dZ2)
     np.matmul(dZ2, p.W2, out=dZ1)  # dH1
     np.multiply(dZ1, np.greater(cache.Z1, 0.0, out=relu1), out=dZ1)
+    ones = work.ones[:n]
     _batch_sum(dZ1, cache.X, out=grads.W1)
-    np.sum(dZ1, axis=0, out=grads.b1)
+    _batch_sum(ones, dZ1, out=grads.b1)
     _batch_sum(dZ2, cache.H1, out=grads.W2)
-    np.sum(dZ2, axis=0, out=grads.b2)
+    _batch_sum(ones, dZ2, out=grads.b2)
     np.matmul(cache.H2.T, g, out=grads.w3)
     grads.vector[-1] = g.sum()
     return grads

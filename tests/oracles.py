@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from cairoreg.data import DataError, Dataset, make_rng
+from cairoreg.data import BATCH_CHUNK_ROWS, DataError, Dataset, make_rng
 from cairoreg.isotonic import CalibrationMap, _check_fit_inputs
 from cairoreg.losses import (
     LossValueGrad,
@@ -46,7 +46,6 @@ from cairoreg.scorer import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPSILON,
-    BATCH_CHUNK_ROWS,
     MlpParams,
     TrainConfig,
     init_params,
@@ -368,11 +367,12 @@ def _backward_oracle(params: MlpParams, cache: tuple, g: np.ndarray) -> np.ndarr
     dZ2 = dH2 * (Z2 > 0.0)
     dH1 = dZ2 @ params.W2
     dZ1 = dH1 * (Z1 > 0.0)
+    ones = np.ones(g.size)
     layers = [
         _batch_sum_oracle(dZ1, X),
-        dZ1.sum(axis=0),
+        _batch_sum_oracle(ones, dZ1),
         _batch_sum_oracle(dZ2, H1),
-        dZ2.sum(axis=0),
+        _batch_sum_oracle(ones, dZ2),
         H2.T @ g,
         g.sum(),
     ]

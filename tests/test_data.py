@@ -24,6 +24,7 @@ import cairoreg
 from cairoreg import data
 from cairoreg.bench import BenchConfig
 from cairoreg.data import (
+    BATCH_CHUNK_ROWS,
     WRITE_BLOCK_ROWS,
     DataError,
     Dataset,
@@ -841,10 +842,48 @@ class TestStandardizer:
         assert abs(out.features[:, 0].mean()) < 1e-10
         assert abs(out.features[:, 0].std() - 1.0) < 1e-10
 
-    def test_constant_column_maps_to_zero(self):
-        ds = Dataset(features=np.full((3, 1), 5.0), targets=np.zeros(3))
+    # 0.1 summed over the rows and divided by their count is not 0.1 again, and a
+    # mean that misses the column's value by a rounding error left a std of that
+    # error's size, so the column standardized to -1 or 1
+    @pytest.mark.parametrize("value, rows", [(5.0, 3), (0.1, 3), (0.1, 7), (0.1, 4200)])
+    def test_constant_column_maps_to_zero(self, value, rows):
+        other = np.arange(rows, dtype=np.float64)
+        ds = Dataset(features=np.column_stack([other, np.full(rows, value)]), targets=other)
         st = fit_standardizer(ds)
-        np.testing.assert_array_equal(st.transform(ds.features), np.zeros((3, 1)))
+        assert st.mean[1] == value and st.std[1] == 1.0
+        np.testing.assert_array_equal(st.transform(ds.features)[:, 1], np.zeros(rows))
+        near = st.transform(np.array([[0.0, value + 1e-7]]))[0, 1]
+        assert abs(near - 1e-7) < 1e-15
+
+    @pytest.mark.parametrize("rows", [2, 3, BATCH_CHUNK_ROWS, BATCH_CHUNK_ROWS + 1, 2500])
+    def test_moments_match_numpy(self, rows):
+        rng = np.random.default_rng(rows)
+        X = rng.normal(loc=[0.0, 3.0, -1e3], scale=[1.0, 0.5, 7.0], size=(rows, 3))
+        st = fit_standardizer(Dataset(features=X, targets=np.zeros(rows)))
+        eps = np.finfo(np.float64).eps
+        mean, std = X.mean(axis=0), X.std(axis=0)
+        # the product sums round as a sum in any order does, within rows eps of each
+        # term; the two-pass variance's error in the mean enters only squared
+        assert np.all(np.abs(st.mean - mean) <= 2 * rows * eps * np.abs(X).mean(axis=0))
+        assert np.all(np.abs(st.std - std) <= 4 * rows * eps * std)
+
+    def test_bits_do_not_depend_on_the_blas_thread_count(self):
+        # 60 000 rows are long enough for a threaded BLAS to split an unchunked column sum
+        env = {**os.environ, "PYTHONPATH": str(Path(cairoreg.__path__[0]).parent)}
+
+        def bits(threads):
+            run = subprocess.run(
+                [sys.executable, "-c", _STANDARDIZER_BITS],
+                env={**env, "OPENBLAS_NUM_THREADS": str(threads)},
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            return run.stdout
+
+        one, two = bits(1), bits(2)
+        assert len(one.split()) == 2
+        assert one == two
 
     def test_round_trip(self):
         ds = _toy(40, seed=2)
@@ -858,6 +897,18 @@ class TestStandardizer:
         col = ds.features[:, 0]
         out = st.transform(ds.features)[:, 0]
         np.testing.assert_array_equal(np.argsort(col), np.argsort(out))
+
+
+# Prints a hash of the mean and of the std that fit_standardizer gives 60 000 x 10 rows.
+_STANDARDIZER_BITS = """
+import hashlib
+import numpy as np
+from cairoreg.data import Dataset, fit_standardizer
+rng = np.random.default_rng(7)
+X = rng.normal(loc=np.arange(10.0), size=(60_000, 10))
+st = fit_standardizer(Dataset(features=X, targets=np.zeros(len(X))))
+print(hashlib.sha256(st.mean).hexdigest(), hashlib.sha256(st.std).hexdigest())
+"""
 
 
 def test_make_rng_reproducible():

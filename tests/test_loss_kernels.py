@@ -179,9 +179,9 @@ def test_full_batch_memory():
 # four batch sizes, at sigma = 1, where the scaled scores' span is within
 # EXP_SPAN_LIMIT, and at sigma = 1e4, where it is beyond; then soft-Gini's at
 # tau = 0.1 (within) and tau = 1e-4 (beyond). Each line is tagged with its form.
-# The weighted surrogate's row products sum over a whole block row, up to 4200
-# terms, and a threaded BLAS may split a long sum in an order set by its thread
-# count; softrank's sum over at most 2 PAIR_BLOCK_ROWS terms.
+# Every kernel's row sums are products over a whole block row, up to 4200 terms,
+# and a threaded BLAS may split a long sum in an order set by its thread count;
+# their column sums run over at most 2 PAIR_BLOCK_ROWS terms.
 _SURROGATE_BITS = """
 import hashlib
 import numpy as np

@@ -10,7 +10,9 @@ from oracles import train_oracle
 
 import cairoreg
 from cairoreg.data import (
+    BATCH_CHUNK_ROWS,
     Dataset,
+    _batch_sum,
     apply_standardizer,
     config_from_dict,
     config_to_dict,
@@ -25,11 +27,9 @@ from cairoreg.losses import (
 )
 from cairoreg.pipeline import VARIANTS, FitHyper, variant_train_config
 from cairoreg.scorer import (
-    BATCH_CHUNK_ROWS,
     MlpParams,
     TrainConfig,
     Workspace,
-    _batch_sum,
     adam_step,
     backward,
     forward,
@@ -397,13 +397,18 @@ for batch_size in (256, 1024, 1500, 4200):
 
 
 @pytest.mark.parametrize("rows", [1, BATCH_CHUNK_ROWS, BATCH_CHUNK_ROWS + 1, 2500])
-def test_batch_sum_is_the_product(rows):
+@pytest.mark.parametrize("bias", [False, True])
+def test_batch_sum_is_the_product(rows, bias):
     rng = np.random.default_rng(rows)
     dZ, A = rng.normal(size=(rows, 16)), rng.normal(size=(rows, 32))
-    got, want = _batch_sum(dZ, A), dZ.T @ A
+    if bias:  # a bias gradient: a vector of ones times dZ, the column sums of dZ
+        L, R, want = np.ones(rows), dZ, dZ.sum(axis=0)
+    else:
+        L, R, want = dZ, A, dZ.T @ A
+    got = _batch_sum(L, R)
     if rows <= BATCH_CHUNK_ROWS:  # one chunk: the same product, bit for bit
-        assert got.tobytes() == want.tobytes()
-    bound = 2 * rows * np.finfo(np.float64).eps * (np.abs(dZ).T @ np.abs(A))
+        assert got.tobytes() == (L.T @ R).tobytes()
+    bound = 2 * rows * np.finfo(np.float64).eps * (np.abs(L).T @ np.abs(R))
     assert np.all(np.abs(got - want) <= bound)
 
 
