@@ -249,7 +249,10 @@ class Standardizer:
             raise DataError("standardizer needs finite means and finite stds > 0")
 
     def transform(self, X: np.ndarray) -> np.ndarray:
-        return (np.asarray(X, dtype=np.float64) - self.mean) / self.std
+        """(X - mean) / std in one fresh array: the difference, divided in place."""
+        out = np.subtract(X, self.mean, dtype=np.float64)
+        out /= self.std
+        return out
 
 
 def fit_standardizer(ds: Dataset) -> Standardizer:

@@ -15,11 +15,12 @@ exact while the span of the scaled scores is at most ranks.EXP_SPAN_LIMIT
 = 700, where the products stay within float64's range. Beyond it, and for
 non-finite scaled scores, the surrogate takes its stable per-pair forms over
 the same blocks, and softrank changes only how it forms each exponential:
-with an exp per pair. The surrogate's gap-weighted variants form no pair
-weight: a weight is a difference of per-row values, so each block's weighted
-sums come from products with two columns or rows. Their dense forms, and the
-hard pairwise losses the surrogate bounds, are test oracles in
-tests/oracles.py.
+with an exp per pair. Every surrogate variant runs one block body, which
+forms a block's softplus and sigmoid and takes its sums as products with a
+vector of ones or, for the gap weights, the two columns [1, g]: a gap weight
+g_i - g_j is a difference of per-row values, so no pair weight is formed.
+The dense forms, and the hard pairwise losses the surrogate bounds, are test
+oracles in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -106,23 +107,22 @@ def surrogate_pairwise_loss(
     x = xs_j - xs_i. While the span of xs is at most EXP_SPAN_LIMIT, the
     kernel works in exponential space: with c the middle of that span, it
     forms u = exp(xs - c) and v = exp(c - xs) once per call, and a block's
-    exp(x) as the outer product v_i u_j, so softplus is log1p(E) and
+    E = exp(x) as the outer product v_i u_j, so softplus is log1p(E) and
     sigmoid E / (1 + E) with no exp per pair. A wider span, or a non-finite
-    one, takes the stable per-pair forms max(x, 0) + log1p(exp(-|x|)) and
-    the matching sigmoid over the same blocks. O(n^2) time and
+    one, takes the stable per-pair forms max(x, 0) + log1p(e) and the
+    matching sigmoid, with e = exp(-|x|). O(n^2) time and
     O(n * PAIR_BLOCK_ROWS) memory; every block is written into three
-    buffers allocated once per call. Under uniform weights a block's value,
-    row sums and column sums are products with a vector of ones.
+    buffers allocated once per call.
 
-    A weighted pair's weight is its gap g_i - g_j in g, the sorted targets
-    or (RANK_GAP) their mid-distribution, both nondecreasing, centred on the
-    middle of their span as xs is and scaled by a power of two to |g| <= 1.
-    No weight is formed. In exponential space sigmoid(x) is v_i M_ij u_j
-    with M = 1/(1 + E), so a block of m rows takes M @ [u, g u] and
-    S @ [1, g], over an inner dimension of c1 columns (up to n), for its
-    row sums and its value, S the block's softplus; and [v, g v]^T @ M,
-    over m <= PAIR_BLOCK_ROWS rows, for its column sums. The stable form
-    takes the same products with M = sigmoid(x) and u = v = 1.
+    Every variant runs one block body: a block of m rows forms its masked
+    softplus S and sigmoid P and takes P @ W and S @ W, over c1 columns (up
+    to n), for its row sums and its value, and W^T @ P, over m <=
+    PAIR_BLOCK_ROWS rows, for its column sums. W is a vector of ones under
+    uniform weights. A weighted pair's weight is its gap g_i - g_j in g, the
+    sorted targets or (RANK_GAP) their mid-distribution, and W = [1, g], so
+    each weighted sum is a difference of two products and no weight is
+    formed. g is centred on the middle of its span, as xs is, and scaled by
+    a power of two to |g| <= 1.
     """
     y, s = _check_pair(y, s)
     n = y.size
@@ -131,25 +131,17 @@ def surrogate_pairwise_loss(
     xs = spec.sigma * s[order]
     first = np.searchsorted(ys, ys, side="left")
     factors = exp_factors(xs)  # None for a NaN, inf or too wide span: the stable forms
-    ones = np.ones(n)
-    u, v = factors if factors is not None else (ones, ones)
-    weighted = spec.variant is not WeightVariant.UNIFORM
-    if weighted:
+    W = np.ones(n)
+    if spec.variant is not WeightVariant.UNIFORM:
         g = mid_distribution(y)[order] if spec.variant is WeightVariant.RANK_GAP else ys
-        # centred, as exp_factors centres xs, and scaled by a power of two to |g| <= 1,
-        # so that g u stays finite where u is large; the products are linear in g
+        # centred, so that a small gap between large targets keeps its digits, and scaled
+        # by a power of two to |g| <= 1, undone exactly at the end, so g makes no sum overflow
         g = g - (g[0] + 0.5 * (g[-1] - g[0]))
         g_exp = int(np.frexp(g[-1])[1])
         g = np.ldexp(g, -g_exp)
-        ones_g = np.stack([ones, g], axis=1)  # [1, g]
-        right = ones_g * u[:, None]  # [u, g u]
-        left = (ones_g * v[:, None]).T  # [v, g v]^T
-        # per row: M [u, g u] and S [1, g]; per column: [v, g v]^T M summed over blocks
-        m_rows, s_rows, m_cols = np.zeros((n, 2)), np.zeros((n, 2)), np.zeros((2, n))
-    else:
-        s_rows = np.zeros(n)  # per row: S 1, summed for the value
-
-    grad = np.zeros(n)
+        W = np.stack([W, g], axis=1)  # [1, g]
+    # per row: P W and S W; per column: W^T P, summed over blocks
+    p_rows, s_rows, cols = np.zeros(W.shape), np.zeros(W.shape), np.zeros(W.T.shape)
     buffers = np.empty((3, PAIR_BLOCK_ROWS * n))
     for r0 in range(0, n, PAIR_BLOCK_ROWS):
         r1 = min(r0 + PAIR_BLOCK_ROWS, n)
@@ -172,39 +164,26 @@ def surrogate_pairwise_loss(
             # masked after, so that a NaN or infinite term still makes the result NaN
             x[:, c0:] *= pairs
             slope[:, c0:] *= pairs
-            np.add(e, 1.0, out=scratch)
-            slope /= scratch  # sigmoid(x)
         else:
-            # exp(x) as an outer product, which einsum forms faster than broadcasting
-            e = np.einsum("i,j->ij", v[rows], u[:c1], out=slope)
+            # exp(x) = v_i u_j for (u, v) = factors, which einsum forms faster than broadcasting
+            e = np.einsum("i,j->ij", factors[1][rows], factors[0][:c1], out=slope)
             e[:, c0:] *= pairs  # softplus and sigmoid are 0 where exp(x) is
             np.log1p(e, out=softplus)
-            if weighted:  # M = 1/(1 + exp(x)), so that sigmoid(x) is v_i M_ij u_j
-                np.add(e, 1.0, out=e)
-                np.reciprocal(e, out=e)
-                e[:, c0:] *= pairs
-            else:
-                np.add(e, 1.0, out=scratch)
-                slope /= scratch  # sigmoid(x)
-        if weighted:
-            np.matmul(slope, right[:c1], out=m_rows[rows])
-            np.matmul(softplus, ones_g[:c1], out=s_rows[rows])
-            m_cols[:, :c1] += left[:, rows] @ slope
-        else:
-            np.matmul(softplus, ones[:c1], out=s_rows[rows])
-            grad[:c1] += ones[: r1 - r0] @ slope
-            grad[rows] -= slope @ ones[:c1]
+        np.add(e, 1.0, out=scratch)
+        slope /= scratch  # sigmoid(x)
+        np.matmul(slope, W[:c1], out=p_rows[rows])
+        np.matmul(softplus, W[:c1], out=s_rows[rows])
+        cols[..., :c1] += W.T[..., rows] @ slope
     scale = 1.0 / (n * (n - 1))
-    if weighted:
-        # With w_ij = g_i - g_j, sum_j w_ij sigmoid_ij = v_i (g_i (M u)_i - (M (g u))_i),
-        # sum_i w_ij sigmoid_ij = u_j (((g v)^T M)_j - g_j (v^T M)_j), and the value is
-        # sum_i g_i (S 1)_i - (S g)_i: no pair weight is formed. In the stable form M is
-        # sigmoid(x) itself and u = v = 1.
-        grad = u * (m_cols[1] - g * m_cols[0]) - v * (g * m_rows[:, 0] - m_rows[:, 1])
+    if spec.variant is WeightVariant.UNIFORM:
+        grad = cols - p_rows
+        value = float(s_rows.sum())
+    else:
+        # With w_ij = g_i - g_j, sum_i w_ij P_ij = (g^T P)_j - g_j (1^T P)_j,
+        # sum_j w_ij P_ij = g_i (P 1)_i - (P g)_i, and the value is sum_i g_i (S 1)_i - (S g)_i
+        grad = (cols[1] - g * cols[0]) - (g * p_rows[:, 0] - p_rows[:, 1])
         value = float((g * s_rows[:, 0] - s_rows[:, 1]).sum())
         scale = float(np.ldexp(scale, g_exp))  # undoes g's power-of-two scaling
-    else:
-        value = float(s_rows.sum())
     out = np.empty(n)
     out[order] = grad * (spec.sigma * scale)
     return LossValueGrad(value * scale, out)

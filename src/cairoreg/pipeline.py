@@ -224,10 +224,19 @@ def fit_variant(
 ) -> Model:
     """Fit one named variant; cfg.loss must match the variant's objective.
 
-    calibration_fraction is passed to cairo_fit; the MSE baseline has no
-    calibration stage and rejects it.
+    cfg.loss may differ from the variant's spec only in sigma or temperature;
+    any other loss is rejected before training. calibration_fraction is
+    passed to cairo_fit; the MSE baseline has no calibration stage and
+    rejects it.
     """
-    if is_ranking_loss(variant_loss_spec(variant)):
+    want = variant_loss_spec(
+        variant,
+        getattr(cfg.loss, "sigma", PairwiseSurrogate.sigma),
+        getattr(cfg.loss, "temperature", SoftGini.temperature),
+    )
+    if cfg.loss != want:
+        raise ValueError(f"model {variant!r} fits {want}, not the configured loss {cfg.loss}")
+    if is_ranking_loss(want):
         return cairo_fit(train_ds, cfg.loss, cfg, calibration_fraction)
     if calibration_fraction is not None:
         raise ValueError("calibration_fraction applies only to ranking variants")

@@ -885,6 +885,19 @@ class TestStandardizer:
         assert len(one.split()) == 2
         assert one == two
 
+    @pytest.mark.parametrize("shape", [(1, 1), (200, 3), (4200, 10)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
+    def test_transform_gives_the_bits_of_the_broadcast_and_leaves_x_alone(self, shape, dtype):
+        rng = np.random.default_rng(shape[0])
+        X = (rng.standard_t(2, size=shape) * 100).astype(dtype)
+        st = Standardizer(rng.normal(size=shape[1]) * 50, rng.uniform(0.1, 30, size=shape[1]))
+        before = X.copy()
+        got = st.transform(X)
+        want = (np.asarray(X, dtype=np.float64) - st.mean) / st.std
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+        assert X.tobytes() == before.tobytes()
+        assert st.transform(X.tolist()).tobytes() == want.tobytes()
+
     def test_round_trip(self):
         ds = _toy(40, seed=2)
         st = fit_standardizer(ds)

@@ -6,7 +6,7 @@ and sigmas over four decades. Both kernels are also checked with scores
 whose scaled span sits just inside and just outside EXP_SPAN_LIMIT, where
 they switch between their exponential-space and stable forms; the surrogate
 there also with targets shifted by 1e8 and scaled by 1e200, which its
-gap-weighted products must centre and scale.
+gap-weighted products centre and scale.
 """
 
 import os
@@ -86,8 +86,8 @@ def test_surrogate_matches_oracle_on_both_sides_of_the_exponential_span_limit(
     # alone would overflow, so the factors must be centred. The gap weights y_i - y_j are
     # never formed: the kernel takes products with the targets and subtracts per row. For
     # targets near 1e8 that keeps about 8 digits of a unit gap unless the targets are
-    # centred, and targets near 1e200 times factors near exp(349.5) overflow unless the
-    # targets are scaled down.
+    # centred; targets near 1e200 check that the power-of-two scaling of the centred
+    # targets is undone exactly in the value and the gradient.
     rng = np.random.default_rng(n)
     y, s = _vector(rng, n, y_tied) * y_scale + y_shift, rng.standard_t(2, size=n)
     sigma = 3.0

@@ -280,6 +280,41 @@ class TestVariants:
             with pytest.raises(ValueError, match=r"calibration_fraction must lie in \(0, 1\)"):
                 fit_variant("ranknet", ds, cfg, calibration_fraction=fraction)
 
+    @pytest.mark.parametrize(
+        "variant, loss",
+        [
+            ("ranknet", SoftGini()),
+            ("ranknet", PairwiseSurrogate(WeightVariant.ABSOLUTE_GAP)),
+            ("ranknet-giniw", PairwiseSurrogate(WeightVariant.RANK_GAP, 2.0)),
+            ("gininet-softrank", PairwiseSurrogate()),
+            ("nn-mse", SoftGini()),
+            ("ranknet", PointwiseMse()),
+        ],
+    )
+    def test_fit_variant_rejects_another_objective_before_training(
+        self, monkeypatch, variant, loss
+    ):
+        trained = []
+        monkeypatch.setattr("cairoreg.pipeline.train", lambda *args: trained.append(args))
+        ds = generate(ScenarioSpec(Scenario.NORMAL, n=120, d=3, seed=8))
+        names_both = rf"model '{variant}' fits .*, not the configured loss {re.escape(str(loss))}$"
+        with pytest.raises(ValueError, match=names_both):
+            fit_variant(variant, ds, _quick_cfg(loss=loss))
+        assert not trained
+
+    def test_fit_variant_takes_the_configured_sigma_and_temperature(self):
+        ds = generate(ScenarioSpec(Scenario.NORMAL, n=120, d=3, seed=8))
+        for variant, loss in [
+            ("ranknet-giniw", PairwiseSurrogate(WeightVariant.ABSOLUTE_GAP, 2.0)),
+            ("gininet-softrank", SoftGini(0.5)),
+        ]:
+            cfg = _quick_cfg(epochs=1, loss=loss)
+            got = fit_variant(variant, ds, cfg)
+            want = cairo_fit(ds, loss, cfg)
+            np.testing.assert_array_equal(
+                predict_model(got, ds.features), predict_model(want, ds.features)
+            )
+
 
 class TestSerialization:
     def test_cairo_round_trip(self, normal_model, tmp_path):
