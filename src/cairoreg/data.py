@@ -24,7 +24,7 @@ from collections import Counter
 from collections.abc import Iterator, Sequence
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from enum import Enum
-from itertools import chain, zip_longest
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -319,9 +319,12 @@ def _undecodable(path: Path) -> str:
                 if not text.isascii():
                     text.rstrip("\n").encode("latin-1").decode("utf-8")
             except UnicodeDecodeError as exc:
-                why = f"byte 0x{exc.object[exc.start]:02x} is not UTF-8 ({exc.reason})"
-                return f"line {number}, column {exc.start + 1}: {why}"
+                return f"line {number}, column {exc.start + 1}: {_not_utf8(exc)}"
     return "a byte that is not UTF-8"  # the file changed after the failed read
+
+
+def _not_utf8(exc: UnicodeDecodeError) -> str:
+    return f"byte 0x{exc.object[exc.start]:02x} is not UTF-8 ({exc.reason})"
 
 
 def _header(rows: Iterator[list[str]], path: Path) -> list[str]:
@@ -381,7 +384,7 @@ def _fork(produce, *args) -> tuple[int, typing.BinaryIO]:
 
     file is an anonymous temporary file, opened before the fork in tempfile's directory. The
     child exits 0 once produce returns and file is flushed, and 1 where produce raises; it runs
-    no exit handler of the parent. The parent may use file only after _finished.
+    no exit handler of the parent. The parent may use file only once the child has exited 0.
     """
     file = tempfile.TemporaryFile()
     try:
@@ -400,26 +403,39 @@ def _fork(produce, *args) -> tuple[int, typing.BinaryIO]:
     return pid, file
 
 
-def _finished(pid: int, children: dict[int, typing.BinaryIO]) -> typing.BinaryIO | None:
-    """The file of child pid, rewound, where the child exits 0; None, the file closed, where
-    it does not. The child is reaped and leaves children either way.
+@contextlib.contextmanager
+def _in_children(produce, jobs: list[tuple]) -> Iterator[Iterator[typing.BinaryIO | None]]:
+    """On entry, fork a child (_fork) that runs produce(file, *job) for each job after the
+    first, for as long as forks and temporary files succeed. Give an iterator over jobs, in
+    order, of that child's file, rewound, where the child exits 0, and of None for the first
+    job, a job left without a child and one whose child exits otherwise.
+
+    On exit, however the block ends, each child not yet waited for is killed and reaped, and
+    every file is closed.
     """
-    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    file = children.pop(pid)
-    if code == 0:
-        file.seek(0)
-        return file
-    file.close()
-    return None
+    children: list[tuple[int, typing.BinaryIO]] = []
+    with contextlib.suppress(OSError):  # the jobs left without a child get None
+        for job in jobs[1:]:
+            children.append(_fork(produce, *job))
+    running = dict(children)
 
+    def files() -> Iterator[typing.BinaryIO | None]:
+        yield None
+        for pid, file in children:
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del running[pid]
+            file.seek(0)
+            yield file if code == 0 else None
+        yield from [None] * (len(jobs) - 1 - len(children))
 
-def _stop(children: dict[int, typing.BinaryIO]) -> None:
-    """Kill and reap each child not yet reaped, closing its file."""
-    while children:
-        pid, file = children.popitem()
-        file.close()
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
+    try:
+        yield files()
+    finally:
+        for pid in running:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for _, file in children:
+            file.close()
 
 
 def _cuts(path: Path, size: int, windows: int) -> list[int]:
@@ -475,73 +491,54 @@ def _loadtxt(fh: io.TextIOWrapper) -> np.ndarray:
         )
 
 
-def _parse_window(path: Path, start: int, end: int | None, width: int) -> np.ndarray:
-    """The cells of bytes start to end of path, or to its end when end is None, as _loadtxt
-    reads them; ValueError unless it finds width columns.
+def _write_window(
+    file: typing.BinaryIO, path: Path, start: int, end: int | None, width: int
+) -> None:
+    """Write into file the float64 cells of bytes start to end of path, or to its end when end
+    is None, as _loadtxt reads them; ValueError unless it finds width columns.
     """
     with _window(path, start, end) as fh:
         cells = _loadtxt(fh)
     if cells.shape[1] != width:
         raise ValueError(f"{cells.shape[1]} columns, not {width}")
-    return cells
-
-
-def _write_window(file: typing.BinaryIO, *args) -> None:
-    """Write into file the float64 cells of _parse_window(*args)."""
-    file.write(_parse_window(*args))
+    file.write(cells)
 
 
 def _read_loadtxt(path: Path) -> tuple[list[str], np.ndarray] | None:
     """Header and matrix of path, np.loadtxt parsing the rows after the header; None where it
     might read them otherwise than float(), or any window fails, warns or finds other than one
-    column per name, or a child does not exit 0.
+    column per name, or does not come back from a child.
 
-    path is cut just after newline bytes into at most _window_count windows. A forked child
-    parses each window after the first into a temporary file (_fork), which the parent reads
-    into a view of the result once the child exits 0. The parent parses the first window,
-    header included, and every window left without a child, as when a fork or a temporary
-    file fails. No child outlives the call, however it ends.
+    path is cut just after newline bytes into at most _window_count windows. The parent parses
+    the first window, header included, and a forked child each other window into a temporary
+    file (_in_children), which the parent reads into a view of the result. No child outlives
+    the call, however it ends.
     """
     if not _loadtxt_agrees(path):
         return None
     size = path.stat().st_size
     cuts = _cuts(path, size, _window_count(size))
-    children: dict[int, typing.BinaryIO] = {}
-    files: list[typing.BinaryIO] = []
     try:
         with _window(path, 0, cuts[0] if cuts else None) as fh:
             header = _header(filter(None, csv.reader(fh)), path)
             width = len(header)
-            with contextlib.suppress(OSError):  # the parent parses each window left without a child
-                for start, end in zip(cuts, [*cuts[1:], None]):
-                    pid, file = _fork(_write_window, path, start, end, width)
-                    children[pid] = file
-            first = _loadtxt(fh)
-        if first.shape[1] != width:
-            return None
-        if len(children) == len(cuts):
-            last = np.empty((0, width))
-        else:  # the windows left without a child, parsed as one
-            last = _parse_window(path, cuts[len(children)], None, width)
-        for pid in list(children):
-            file = _finished(pid, children)
-            if file is None:
-                return None
-            files.append(file)
-        rows = [os.fstat(file.fileno()).st_size // (8 * width) for file in files]
-        matrix = np.empty((len(first) + sum(rows) + len(last), width))
-        matrix[: len(first)] = first
-        row = len(first)
-        for file, n in zip(files, rows):
-            file.readinto(matrix[row : row + n])
-            row += n
-        matrix[row:] = last
+            jobs = [(path, start, end, width) for start, end in zip([0, *cuts], [*cuts, None])]
+            with _in_children(_write_window, jobs) as results:
+                first = _loadtxt(fh)
+                if first.shape[1] != width:
+                    return None
+                files = list(results)[1:]
+                if None in files:
+                    return None
+                rows = [os.fstat(file.fileno()).st_size // (8 * width) for file in files]
+                matrix = np.empty((len(first) + sum(rows), width))
+                matrix[: len(first)] = first
+                row = len(first)
+                for file, n in zip(files, rows):
+                    file.readinto(matrix[row : row + n])
+                    row += n
     except Exception:  # whatever stopped loadtxt, the float() path reads or names it
         return None
-    finally:
-        _stop(children)
-        for file in files:
-            file.close()
     return header, matrix
 
 
@@ -557,7 +554,9 @@ def _read_float(path: Path) -> tuple[list[str], np.ndarray]:
             header = _header(rows, path)
             cells = chain.from_iterable(_checked_rows(rows, len(header), last, path))
             return header, np.fromiter(map(float, cells), np.float64).reshape(-1, len(header))
-        except UnicodeDecodeError:
+        except UnicodeDecodeError as exc:
+            if not path.is_file():  # a pipe is drained, and a FIFO blocks the next open
+                raise DataError(f"cannot read {path}: {_not_utf8(exc)}") from None
             raise DataError(f"cannot read {path}, stopped at {_undecodable(path)}") from None
         except csv.Error as exc:
             raise DataError(
@@ -575,13 +574,15 @@ def read_numeric_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
     csv reads the header and np.loadtxt the rows after it, in one window per usable CPU
     for a large file, a forked child parsing each window after the first and handing back
     its cells in a temporary file (see _read_loadtxt). Where loadtxt fails in any window or
-    might read the rows otherwise, the float() path reads the file again in one pass: it
-    alone accepts cells such as 1_000, non-ASCII digits and quoted cells, and it alone
-    makes the error messages, so both give the same result or message. A non-numeric
-    cell, a missing or non-finite value and a repeated column name are hard errors
-    naming the file, with data rows counted from 0 after the header, skipping blank
-    lines. A file that is not UTF-8 fails naming the line and column of its first bad
-    byte, and one that csv cannot parse the line it stopped at. A UTF-8 byte-order mark
+    might read the rows otherwise, or a window does not come back from a child, the float()
+    path reads the file again in one pass: it alone accepts cells such as 1_000, non-ASCII
+    digits and quoted cells, and it alone makes the error messages, so both give the same
+    result or message. A file that is not a regular file, such as a pipe, a FIFO or
+    /dev/stdin, the float() path alone reads, once. A non-numeric cell, a missing or
+    non-finite value and a repeated column name are hard errors naming the file, with data
+    rows counted from 0 after the header, skipping blank lines. A file that is not UTF-8
+    fails naming its first bad byte and, for a regular file, that byte's line and column;
+    one that csv cannot parse fails naming the line it stopped at. A UTF-8 byte-order mark
     at the start of the file is dropped.
     """
     path = Path(path)
@@ -591,7 +592,8 @@ def read_numeric_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
         raise DataError(f"missing file: {path}") from None
     if stat.S_ISDIR(info.st_mode):
         raise DataError(f"not a file: {path}")
-    header, parsed = _read_loadtxt(path) or _read_float(path)
+    regular = stat.S_ISREG(info.st_mode)  # a pipe or FIFO can be read once only
+    header, parsed = (regular and _read_loadtxt(path)) or _read_float(path)
     finite = np.isfinite(parsed).all(axis=1)
     if not finite.all():
         raise DataError(f"non-finite value at row {int(np.argmin(finite))} in {path}")
@@ -669,10 +671,10 @@ def write_numeric_csv(path: str | Path, header: list[str], columns: list[np.ndar
 
     The rows are cut into _window_count(rows x columns x 25) ranges, 25 bytes being the
     longest cell and its separator. A forked child formats each range after the first into
-    a temporary file (_fork), one WRITE_BLOCK_ROWS block at a time, which the parent copies
-    after its own range once the child exits 0. The parent formats itself each range that
-    has no child or whose child fails, so the output, a pipe or device included, has the
-    one-window bytes. No child outlives the call.
+    a temporary file (_in_children), one WRITE_BLOCK_ROWS block at a time, which the parent
+    copies after its own range. The parent formats itself each range that does not come back
+    from a child, so the output, a pipe or device included, has the one-window bytes. No
+    child outlives the call.
     """
     duplicated = _duplicates(header)
     if duplicated:
@@ -694,26 +696,18 @@ def write_numeric_csv(path: str | Path, header: list[str], columns: list[np.ndar
     line = ",".join(["%.17g"] * len(arrays)) + "\r\n"
     n = lengths[0] if lengths else 0
     k = _window_count(n * len(arrays) * 25)  # "%.17g" of -2.2250738585072014e-308 is 24
-    ranges = [(i * n // k, (i + 1) * n // k) for i in range(k)]
-    children: dict[int, typing.BinaryIO] = {}
-    try:
-        with contextlib.suppress(OSError):  # the parent formats each range left without a child
-            for r0, r1 in ranges[1:]:
-                pid, file = _fork(_write_lines, arrays, line, r0, r1)
-                children[pid] = file
-        pids = [None, *children]
-        with Path(path).open("w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerow(header)
-            fh.flush()  # the rows go to fh.buffer, after the header
-            for (r0, r1), pid in zip_longest(ranges, pids):
-                file = None if pid is None else _finished(pid, children)
-                if file is None:
-                    _write_lines(fh.buffer, arrays, line, r0, r1)
-                else:
-                    with file:
-                        shutil.copyfileobj(file, fh.buffer)
-    finally:
-        _stop(children)
+    jobs = [(arrays, line, i * n // k, (i + 1) * n // k) for i in range(k)]
+    with (
+        _in_children(_write_lines, jobs) as results,
+        Path(path).open("w", newline="", encoding="utf-8") as fh,
+    ):
+        csv.writer(fh).writerow(header)
+        fh.flush()  # the rows go to fh.buffer, after the header
+        for job, file in zip(jobs, results):
+            if file is None:
+                _write_lines(fh.buffer, *job)
+            else:
+                shutil.copyfileobj(file, fh.buffer)
 
 
 def write_csv(ds: Dataset, path: str | Path) -> None:

@@ -77,15 +77,6 @@ def _dense_ranks(v: np.ndarray) -> tuple[np.ndarray, int]:
     return ranks, int(np.sum(counts * (counts - 1)) // 2)
 
 
-def _right_half_position_sum(n: int, width: int) -> int:
-    """Sum of the positions i < n whose block of 2 * width puts them in its right half."""
-    full = n // (2 * width)  # full blocks, the right half of block b is [2wb + w, 2wb + 2w)
-    start = 2 * width * full + width
-    partial = max(n - start, 0)
-    in_full = full * width * (2 * width * full + width - 1) // 2
-    return in_full + partial * start + partial * (partial - 1) // 2
-
-
 def _discordant_pairs(keys: np.ndarray) -> int:
     """Pairs i < j with keys[i] > keys[j], for integer keys in [0, n), by bottom-up merge sort.
 
@@ -104,9 +95,10 @@ def _discordant_pairs(keys: np.ndarray) -> int:
     while 1 << level < n:
         codes &= key_mask
         codes |= (position >> (level + 1)) << (bits + 1)
-        codes |= (position >> level) & 1
+        side = (position >> level) & 1
+        codes |= side
         codes.sort()
-        discordant += _right_half_position_sum(n, 1 << level) - int(position @ (codes & 1))
+        discordant += int(position @ side) - int(position @ (codes & 1))
         level += 1
     return discordant
 

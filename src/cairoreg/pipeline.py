@@ -39,7 +39,11 @@ from .scorer import MlpParams, TrainConfig, Workspace, forward, train
 
 BUNDLE_VERSION = "cairo-model-v3"
 
-# CLI variant flag -> display name used in reports
+# CLI variant flag -> display name used in reports. ranknet-giniw and gininet-softrank are
+# ORO ("Optimal-in-Rank-Order") in the paper's sense: they take the order of the conditional
+# mean. ranknet takes the order of the pairwise majority. All three agree where the
+# conditional laws are stochastically ordered, as in the three shipped scenarios (the README
+# says where). tests/test_mean_order.py checks this on two-cell laws.
 VARIANTS = {
     "ranknet": "CAIRO-RankNet",
     "ranknet-giniw": "CAIRO-RankNet-GiniW",
