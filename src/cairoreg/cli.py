@@ -46,11 +46,11 @@ from .data import (
     write_numeric_csv,
 )
 from .dgp import ScenarioSpec, generate
-from .isotonic import predict as calibration_predict
+# calibration_predict is not called here; it stays bound because perfbench/spans.py wraps it.
+from .isotonic import predict as calibration_predict  # noqa: F401
 from .metrics import METRICS, EvalReport, kendall, rmse, spearman
 from .pipeline import (
     VARIANTS,
-    CairoModel,
     FitHyper,
     fit_variant,
     load_model,
@@ -156,26 +156,18 @@ def cmd_fit(args: argparse.Namespace) -> int:
         raise CliError(f"no feature columns in {args.data}")
     model = fit_variant(model_name, ds, train_cfg, opts["calibration_fraction"])
     try:  # mse_fit leaves its last step unchecked; a model that overflows is not written
-        predict_model(model, ds.features)
+        yhat = predict_model(model, ds.features)
     except ValueError as exc:
         raise CliError(f"training diverged at its last step: {exc}") from None
     save_model(model, args.out, config)
     if args.emit_plot_data is not None:
-        _emit_plot_data(model, ds, Path(args.emit_plot_data), config)
+        # training points for score/target, score/calibrated and fit/target plots
+        plot_path = Path(args.emit_plot_data)
+        scores = score_rows(model.scorer, model.standardizer, ds.features)
+        write_numeric_csv(plot_path, ["score", "target", "calibrated"], [scores, ds.targets, yhat])
+        _write_sidecar(plot_path, PLOT_DATA_VERSION, config)
     print(f"fitted {VARIANTS[model_name]} on {ds.n} rows; model at {args.out}")
     return 0
-
-
-def _emit_plot_data(model, ds, path: Path, config: dict) -> None:
-    """Training-point sets for score/target, score/calibrated, and fit/target plots."""
-    if isinstance(model, CairoModel):
-        scores = score_rows(model.scorer, model.standardizer, ds.features)
-        calibrated = calibration_predict(model.calibration, scores)
-    else:
-        scores = predict_model(model, ds.features)
-        calibrated = scores
-    write_numeric_csv(path, ["score", "target", "calibrated"], [scores, ds.targets, calibrated])
-    _write_sidecar(path, PLOT_DATA_VERSION, config)
 
 
 def _model_features(args: argparse.Namespace, model, header: list[str], matrix: np.ndarray):

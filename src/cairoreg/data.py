@@ -236,17 +236,21 @@ def _batch_sum(L: np.ndarray, R: np.ndarray, out: np.ndarray | None = None) -> n
 class Standardizer:
     """Per-column affine map to zero mean, unit spread.
 
-    Zero-variance columns get stddev 1, so constants standardize to 0.
+    Zero-variance columns get stddev 1, so constants standardize to 0. Both
+    arrays are read-only float64 copies, so the checks below hold for its life.
     """
 
     mean: np.ndarray
     std: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.mean.shape != self.std.shape:
-            raise DataError(f"standardizer lengths {self.mean.shape}, {self.std.shape} differ")
-        if not (np.isfinite(self.mean).all() and np.all(np.isfinite(self.std) & (self.std > 0))):
+        mean, std = _freeze(self.mean), _freeze(self.std)
+        if mean.shape != std.shape:
+            raise DataError(f"standardizer lengths {mean.shape}, {std.shape} differ")
+        if not (np.isfinite(mean).all() and np.all(np.isfinite(std) & (std > 0))):
             raise DataError("standardizer needs finite means and finite stds > 0")
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "std", std)
 
     def transform(self, X: np.ndarray) -> np.ndarray:
         """(X - mean) / std in one fresh array: the difference, divided in place."""
@@ -273,7 +277,7 @@ def fit_standardizer(ds: Dataset) -> Standardizer:
     var = _batch_sum(ones, np.square(dev, out=dev)) / ds.n
     std = np.sqrt(var)
     std = np.where(std > 0.0, std, 1.0)
-    return Standardizer(mean=_freeze(X[0] + shift), std=_freeze(std))
+    return Standardizer(mean=X[0] + shift, std=std)
 
 
 def apply_standardizer(st: Standardizer, ds: Dataset) -> Dataset:

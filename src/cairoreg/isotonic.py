@@ -21,10 +21,9 @@ class CalibrationMap:
 
     pav_fit keeps the first and last training score of each run of equal
     fitted values (a run of one keeps its one score), so the knots are the
-    ends of the map's levels. A map that lists every training score, as
-    bundles written before that pruning do, predicts the same values. Both
-    arrays are read-only float64 copies, so the checks below hold for the
-    map's life.
+    ends of the map's levels. A map that lists every training score
+    predicts the same values. Both arrays are read-only float64 copies, so
+    the checks below hold for the map's life.
     """
 
     knots: np.ndarray

@@ -4,7 +4,8 @@ cairo_fit standardizes features, trains the scorer on a ranking loss
 against raw targets, then fits the monotone calibration map on the
 training scores. Targets are never standardized on the ranking path: the
 calibration stage restores their scale. The baseline standardizes targets
-during training and undoes that at prediction time.
+during training, then folds their scale into the scorer's output layer, so
+its scorer predicts on the target scale and it has no calibration map.
 
 A model bundle is one JSON object whose one version is BUNDLE_VERSION. Its
 scorer, standardizer, calibration map and loss spec are written and read by
@@ -37,7 +38,7 @@ from .losses import (
 )
 from .scorer import MlpParams, TrainConfig, Workspace, forward, train
 
-BUNDLE_VERSION = "cairo-model-v3"
+BUNDLE_VERSION = "cairo-model-v4"
 
 # CLI variant flag -> display name used in reports. ranknet-giniw and gininet-softrank are
 # ORO ("Optimal-in-Rank-Order") in the paper's sense: they take the order of the conditional
@@ -116,7 +117,7 @@ def score_rows(scorer: MlpParams, standardizer: Standardizer, X: np.ndarray) -> 
     predict_model, cairo_fit's calibration scores and the CLI's plot data all
     score here, so the same rows get the same scores on each path.
     """
-    work = Workspace.empty(min(X.shape[0], SCORE_CHUNK_ROWS), scorer.dims)
+    work = Workspace(min(X.shape[0], SCORE_CHUNK_ROWS), scorer.dims)
     scores = np.empty(X.shape[0])
     for r0 in range(0, X.shape[0], SCORE_CHUNK_ROWS):
         chunk = standardizer.transform(X[r0 : r0 + SCORE_CHUNK_ROWS])
@@ -135,10 +136,8 @@ class CairoModel:
 
 @dataclass(frozen=True)
 class MseBaselineModel:
-    scorer: MlpParams
+    scorer: MlpParams  # its output layer is on the target scale
     standardizer: Standardizer
-    target_mean: float
-    target_std: float
     feature_names: tuple[str, ...]
 
 
@@ -192,29 +191,27 @@ def cairo_fit(
 def mse_fit(train_ds: Dataset, cfg: TrainConfig) -> MseBaselineModel:
     """Identical architecture and loop, squared error on standardized targets.
 
-    Targets whose mean or standard deviation overflows float64 cannot be
-    standardized; they raise ValueError before training starts.
+    The targets' mean and std are taken on y / 2**e, with 2**e the power of two
+    above max|y|, and scaled back: the scaling is exact, and their squares can
+    neither underflow nor overflow. Constant targets keep std 1. After training,
+    w3 <- std * w3 and b3 <- std * b3 + mean fold the targets' scale into the
+    output layer, so the scorer predicts on the target scale.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
-        y_mean = float(train_ds.targets.mean())
-        y_std = float(train_ds.targets.std()) or 1.0
-    if not (np.isfinite(y_mean) and np.isfinite(y_std)):
-        raise ValueError(
-            f"targets too large to standardize: their mean is {y_mean}"
-            f" and their standard deviation {y_std} in float64"
-        )
+    y = train_ds.targets
+    e = np.frexp(np.abs(y).max())[1]
+    u = np.ldexp(y, -e)
+    u_mean, u_std = u.mean(), u.std()
+    y_mean = np.ldexp(u_mean, e)
+    if u_std > 0.0:
+        y_std, std_targets = np.ldexp(u_std, e), (u - u_mean) / u_std
+    else:
+        y_std, std_targets = 1.0, y - y_mean
     st = fit_standardizer(train_ds)
-    std_train = replace(
-        apply_standardizer(st, train_ds), targets=(train_ds.targets - y_mean) / y_std
-    )
+    std_train = replace(apply_standardizer(st, train_ds), targets=std_targets)
     params, _ = train(std_train, replace(cfg, loss=PointwiseMse()))
-    return MseBaselineModel(
-        scorer=params,
-        standardizer=st,
-        target_mean=y_mean,
-        target_std=y_std,
-        feature_names=train_ds.feature_names,
-    )
+    params.w3[...] *= y_std
+    params.vector[-1] = y_std * params.b3 + y_mean
+    return MseBaselineModel(scorer=params, standardizer=st, feature_names=train_ds.feature_names)
 
 
 Model = CairoModel | MseBaselineModel
@@ -248,7 +245,7 @@ def fit_variant(
 
 
 def predict_model(model: Model, X: np.ndarray) -> np.ndarray:
-    """Scorer on standardized features, then the calibration map or the targets' std and mean."""
+    """Scorer on standardized features, then the calibration map if the model has one."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     expected = model.scorer.dims[0]
     if X.ndim != 2 or X.shape[1] != expected:
@@ -257,11 +254,9 @@ def predict_model(model: Model, X: np.ndarray) -> np.ndarray:
         )
     if not np.all(np.isfinite(X)):
         raise ValueError("non-finite feature value")
-    scores = score_rows(model.scorer, model.standardizer, X)
+    yhat = score_rows(model.scorer, model.standardizer, X)
     if isinstance(model, CairoModel):
-        yhat = calibration_predict(model.calibration, scores)
-    else:
-        yhat = scores * model.target_std + model.target_mean
+        yhat = calibration_predict(model.calibration, yhat)
     if not np.isfinite(yhat).all():
         bad = int(np.count_nonzero(~np.isfinite(yhat)))
         raise ValueError(f"non-finite prediction: {bad} of {yhat.size} rows")
@@ -290,8 +285,6 @@ def model_to_dict(model: Model, config: dict | None = None) -> dict:
         out["loss"] = {"objective": objective, **config_to_dict(model.spec)}
     else:
         out["kind"] = "nn-mse"
-        out["target_mean"] = model.target_mean
-        out["target_std"] = model.target_std
     return out
 
 
@@ -320,13 +313,7 @@ def model_from_dict(obj: dict) -> Model:
             spec = config_from_dict(LOSS_OBJECTIVES[objective], loss, "loss")
             return CairoModel(**shared, calibration=calibration, spec=spec)
         if obj.get("kind") == "nn-mse":
-            mean = _coerce("target_mean", float, obj.get("target_mean"))
-            std = _coerce("target_std", float, obj.get("target_std"))
-            if not np.isfinite(mean):
-                raise ValueError(f"target_mean must be finite, got {mean}")
-            if not 0.0 < std < np.inf:
-                raise ValueError(f"target_std must be finite and > 0, got {std}")
-            return MseBaselineModel(**shared, target_mean=mean, target_std=std)
+            return MseBaselineModel(**shared)
         raise ValueError(f"kind: unknown model kind {obj.get('kind')!r}")
     except ValueError as exc:
         raise ValueError(f"corrupt bundle: {exc}") from None

@@ -117,10 +117,6 @@ class Workspace:
     rows: int
     dims: tuple[int, int, int]
 
-    @classmethod
-    def empty(cls, rows: int, dims: tuple[int, int, int]) -> Workspace:
-        return cls(rows, dims)
-
     def __getattr__(self, name: str):
         """Allocates a buffer at its first use; the instance then holds it."""
         if name.startswith("_"):  # copy and pickle look up dunders before dims is set
@@ -160,7 +156,7 @@ def forward(
     if X.shape[1] != params.dims[0]:
         raise ValueError(f"expected {params.dims[0]} feature columns, got {X.shape[1]}")
     n = X.shape[0]
-    work = Workspace.empty(n, params.dims) if work is None else work
+    work = Workspace(n, params.dims) if work is None else work
     Z1, H1, Z2, H2 = work.Z1[:n], work.H1[:n], work.Z2[:n], work.H2[:n]
     scores = work.scores[:n]
     np.matmul(X, params.W1.T, out=Z1)
@@ -188,7 +184,7 @@ def backward(
     if g.shape != (n,):
         raise ValueError("stale cache: gradient length does not match forward batch")
     p = cache.params
-    work = Workspace.empty(n, p.dims) if work is None else work
+    work = Workspace(n, p.dims) if work is None else work
     dZ1, dZ2, relu1, relu2 = work.dZ1[:n], work.dZ2[:n], work.relu1[:n], work.relu2[:n]
     grads = work.grads
     np.multiply(g[:, None], p.w3, out=dZ2)  # dH2, the outer product of g and w3
@@ -270,7 +266,7 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[MlpParams, list[float]]:
         raise ValueError("pairwise losses need at least 2 rows")
 
     params = init_params(ds.d, cfg.seed)
-    work = Workspace.empty(min(cfg.batch_size, ds.n), params.dims)
+    work = Workspace(min(cfg.batch_size, ds.n), params.dims)
     history: list[float] = []
     t = 0  # Adam steps taken
 

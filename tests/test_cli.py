@@ -98,7 +98,7 @@ class TestFitPredictEval:
         data = _simulate(tmp_path)
         model_path = _fit(tmp_path, data)
         obj = json.loads(model_path.read_text())
-        assert obj["version"] == "cairo-model-v3"
+        assert obj["version"] == "cairo-model-v4"
         assert obj["config"]["model"] == "ranknet"
         assert obj["config"]["epochs"] == 4
 
@@ -339,8 +339,6 @@ def small_bundles(tmp_path_factory):
         ("ranknet", ("standardizer", "std", 0), 0.0),
         ("ranknet", ("standardizer", "mean", 0), float("inf")),
         ("ranknet", ("scorer", "vector", 0), float("nan")),
-        ("nn-mse", ("target_mean",), float("nan")),
-        ("nn-mse", ("target_std",), 0.0),
         ("ranknet", ("loss",), {"objective": "pointwise-mse"}),  # a cairo model ranks
     ],
     ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else None,
@@ -543,10 +541,8 @@ def test_mse_fit_that_overflows_at_its_last_step_writes_nothing(tmp_path, capsys
     assert not (tmp_path / "m.json").exists() and not plot_csv.exists()
 
 
-def test_mse_fit_on_targets_whose_spread_overflows_fails_before_training(
-    tmp_path, capsys, recwarn
-):
-    """Targets within float64 whose standard deviation is not; a ranking fit takes them."""
+def test_mse_fit_on_targets_whose_spread_overflows_float64_fits(tmp_path, capsys, recwarn):
+    """Targets within float64 whose standard deviation is not; both kinds of fit take them."""
     rng = np.random.default_rng(0)
     X = rng.standard_normal((300, 3))
     y = 1e306 * np.tanh(X[:, 0] + 0.3 * rng.standard_normal(300))
@@ -556,12 +552,11 @@ def test_mse_fit_on_targets_whose_spread_overflows_fails_before_training(
     args = ["fit", "--data", str(data), "--epochs", "2", "--out"]
     capsys.readouterr()
     assert main([*args, str(tmp_path / "r.json"), "--model", "ranknet"]) == 0
-    out = tmp_path / "m.json"
-    assert main([*args, str(out), "--model", "nn-mse"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: targets too large to standardize: their mean is ")
-    assert "their standard deviation inf" in err
-    assert not out.exists()
+    out, preds = tmp_path / "m.json", tmp_path / "p.csv"
+    assert main([*args, str(out), "--model", "nn-mse"]) == 0
+    assert main(["predict", "--model", str(out), "--data", str(data), "--out", str(preds)]) == 0
+    yhat = np.loadtxt(preds, delimiter=",", skiprows=1)
+    assert yhat.shape == (300,) and np.isfinite(yhat).all()
     assert not recwarn.list, [str(w.message) for w in recwarn.list]
 
 

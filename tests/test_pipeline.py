@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -15,7 +16,16 @@ from oracles import pav_fit_unpruned
 
 import cairoreg
 from cairoreg import pipeline
-from cairoreg.data import DataError, Dataset, SplitSpec, config_to_dict, make_rng, split
+from cairoreg.data import (
+    DataError,
+    Dataset,
+    SplitSpec,
+    apply_standardizer,
+    config_to_dict,
+    fit_standardizer,
+    make_rng,
+    split,
+)
 from cairoreg.dgp import Scenario, ScenarioSpec, generate
 from cairoreg.isotonic import audit_autocalibration, pav_fit
 from cairoreg.isotonic import predict as calibration_predict
@@ -36,7 +46,7 @@ from cairoreg.pipeline import (
     variant_loss_spec,
     variant_train_config,
 )
-from cairoreg.scorer import TrainConfig, Workspace, forward
+from cairoreg.scorer import TrainConfig, Workspace, forward, train
 
 
 def _quick_cfg(**kw):
@@ -245,6 +255,34 @@ class TestMseBaseline:
         model = mse_fit(ds, _quick_cfg())
         assert predict_model(model, ds.features[:17]).shape == (17,)
 
+    @pytest.mark.parametrize("scenario", [Scenario.NORMAL, Scenario.HEAVY_TAIL])
+    def test_folded_output_layer_predicts_the_unfolded_scorer_on_the_target_scale(
+        self, scenario
+    ):
+        """Oracle: the scorer trained as mse_fit trains it, then the targets' std and mean."""
+        ds = generate(ScenarioSpec(scenario, n=300, d=4, seed=12))
+        cfg = _quick_cfg()
+        y_mean, y_std = ds.targets.mean(), ds.targets.std()
+        st = fit_standardizer(ds)
+        unit = replace(apply_standardizer(st, ds), targets=(ds.targets - y_mean) / y_std)
+        params, _ = train(unit, replace(cfg, loss=PointwiseMse()))
+        X = np.concatenate([ds.features, make_rng(13).standard_normal((200, ds.d)) * 3.0])
+        want = score_rows(params, st, X) * y_std + y_mean
+        got = predict_model(mse_fit(ds, cfg), X)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("k", [-600, 600])
+    @pytest.mark.parametrize("variant", ["nn-mse", "ranknet"])
+    def test_targets_scaled_by_a_power_of_two_scale_the_predictions_exactly(self, variant, k):
+        """Far below and above the scales where the targets' squares leave float64."""
+        ds = generate(ScenarioSpec(Scenario.NORMAL, n=200, d=3, seed=14))
+        cfg = variant_train_config(variant, 0, FitHyper(epochs=4, batch_size=64))
+        X = make_rng(15).standard_normal((50, ds.d)) * 2.0
+        unit = predict_model(fit_variant(variant, ds, cfg), X)
+        scaled = replace(ds, targets=np.ldexp(ds.targets, k))
+        got = predict_model(fit_variant(variant, scaled, cfg), X)
+        assert got.tobytes() == np.ldexp(unit, k).tobytes()
+
 
 class TestVariants:
     def test_loss_specs(self):
@@ -335,7 +373,8 @@ class TestSerialization:
         ds = generate(ScenarioSpec(Scenario.NORMAL, n=100, d=3, seed=9))
         model = mse_fit(ds, _quick_cfg())
         obj = model_to_dict(model)
-        assert obj["version"] == "cairo-model-v3"
+        assert obj["version"] == "cairo-model-v4"
+        assert "target_mean" not in obj and "target_std" not in obj
         back = model_from_dict(obj)
         np.testing.assert_array_equal(
             predict_model(back, ds.features), predict_model(model, ds.features)
@@ -346,10 +385,10 @@ class TestSerialization:
         with pytest.raises(ValueError, match="version"):
             model_from_dict({"version": "other"})
 
-    def test_v3_bundle_with_a_knot_at_every_training_score_predicts_the_same(
+    def test_bundle_with_a_knot_at_every_training_score_predicts_the_same(
         self, normal_model, tmp_path
     ):
-        """Bundles written before pav_fit kept only the ends of each level still load."""
+        """A map that lists every training score loads and predicts as the pruned map does."""
         ds, model = normal_model
         scores = score_rows(model.scorer, model.standardizer, ds.features)
         full = pav_fit_unpruned(scores, ds.targets)
@@ -361,15 +400,30 @@ class TestSerialization:
         X = np.concatenate([ds.features, make_rng(8).standard_normal((300, ds.d)) * 3.0])
         assert predict_model(old, X).tobytes() == predict_model(model, X).tobytes()
 
-    def test_v2_bundle_must_be_refitted(self, normal_model, tmp_path):
-        _, model = normal_model
-        path = tmp_path / "v2.json"
-        save_model(model, path)
-        obj = json.loads(path.read_text())
-        path.write_text(json.dumps({**obj, "version": "cairo-model-v2"}))
-        says = f"unsupported model version: 'cairo-model-v2' (in {path})"
+    @pytest.mark.parametrize("version, kind", [("v2", "cairo"), ("v3", "cairo"), ("v3", "nn-mse")])
+    def test_v2_bundle_must_be_refitted(self, normal_model, tmp_path, version, kind):
+        """So must a v3 bundle: an NN-MSE one would predict on the standardized scale."""
+        if kind == "cairo":
+            obj = model_to_dict(normal_model[1])
+        else:  # a v3 NN-MSE bundle kept the targets' mean and std beside the scorer
+            ds = generate(ScenarioSpec(Scenario.NORMAL, n=100, d=3, seed=9))
+            obj = model_to_dict(mse_fit(ds, _quick_cfg())) | {"target_mean": 0.5, "target_std": 2.0}
+        path = tmp_path / f"{version}.json"
+        path.write_text(json.dumps({**obj, "version": f"cairo-model-{version}"}))
+        says = f"unsupported model version: 'cairo-model-{version}' (in {path})"
         with pytest.raises(ValueError, match=re.escape(says)):
             load_model(path)
+
+    @pytest.mark.parametrize("variant", ["ranknet", "nn-mse"])
+    def test_loaded_standardizer_is_read_only(self, tmp_path, variant):
+        ds = generate(ScenarioSpec(Scenario.NORMAL, n=100, d=3, seed=9))
+        path = tmp_path / "model.json"
+        cfg = variant_train_config(variant, 0, FitHyper(epochs=1))
+        save_model(fit_variant(variant, ds, cfg), path)
+        st = load_model(path).standardizer
+        assert not st.mean.flags.writeable and not st.std.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            st.std[0] = 2.0
 
 
 class TestScorePath:
@@ -428,18 +482,16 @@ class TestScorePath:
             rows = [work.X, work.y, work.finite, work.dZ1, work.dZ2, work.relu1, work.relu2]
             return rows + [work.grads.vector, work.m, work.v, *work.adam_scratch]
 
-        empty = Workspace.empty
-
         def allocated_up_front(rows, dims):  # every buffer at once
-            work = empty(rows, dims)
+            work = Workspace(rows, dims)
             unused(work)
             return work
 
         lean, want = peak()
-        monkeypatch.setattr(Workspace, "empty", allocated_up_front)
+        monkeypatch.setattr(pipeline, "Workspace", allocated_up_front)
         full, got = peak()
         assert got.tobytes() == want.tobytes()
-        unused_bytes = sum(a.nbytes for a in unused(empty(SCORE_CHUNK_ROWS, model.scorer.dims)))
+        unused_bytes = sum(a.nbytes for a in unused(Workspace(SCORE_CHUNK_ROWS, model.scorer.dims)))
         assert unused_bytes > 4 * 2**20  # 0.7 MB of training rows and vectors, 3.4 MB of backward's
         assert full - lean >= unused_bytes, (full, lean, unused_bytes)
 

@@ -176,7 +176,7 @@ class TestAdam:
         p = init_params(2, seed=7)
         before = p.vector.copy()
         zero_g = MlpParams(np.zeros(p.vector.size), p.dims)
-        work = Workspace.empty(1, p.dims)
+        work = Workspace(1, p.dims)
         assert not np.shares_memory(work.m, work.v)
         adam_step(p, zero_g, 1, 1e-3, work)
         np.testing.assert_array_equal(p.vector, before)
@@ -191,7 +191,7 @@ class TestAdam:
         )
         g = MlpParams(g_vec, p.dims)
         lr = 1e-3
-        adam_step(p, g, 1, lr, Workspace.empty(1, p.dims))
+        adam_step(p, g, 1, lr, Workspace(1, p.dims))
         delta = p.vector - before
         np.testing.assert_allclose(delta, -lr * np.sign(g_vec), atol=lr * 1e-6)
 
@@ -200,7 +200,7 @@ class TestAdam:
         g = MlpParams(np.ones(p.vector.size), p.dims)
         runs = []
         for _ in range(2):
-            q, work = MlpParams(p.vector.copy(), p.dims), Workspace.empty(1, p.dims)
+            q, work = MlpParams(p.vector.copy(), p.dims), Workspace(1, p.dims)
             for t in (1, 2):
                 adam_step(q, g, t, 1e-3, work)
             runs.append([a.tobytes() for a in (q.vector, work.m, work.v)])
@@ -216,7 +216,7 @@ class TestAdam:
         want = {k: np.array(getattr(p, k)) for k in names}  # copies: p changes in place
         m = {k: np.zeros_like(a) for k, a in want.items()}
         v = {k: np.zeros_like(a) for k, a in want.items()}
-        work = Workspace.empty(1, p.dims)
+        work = Workspace(1, p.dims)
         vec, work_m, work_v = p.vector, work.m, work.v
         for t in range(1, 6):
             g = MlpParams(rng.normal(scale=t, size=p.vector.size), p.dims)
@@ -246,7 +246,7 @@ class TestWorkspace:
         p = MlpParams(rng.normal(size=init_params(5, seed=0).vector.size), (5, 32, 16))
         X, g = rng.normal(size=(rows, 5)), rng.normal(size=rows)
         inputs = [a.copy() for a in (p.vector, X, g)]
-        work = Workspace.empty(rows + 100, p.dims)  # a batch uses the first rows
+        work = Workspace(rows + 100, p.dims)  # a batch uses the first rows
         work.grads.vector[:] = np.nan  # every entry is written
         own_scores, own_cache = forward(p, X)
         own_grads = backward(own_cache, g)
