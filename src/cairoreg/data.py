@@ -259,13 +259,23 @@ class Standardizer:
         return out
 
 
+# The smallest std whose column fit_standardizer squares as it is: squares of deviations
+# of that size are >= 2^-960, far from float64's subnormals below 2^-1022.
+STD_SAFE_MIN = 2.0**-480
+
+
 def fit_standardizer(ds: Dataset) -> Standardizer:
     """Column means and population stds (ddof 0), as np.mean and np.std give them to
     within rounding, with column sums taken by _batch_sum.
 
     The two-pass variance runs on the rows less the first row, so a column whose values
     are all equal has deviations of exactly 0: its mean is that value and its std 1.
-    Like np.std, this holds one temporary of the features' shape.
+    A column whose std falls outside [STD_SAFE_MIN, inf), where its squared deviations
+    underflow or overflow, has its deviations scaled by the power of two that brings
+    their largest magnitude into [0.5, 1), and the whole variance product is taken again;
+    the scaling is exact and undone on the std, so such a column standardizes to the bits
+    of the same column at unit scale. Like np.std, this holds one temporary of the
+    features' shape.
     """
     if ds.n < 2:
         raise DataError("standardizer needs at least 2 rows")
@@ -274,8 +284,18 @@ def fit_standardizer(ds: Dataset) -> Standardizer:
     dev = np.subtract(X, X[0])
     shift = _batch_sum(ones, dev) / ds.n
     dev -= shift
-    var = _batch_sum(ones, np.square(dev, out=dev)) / ds.n
+    with np.errstate(over="ignore"):  # an overflowing column is scaled below
+        var = _batch_sum(ones, np.square(dev, out=dev)) / ds.n
     std = np.sqrt(var)
+    scaled = ~((std >= STD_SAFE_MIN) & (std < np.inf))
+    if scaled.any():
+        np.subtract(X, X[0], out=dev)
+        dev -= shift
+        exp = np.where(scaled, np.frexp(np.maximum(dev.max(axis=0), -dev.min(axis=0)))[1], 0)
+        np.ldexp(dev, -exp, out=dev)
+        # over every column: a product over fewer columns may sum in another order
+        var = _batch_sum(ones, np.square(dev, out=dev)) / ds.n
+        std = np.ldexp(np.sqrt(var), exp)
     std = np.where(std > 0.0, std, 1.0)
     return Standardizer(mean=X[0] + shift, std=std)
 

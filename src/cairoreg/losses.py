@@ -19,6 +19,9 @@ with an exp per pair. Every surrogate variant runs one block body, which
 forms a block's softplus and sigmoid and takes its sums as products with a
 vector of ones or, for the gap weights, the two columns [1, g]: a gap weight
 g_i - g_j is a difference of per-row values, so no pair weight is formed.
+Only the gradient trains the scorer, so the surrogate and evaluate_loss take
+value=False to skip the surrogate's value, a log1p per pair, in exponential
+space; scorer.train asks for it on one batch per epoch.
 The dense forms, and the hard pairwise losses the surrogate bounds, are test
 oracles in tests/oracles.py.
 """
@@ -78,7 +81,7 @@ LossSpec = Union[PairwiseSurrogate, SoftGini, PointwiseMse]
 
 
 class LossValueGrad(NamedTuple):
-    value: float
+    value: float | None  # None when the value was not asked for and not formed
     grad: np.ndarray
 
 
@@ -92,13 +95,21 @@ def _check_pair(y: np.ndarray, s: np.ndarray, min_n: int = 2) -> tuple[np.ndarra
     return y, s
 
 
+@np.errstate(over="ignore", invalid="ignore")  # train reports a non-finite value or gradient
 def surrogate_pairwise_loss(
-    y: np.ndarray, s: np.ndarray, spec: PairwiseSurrogate
+    y: np.ndarray, s: np.ndarray, spec: PairwiseSurrogate, value: bool = True
 ) -> LossValueGrad:
     """Smooth upper bound on the misordered-pair loss, with exact gradient.
 
     value = (1/(n(n-1))) sum_{i != j} w_ij 1{y_i > y_j} softplus(-sigma (s_i - s_j)),
-    with the weights and sigma of spec.
+    with the weights and sigma of spec. With value=False the kernel forms only
+    the gradient, and returns None for the value, in exponential space: there
+    every term is at most log1p(exp(EXP_SPAN_LIMIT)), so finite scores give a
+    finite value. The stable forms always give the value, since x is unbounded
+    there: a sigma near float64's largest value makes it inf or NaN while the
+    gradient stays finite, and train reads it to report the divergence.
+    Overflow and invalid operations raise no numpy warning; they show as a
+    non-finite value or gradient.
 
     The rows are sorted by target once, so the pairs with y_i > y_j are
     j < first[i] (the first row tied with i): a lower triangle, cut back
@@ -112,12 +123,13 @@ def surrogate_pairwise_loss(
     one, takes the stable per-pair forms max(x, 0) + log1p(e) and the
     matching sigmoid, with e = exp(-|x|). O(n^2) time and
     O(n * PAIR_BLOCK_ROWS) memory; every block is written into three
-    buffers allocated once per call.
+    buffers allocated once per call, two when no value is formed.
 
     Every variant runs one block body: a block of m rows forms its masked
     softplus S and sigmoid P and takes P @ W and S @ W, over c1 columns (up
     to n), for its row sums and its value, and W^T @ P, over m <=
-    PAIR_BLOCK_ROWS rows, for its column sums. W is a vector of ones under
+    PAIR_BLOCK_ROWS rows, for its column sums; without the value it forms
+    neither S nor S @ W. W is a vector of ones under
     uniform weights. A weighted pair's weight is its gap g_i - g_j in g, the
     sorted targets or (RANK_GAP) their mid-distribution, and W = [1, g], so
     each weighted sum is a difference of two products and no weight is
@@ -131,6 +143,7 @@ def surrogate_pairwise_loss(
     xs = spec.sigma * s[order]
     first = np.searchsorted(ys, ys, side="left")
     factors = exp_factors(xs)  # None for a NaN, inf or too wide span: the stable forms
+    value = value or factors is None  # the stable forms' value is unbounded, so always formed
     W = np.ones(n)
     if spec.variant is not WeightVariant.UNIFORM:
         g = mid_distribution(y)[order] if spec.variant is WeightVariant.RANK_GAP else ys
@@ -168,25 +181,27 @@ def surrogate_pairwise_loss(
             # exp(x) = v_i u_j for (u, v) = factors, which einsum forms faster than broadcasting
             e = np.einsum("i,j->ij", factors[1][rows], factors[0][:c1], out=slope)
             e[:, c0:] *= pairs  # softplus and sigmoid are 0 where exp(x) is
-            np.log1p(e, out=softplus)
+            if value:
+                np.log1p(e, out=softplus)
         np.add(e, 1.0, out=scratch)
         slope /= scratch  # sigmoid(x)
         np.matmul(slope, W[:c1], out=p_rows[rows])
-        np.matmul(softplus, W[:c1], out=s_rows[rows])
+        if value:
+            np.matmul(softplus, W[:c1], out=s_rows[rows])
         cols[..., :c1] += W.T[..., rows] @ slope
     scale = 1.0 / (n * (n - 1))
     if spec.variant is WeightVariant.UNIFORM:
         grad = cols - p_rows
-        value = float(s_rows.sum())
+        total = s_rows.sum()
     else:
         # With w_ij = g_i - g_j, sum_i w_ij P_ij = (g^T P)_j - g_j (1^T P)_j,
         # sum_j w_ij P_ij = g_i (P 1)_i - (P g)_i, and the value is sum_i g_i (S 1)_i - (S g)_i
         grad = (cols[1] - g * cols[0]) - (g * p_rows[:, 0] - p_rows[:, 1])
-        value = float((g * s_rows[:, 0] - s_rows[:, 1]).sum())
+        total = (g * s_rows[:, 0] - s_rows[:, 1]).sum()
         scale = float(np.ldexp(scale, g_exp))  # undoes g's power-of-two scaling
     out = np.empty(n)
     out[order] = grad * (spec.sigma * scale)
-    return LossValueGrad(value * scale, out)
+    return LossValueGrad(float(total) * scale if value else None, out)
 
 
 def soft_gini_loss(y: np.ndarray, s: np.ndarray, spec: SoftRankConfig) -> LossValueGrad:
@@ -210,10 +225,17 @@ def mse_loss(y: np.ndarray, s: np.ndarray) -> LossValueGrad:
     return LossValueGrad(float(np.mean(resid**2)), 2.0 * resid / n)
 
 
-def evaluate_loss(spec: LossSpec, y: np.ndarray, s: np.ndarray) -> LossValueGrad:
-    """Dispatch a LossSpec to its value-and-gradient implementation."""
+def evaluate_loss(
+    spec: LossSpec, y: np.ndarray, s: np.ndarray, value: bool = True
+) -> LossValueGrad:
+    """Dispatch a LossSpec to its value-and-gradient implementation.
+
+    value=False lets the pairwise surrogate skip its value, which it then
+    returns as None in exponential space; soft-Gini and MSE always give
+    theirs, a dot product or a mean over the batch.
+    """
     if isinstance(spec, PairwiseSurrogate):
-        return surrogate_pairwise_loss(y, s, spec)
+        return surrogate_pairwise_loss(y, s, spec, value)
     if isinstance(spec, SoftGini):
         return soft_gini_loss(y, s, spec)
     if isinstance(spec, PointwiseMse):

@@ -252,15 +252,18 @@ class TrainConfig:
 
 
 def train(ds: Dataset, cfg: TrainConfig) -> tuple[MlpParams, list[float]]:
-    """Minibatch training loop; returns params and mean in-batch loss per epoch.
+    """Minibatch training loop; returns params and each epoch's last trained batch's loss.
 
     Each step gathers its batch into one Workspace sized for the fit's
     largest batch, writes every result there and updates the parameters and
     Adam's moments in place. Shuffling is reseeded per epoch from
     (cfg.seed, epoch) so runs are bitwise reproducible. Trailing batches
     with a single row are dropped for pairwise losses, which are undefined
-    there. Raises ValueError, naming the epoch and batch, at the first
-    non-finite score, loss value or score gradient.
+    there. The loss value is asked for only on each epoch's last trained
+    batch, the one history keeps, so a pairwise surrogate in exponential
+    space skips it on the others; every value a loss returns is checked.
+    Raises ValueError, naming the epoch and batch, at the first non-finite
+    score, loss value or score gradient.
     """
     if is_ranking_loss(cfg.loss) and ds.n < 2:
         raise ValueError("pairwise losses need at least 2 rows")
@@ -269,12 +272,15 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[MlpParams, list[float]]:
     work = Workspace(min(cfg.batch_size, ds.n), params.dims)
     history: list[float] = []
     t = 0  # Adam steps taken
+    starts = range(0, ds.n, cfg.batch_size)
+    last = len(starts) - 1  # the last batch trained in an epoch
+    if is_ranking_loss(cfg.loss) and ds.n - starts[-1] < 2:
+        last -= 1
 
     for epoch in range(cfg.epochs):
         rng = make_rng(np.random.SeedSequence([cfg.seed, epoch]))
         order = rng.permutation(ds.n)
-        batch_losses = []
-        for batch, start in enumerate(range(0, ds.n, cfg.batch_size)):
+        for batch, start in enumerate(starts):
             idx = order[start : start + cfg.batch_size]
             if idx.size < 2 and is_ranking_loss(cfg.loss):
                 continue
@@ -288,8 +294,8 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[MlpParams, list[float]]:
                 raise ValueError(
                     f"training diverged at epoch {epoch}, batch {batch}: non-finite score"
                 )
-            value, grad_scores = evaluate_loss(cfg.loss, y, scores)
-            if not math.isfinite(value):
+            value, grad_scores = evaluate_loss(cfg.loss, y, scores, value=batch == last)
+            if value is not None and not math.isfinite(value):
                 raise ValueError(f"training diverged at epoch {epoch}, batch {batch}: loss {value}")
             if not np.isfinite(grad_scores, out=finite).all():
                 raise ValueError(
@@ -298,6 +304,6 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[MlpParams, list[float]]:
             grads = backward(cache, grad_scores, work)
             t += 1
             adam_step(params, grads, t, cfg.learning_rate, work)
-            batch_losses.append(value)
-        history.append(float(np.mean(batch_losses)))
+            if batch == last:
+                history.append(value)
     return params, history

@@ -391,7 +391,10 @@ def _adam_step_oracle(
 
 
 def train_oracle(ds: Dataset, cfg: TrainConfig) -> tuple[MlpParams, list[float]]:
-    """scorer.train's batches, shuffles, losses and updates, allocating anew at every step."""
+    """scorer.train's batches, shuffles, losses and updates, allocating anew at every step.
+
+    It asks for the loss value on every batch and keeps each epoch's last, as history.
+    """
     params = init_params(ds.d, cfg.seed)
     m = np.zeros_like(params.vector)
     v = np.zeros_like(params.vector)
@@ -399,7 +402,6 @@ def train_oracle(ds: Dataset, cfg: TrainConfig) -> tuple[MlpParams, list[float]]
     t = 0
     for epoch in range(cfg.epochs):
         order = make_rng(np.random.SeedSequence([cfg.seed, epoch])).permutation(ds.n)
-        batch_losses = []
         for start in range(0, ds.n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             if idx.size < 2 and is_ranking_loss(cfg.loss):
@@ -410,6 +412,5 @@ def train_oracle(ds: Dataset, cfg: TrainConfig) -> tuple[MlpParams, list[float]]
             t += 1
             vec, m, v = _adam_step_oracle(params.vector, grads, m, v, t, cfg.learning_rate)
             params = MlpParams(vec, params.dims)
-            batch_losses.append(value)
-        history.append(float(np.mean(batch_losses)))
+        history.append(value)
     return params, history

@@ -896,6 +896,18 @@ class TestStandardizer:
         assert np.all(np.abs(st.mean - mean) <= 2 * rows * eps * np.abs(X).mean(axis=0))
         assert np.all(np.abs(st.std - std) <= 4 * rows * eps * std)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("k", [-600, 600])
+    def test_a_column_at_an_extreme_scale_standardizes_to_its_unit_bits(self, k):
+        # The column's squared deviations underflow to a std of 0 times 2^-600, and
+        # overflow to an infinite one times 2^600, unless the column is rescaled first
+        ds = _toy(300, seed=5)
+        X = ds.features.copy()
+        X[:, 1] = np.ldexp(X[:, 1], k)
+        unit, st = fit_standardizer(ds), fit_standardizer(Dataset(features=X, targets=ds.targets))
+        assert st.std[1] == np.ldexp(unit.std[1], k) and st.std[0] == unit.std[0]
+        assert st.transform(X).tobytes() == unit.transform(ds.features).tobytes()
+
     def test_bits_do_not_depend_on_the_blas_thread_count(self):
         # 60 000 rows are long enough for a threaded BLAS to split an unchunked column sum
         env = {**os.environ, "PYTHONPATH": str(Path(cairoreg.__path__[0]).parent)}

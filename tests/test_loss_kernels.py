@@ -99,6 +99,27 @@ def test_surrogate_matches_oracle_on_both_sides_of_the_exponential_span_limit(
     assert _close(got.grad, want.grad, np.max(np.abs(want.grad)))
 
 
+@pytest.mark.parametrize("sigma", [1.0, 1e4], ids=["products", "exp-per-pair"])
+@pytest.mark.parametrize("y_tied", [False, True])
+@pytest.mark.parametrize("variant", list(WeightVariant))
+def test_surrogate_without_its_value_gives_the_gradient_bytes(sigma, y_tied, variant):
+    # In exponential space the value is skipped and None; the stable forms' value is
+    # unbounded, so train reads it to report a divergence, and it is formed anyway.
+    rng = np.random.default_rng(5)
+    n = 2 * PAIR_BLOCK_ROWS + 1
+    y, s = _vector(rng, n, y_tied), rng.standard_t(2, size=n)
+    stable = np.ptp(sigma * s) > EXP_SPAN_LIMIT
+    assert stable == (sigma == 1e4)
+    spec = PairwiseSurrogate(variant, sigma)
+    asked = surrogate_pairwise_loss(y, s, spec)
+    skipped = surrogate_pairwise_loss(y, s, spec, value=False)
+    assert skipped.grad.tobytes() == asked.grad.tobytes()
+    if stable:
+        assert skipped.value.hex() == asked.value.hex()
+    else:
+        assert skipped.value is None
+
+
 @given(n=SIZES, seed=SEEDS, s_tied=st.booleans(), log_tau=LOG_SCALE)
 def test_softrank_matches_oracle(n, seed, s_tied, log_tau):
     rng = np.random.default_rng(seed)

@@ -320,7 +320,7 @@ class TestTrain:
             params.vector, init_params(3, seed=4).vector
         )
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the gap weights overflow
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # the overflow is reported, not warned
     def test_divergence_fails_fast(self):
         # ranknet-giniw weighs a pair by |y_i - y_j|, which is inf for targets near +-1e308
         rng = np.random.default_rng(0)
@@ -329,6 +329,17 @@ class TestTrain:
         loss = PairwiseSurrogate(WeightVariant.ABSOLUTE_GAP, 1.0)
         with pytest.raises(ValueError, match="diverged at epoch 0, batch 0"):
             train(ds, TrainConfig(epochs=2, batch_size=32, seed=0, loss=loss))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("variant", list(WeightVariant))
+    def test_divergence_at_an_extreme_sigma_is_read_from_the_stable_value(self, variant):
+        # At sigma 1e307 the surrogate takes its stable form, whose value overflows while
+        # its gradient stays finite. Batch 0 of two is not asked for its value, which the
+        # stable form gives anyway, so the fit stops there and names the loss.
+        ds = _linear_ds(n=64)
+        cfg = TrainConfig(epochs=2, batch_size=32, seed=0, loss=PairwiseSurrogate(variant, 1e307))
+        with pytest.raises(ValueError, match=r"^training diverged at epoch 0, batch 0: loss "):
+            train(ds, cfg)
 
     def test_batch_size_guard_for_pairwise(self):
         with pytest.raises(ValueError, match="batch_size >= 2"):
