@@ -8,20 +8,24 @@ SoftRankConfig, and trusts the spec's checks. The two ranking kernels,
 the surrogate here and softrank in ranks, sort their input once and walk
 the strict lower triangle of pairs in blocks of PAIR_BLOCK_ROWS rows, so
 they hold no n x n temporaries; soft-Gini passes its cotangent to
-softrank, so one walk gives its value and gradient. Both form each pair's
-exponential, exp(-sigma (s_i - s_j)) here and exp(-(s_i - s_j)/tau) in
-softrank, as a product of two per-row exponentials from ranks.exp_factors,
-exact while the span of the scaled scores is at most ranks.EXP_SPAN_LIMIT
-= 700, where the products stay within float64's range. Beyond it, and for
-non-finite scaled scores, the surrogate takes its stable per-pair forms over
-the same blocks, and softrank changes only how it forms each exponential:
-with an exp per pair. Every surrogate variant runs one block body, which
-forms a block's softplus and sigmoid and takes its sums as products with a
-vector of ones or, for the gap weights, the two columns [1, g]: a gap weight
-g_i - g_j is a difference of per-row values, so no pair weight is formed.
-Only the gradient trains the scorer, so the surrogate and evaluate_loss take
-value=False to skip the surrogate's value, a log1p per pair, in exponential
-space; scorer.train asks for it on one batch per epoch.
+softrank, so one walk gives its value and gradient. Both work from the
+per-row exponentials (u, v) of ranks.exp_factors, exact while the span of
+the scaled scores is at most ranks.EXP_SPAN_LIMIT = 700, where their
+products stay within float64's range: a block's sigmoids, and softrank's
+slopes, are reciprocals of one product of per-row factor columns, two or
+three wide, with no exp per pair. Beyond that span, and for non-finite
+scaled scores, the surrogate takes its stable per-pair forms over the same
+blocks, and softrank forms each pair's exponential with an exp of its own.
+Every surrogate variant runs one block body, which forms a block's softplus
+and sigmoid and takes its sums as products with a vector of ones or, for
+the gap weights, the two columns [1, g]: a gap weight g_i - g_j is a
+difference of per-row values, so no pair weight is formed.
+Only the gradient trains the scorer, so both ranking losses and
+evaluate_loss take value=False, which scorer.train passes on all but one
+batch per epoch: the surrogate then skips its softplus, a log1p per pair,
+in exponential space, and soft-Gini the sums of its soft ranks in both
+forms and their sigmoids, one per pair, in exponential space. Gradients
+have the same bytes with or without the value.
 The dense forms, and the hard pairwise losses the surrogate bounds, are test
 oracles in tests/oracles.py.
 """
@@ -117,13 +121,15 @@ def surrogate_pairwise_loss(
     target order, a pair's term is softplus(x) and its slope sigmoid(x) for
     x = xs_j - xs_i. While the span of xs is at most EXP_SPAN_LIMIT, the
     kernel works in exponential space: with c the middle of that span, it
-    forms u = exp(xs - c) and v = exp(c - xs) once per call, and a block's
-    E = exp(x) as the outer product v_i u_j, so softplus is log1p(E) and
-    sigmoid E / (1 + E) with no exp per pair. A wider span, or a non-finite
-    one, takes the stable per-pair forms max(x, 0) + log1p(e) and the
-    matching sigmoid, with e = exp(-|x|). O(n^2) time and
-    O(n * PAIR_BLOCK_ROWS) memory; every block is written into three
-    buffers allocated once per call, two when no value is formed.
+    forms u = exp(xs - c) and v = exp(c - xs) once per call. A block's
+    sigmoid(x) = 1/(1 + u_i v_j) is then the reciprocal of one product of
+    the two-column factors [1, u_i] and [1, v_j], and, when the value is
+    asked, its softplus is log1p(E) of the outer product E = exp(x) = v_i u_j,
+    with no exp per pair. A wider span, or a non-finite one, takes the
+    stable per-pair forms max(x, 0) + log1p(e) and the matching sigmoid,
+    with e = exp(-|x|). O(n^2) time and O(n * PAIR_BLOCK_ROWS) memory; the
+    stable forms write every block into three buffers allocated once per
+    call, exponential space into two of them, one when no value is formed.
 
     Every variant runs one block body: a block of m rows forms its masked
     softplus S and sigmoid P and takes P @ W and S @ W, over c1 columns (up
@@ -155,6 +161,9 @@ def surrogate_pairwise_loss(
         W = np.stack([W, g], axis=1)  # [1, g]
     # per row: P W and S W; per column: W^T P, summed over blocks
     p_rows, s_rows, cols = np.zeros(W.shape), np.zeros(W.shape), np.zeros(W.T.shape)
+    if factors is not None:
+        left = np.array([np.ones(n), factors[0]]).T  # [1, u] per row
+        right = np.array([np.ones(n), factors[1]])  # [1, v] per column
     buffers = np.empty((3, PAIR_BLOCK_ROWS * n))
     for r0 in range(0, n, PAIR_BLOCK_ROWS):
         r1 = min(r0 + PAIR_BLOCK_ROWS, n)
@@ -177,14 +186,19 @@ def surrogate_pairwise_loss(
             # masked after, so that a NaN or infinite term still makes the result NaN
             x[:, c0:] *= pairs
             slope[:, c0:] *= pairs
+            np.add(e, 1.0, out=scratch)
+            slope /= scratch  # sigmoid(x)
         else:
-            # exp(x) = v_i u_j for (u, v) = factors, which einsum forms faster than broadcasting
-            e = np.einsum("i,j->ij", factors[1][rows], factors[0][:c1], out=slope)
-            e[:, c0:] *= pairs  # softplus and sigmoid are 0 where exp(x) is
+            # sigmoid(x) = 1/(1 + exp(-x)) = 1/([1, u_i] . [1, v_j]) for (u, v) = factors;
+            # every term is finite, so a copy, cheaper than a product, masks it
+            unpaired = ~pairs
+            np.reciprocal(np.matmul(left[rows], right[:, :c1], out=slope), out=slope)
+            np.copyto(slope[:, c0:], 0.0, where=unpaired)  # sigmoid is 0 where the pair is not
             if value:
+                # exp(x) = v_i u_j, which einsum forms faster than broadcasting
+                e = np.einsum("i,j->ij", factors[1][rows], factors[0][:c1], out=softplus)
+                np.copyto(e[:, c0:], 0.0, where=unpaired)  # softplus is 0 where exp(x) is
                 np.log1p(e, out=softplus)
-        np.add(e, 1.0, out=scratch)
-        slope /= scratch  # sigmoid(x)
         np.matmul(slope, W[:c1], out=p_rows[rows])
         if value:
             np.matmul(softplus, W[:c1], out=s_rows[rows])
@@ -204,18 +218,23 @@ def surrogate_pairwise_loss(
     return LossValueGrad(float(total) * scale if value else None, out)
 
 
-def soft_gini_loss(y: np.ndarray, s: np.ndarray, spec: SoftRankConfig) -> LossValueGrad:
+def soft_gini_loss(
+    y: np.ndarray, s: np.ndarray, spec: SoftRankConfig, value: bool = True
+) -> LossValueGrad:
     """Smoothed negative rank covariance -(2/n^2) sum (y_i - mean y) softrank_i.
 
     The soft ranks are softrank's at spec's temperature. Centering the
     targets drops only an additive constant, keeping the value comparable
     across batches; the gradient is exact: softrank returns the
-    cotangent's VJP from the walk that gives the soft ranks.
+    cotangent's VJP from the walk that gives the soft ranks. With
+    value=False softrank sums no soft ranks, and the value is None; the
+    gradient has the same bytes either way. The value is bounded for any
+    finite scores, so no form needs it to report a divergence.
     """
     y, s = _check_pair(y, s)
     cotangent = -(2.0 / y.size**2) * (y - y.mean())
-    values, grad = softrank(s, spec, cotangent)
-    return LossValueGrad(float(cotangent @ values), grad)
+    values, grad = softrank(s, spec, cotangent, value)
+    return LossValueGrad(float(cotangent @ values) if value else None, grad)
 
 
 def mse_loss(y: np.ndarray, s: np.ndarray) -> LossValueGrad:
@@ -230,14 +249,15 @@ def evaluate_loss(
 ) -> LossValueGrad:
     """Dispatch a LossSpec to its value-and-gradient implementation.
 
-    value=False lets the pairwise surrogate skip its value, which it then
-    returns as None in exponential space; soft-Gini and MSE always give
-    theirs, a dot product or a mean over the batch.
+    value=False lets the ranking losses skip their value and return None:
+    the pairwise surrogate in exponential space (its stable forms always
+    give theirs), soft-Gini in both its forms. MSE always gives its value,
+    a mean over the batch.
     """
     if isinstance(spec, PairwiseSurrogate):
         return surrogate_pairwise_loss(y, s, spec, value)
     if isinstance(spec, SoftGini):
-        return soft_gini_loss(y, s, spec)
+        return soft_gini_loss(y, s, spec, value)
     if isinstance(spec, PointwiseMse):
         return mse_loss(y, s)
     raise TypeError(f"unknown loss spec: {spec!r}")

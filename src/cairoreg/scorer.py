@@ -260,8 +260,9 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[MlpParams, list[float]]:
     (cfg.seed, epoch) so runs are bitwise reproducible. Trailing batches
     with a single row are dropped for pairwise losses, which are undefined
     there. The loss value is asked for only on each epoch's last trained
-    batch, the one history keeps, so a pairwise surrogate in exponential
-    space skips it on the others; every value a loss returns is checked.
+    batch, the one history keeps, so on the others a pairwise surrogate in
+    exponential space skips it, and soft-Gini skips its soft ranks; every
+    value a loss returns is checked.
     Raises ValueError, naming the epoch and batch, at the first non-finite
     score, loss value or score gradient.
     """

@@ -164,6 +164,27 @@ def test_softrank_matches_oracle_on_both_sides_of_the_exponential_span_limit(spa
     assert np.max(np.abs(grad - want_grad)) <= TOL * np.max(np.abs(want_grad)) + floor
 
 
+@pytest.mark.parametrize("tau", [0.1, 1e-4], ids=["products", "exp-per-pair"])
+@pytest.mark.parametrize("s_tied", [False, True])
+def test_soft_gini_without_its_value_gives_the_gradient_bytes(tau, s_tied):
+    # Without the value softrank forms no soft ranks and returns None for them; its slopes
+    # are formed as with the value, so the gradient keeps its bytes in both forms.
+    rng = np.random.default_rng(7)
+    n = 2 * PAIR_BLOCK_ROWS + 5
+    y, s = rng.standard_t(2, size=n), _vector(rng, n, s_tied)
+    assert (np.ptp(s / tau) > EXP_SPAN_LIMIT) == (tau == 1e-4)
+    spec = SoftGini(tau)
+    asked = soft_gini_loss(y, s, spec)
+    skipped = soft_gini_loss(y, s, spec, value=False)
+    assert asked.value is not None and skipped.value is None
+    assert skipped.grad.tobytes() == asked.grad.tobytes()
+    v = rng.normal(size=n)
+    values, grad = softrank(s, spec, v)
+    no_values, same_grad = softrank(s, spec, v, value=False)
+    assert values is not None and no_values is None
+    assert same_grad.tobytes() == grad.tobytes()
+
+
 @given(n=SIZES, seed=SEEDS, s_tied=st.booleans(), log_tau=LOG_SCALE)
 def test_soft_gini_matches_oracle(n, seed, s_tied, log_tau):
     rng = np.random.default_rng(seed)
@@ -199,10 +220,12 @@ def test_full_batch_memory():
 # Prints each surrogate's value and gradient bits for heavy-tailed targets at
 # four batch sizes, at sigma = 1, where the scaled scores' span is within
 # EXP_SPAN_LIMIT, and at sigma = 1e4, where it is beyond; then soft-Gini's at
-# tau = 0.1 (within) and tau = 1e-4 (beyond). Each line is tagged with its form.
-# Every kernel's row sums are products over a whole block row, up to 4200 terms,
-# and a threaded BLAS may split a long sum in an order set by its thread count;
-# their column sums run over at most 2 PAIR_BLOCK_ROWS terms.
+# tau = 0.1 (within) and tau = 1e-4 (beyond). Each line is tagged with its form
+# and ends with the gradient's hash from the call without the value, the one
+# train makes on all but one batch per epoch. Every kernel's row sums are
+# products over a whole block row, up to 4200 terms, and a threaded BLAS may
+# split a long sum in an order set by its thread count; their column sums run
+# over at most PAIR_BLOCK_ROWS terms.
 _SURROGATE_BITS = """
 import hashlib
 import numpy as np
@@ -212,19 +235,22 @@ from cairoreg.losses import (
 from cairoreg.ranks import exp_factors
 def form(x):
     return "products" if exp_factors(x) is not None else "exp-per-pair"
+def bits(kernel):
+    got, skipped = kernel(True), kernel(False)
+    hashes = (hashlib.sha256(g.grad).hexdigest() for g in (got, skipped))
+    return got.value.hex(), *hashes
 for n in (256, 1024, 1500, 4200):
     for seed in range(3):
         rng = np.random.default_rng(seed)
         y, s = rng.standard_t(2, size=n), rng.normal(size=n)
         for variant in WeightVariant:
             for sigma in (1.0, 1e4):
-                got = surrogate_pairwise_loss(y, s, PairwiseSurrogate(variant, sigma))
+                spec = PairwiseSurrogate(variant, sigma)
                 tag = (variant.value, sigma, form(sigma * s))
-                print(n, seed, *tag, got.value.hex(), hashlib.sha256(got.grad).hexdigest())
+                print(n, seed, *tag, *bits(lambda v: surrogate_pairwise_loss(y, s, spec, v)))
         for tau in (0.1, 1e-4):
-            got = soft_gini_loss(y, s, SoftGini(tau))
             tag = ("soft-gini", tau, form(s / tau))
-            print(n, seed, *tag, got.value.hex(), hashlib.sha256(got.grad).hexdigest())
+            print(n, seed, *tag, *bits(lambda v: soft_gini_loss(y, s, SoftGini(tau), v)))
 """
 
 
@@ -247,4 +273,6 @@ def test_surrogate_bits_do_not_depend_on_the_blas_thread_count():
     # each size and seed takes both forms in every kernel
     forms = [line.split()[4] for line in one]
     assert forms == ["products", "exp-per-pair"] * (len(one) // 2)
+    # the gradient without the value has the bytes of the gradient with it
+    assert all(line.split()[-1] == line.split()[-2] for line in one)
     assert one == two, [(a, b) for a, b in zip(one, two) if a != b]
