@@ -3,9 +3,9 @@
 One repetition = generate a dataset (fresh weight vector per seed), split,
 fit every requested model, evaluate on the held-out rows. Repetitions fork
 their seeds as base_seed + rep, so serial and parallel execution produce
-identical reports. RMSE is measured against observed targets (it includes
-the irreducible noise); RMSE against the true conditional mean is carried
-as an auxiliary diagnostic.
+identical reports. evaluate builds each report, and cairo eval's: RMSE is
+measured against observed targets (it includes the irreducible noise); RMSE
+against the true conditional mean is carried as an auxiliary diagnostic.
 """
 
 from __future__ import annotations
@@ -15,7 +15,10 @@ import json
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
+import numpy as np
+
 from .data import (
+    Dataset,
     SplitSpec,
     _coerce,
     _plain,
@@ -120,6 +123,17 @@ class BenchResult:
     aggregates: list[tuple[str, AggregateReport]]  # (scenario, per-model aggregate)
 
 
+def evaluate(model_name: str, ds: Dataset, yhat: np.ndarray) -> EvalReport:
+    """The report of predictions yhat of ds's targets, and of its true mean if it has one."""
+    return EvalReport(
+        model_name=model_name,
+        spearman=spearman(ds.targets, yhat),
+        kendall=kendall(ds.targets, yhat),
+        rmse=rmse(ds.targets, yhat),
+        rmse_vs_true_mean=None if ds.true_mean is None else rmse(ds.true_mean, yhat),
+    )
+
+
 def _run_repetition(cfg: BenchConfig, scenario: Scenario, rep: int) -> list[RepetitionResult]:
     seed = cfg.base_seed + rep
     ds = generate(ScenarioSpec(scenario=scenario, n=cfg.n, d=cfg.d, seed=seed))
@@ -129,14 +143,7 @@ def _run_repetition(cfg: BenchConfig, scenario: Scenario, rep: int) -> list[Repe
         try:
             train_cfg = variant_train_config(model_name, seed, cfg.hyper(model_name))
             model = fit_variant(model_name, train_ds, train_cfg)
-            yhat = predict_model(model, test_ds.features)
-            report = EvalReport(
-                model_name=VARIANTS[model_name],
-                spearman=spearman(test_ds.targets, yhat),
-                kendall=kendall(test_ds.targets, yhat),
-                rmse=rmse(test_ds.targets, yhat),
-                rmse_vs_true_mean=rmse(test_ds.true_mean, yhat),
-            )
+            report = evaluate(VARIANTS[model_name], test_ds, predict_model(model, test_ds.features))
         except Exception as exc:
             raise BenchError(
                 f"repetition failed: scenario={scenario.value} model={model_name} rep={rep}: {exc}"

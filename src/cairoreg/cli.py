@@ -9,6 +9,8 @@ config file (--config) may hold; flags take precedence and unknown config
 keys are rejected. JSON outputs carry {"version", "config"}; CSV outputs
 get a <name>.meta.json sidecar with the same fields. predict and
 eval --model take a model's feature columns by the names it was fitted on.
+eval only predicts (or reads predictions) and writes its report, which
+bench.evaluate builds as it does for each bench repetition.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import numpy as np
 from .bench import (
     RESULTS_VERSION,
     BenchConfig,
+    evaluate,
     run_bench,
     write_results_json,
     write_table_csv,
@@ -48,7 +51,8 @@ from .data import (
 from .dgp import ScenarioSpec, generate
 # calibration_predict is not called here; it stays bound because perfbench/spans.py wraps it.
 from .isotonic import predict as calibration_predict  # noqa: F401
-from .metrics import METRICS, EvalReport, kendall, rmse, spearman
+# kendall, rmse and spearman are not called here; they stay bound for perfbench/spans.py.
+from .metrics import METRICS, kendall, rmse, spearman  # noqa: F401
 from .pipeline import (
     VARIANTS,
     FitHyper,
@@ -219,13 +223,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         "model": args.model and str(args.model),
         "pred": args.pred and str(args.pred),
     }
-    report = EvalReport(
-        model_label,
-        spearman(ds.targets, yhat),
-        kendall(ds.targets, yhat),
-        rmse(ds.targets, yhat),
-        None if ds.true_mean is None else rmse(ds.true_mean, yhat),
-    )
+    report = evaluate(model_label, ds, yhat)
     metrics = {m: getattr(report, m) for m in METRICS if getattr(report, m) is not None}
     _write_json(
         Path(args.out),

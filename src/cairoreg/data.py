@@ -212,7 +212,7 @@ def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     return ds.take(perm[:n_train]), ds.take(perm[n_train:])
 
 
-# Rows per chunk of the sums over rows that backward and fit_standardizer take as
+# Rows per chunk of the sums over rows that backward and column_moments take as
 # BLAS products. OpenBLAS splits a product's sum over rows across its threads once
 # there are enough rows, which changes the bits with the thread count; chunks of this
 # many rows, summed in order, keep the bits the same for any thread count. At most this
@@ -259,14 +259,14 @@ class Standardizer:
         return out
 
 
-# The smallest std whose column fit_standardizer squares as it is: squares of deviations
+# The smallest std whose column column_moments squares as it is: squares of deviations
 # of that size are >= 2^-960, far from float64's subnormals below 2^-1022.
 STD_SAFE_MIN = 2.0**-480
 
 
-def fit_standardizer(ds: Dataset) -> Standardizer:
-    """Column means and population stds (ddof 0), as np.mean and np.std give them to
-    within rounding, with column sums taken by _batch_sum.
+def column_moments(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column means and population stds (ddof 0) of a matrix of at least one row, as
+    np.mean and np.std give them to within rounding, with column sums taken by _batch_sum.
 
     The two-pass variance runs on the rows less the first row, so a column whose values
     are all equal has deviations of exactly 0: its mean is that value and its std 1.
@@ -274,18 +274,15 @@ def fit_standardizer(ds: Dataset) -> Standardizer:
     underflow or overflow, has its deviations scaled by the power of two that brings
     their largest magnitude into [0.5, 1), and the whole variance product is taken again;
     the scaling is exact and undone on the std, so such a column standardizes to the bits
-    of the same column at unit scale. Like np.std, this holds one temporary of the
-    features' shape.
+    of the same column at unit scale. Like np.std, this holds one temporary of X's shape.
     """
-    if ds.n < 2:
-        raise DataError("standardizer needs at least 2 rows")
-    X = ds.features
-    ones = np.ones(ds.n)
+    n = X.shape[0]
+    ones = np.ones(n)
     dev = np.subtract(X, X[0])
-    shift = _batch_sum(ones, dev) / ds.n
+    shift = _batch_sum(ones, dev) / n
     dev -= shift
     with np.errstate(over="ignore"):  # an overflowing column is scaled below
-        var = _batch_sum(ones, np.square(dev, out=dev)) / ds.n
+        var = _batch_sum(ones, np.square(dev, out=dev)) / n
     std = np.sqrt(var)
     scaled = ~((std >= STD_SAFE_MIN) & (std < np.inf))
     if scaled.any():
@@ -294,10 +291,17 @@ def fit_standardizer(ds: Dataset) -> Standardizer:
         exp = np.where(scaled, np.frexp(np.maximum(dev.max(axis=0), -dev.min(axis=0)))[1], 0)
         np.ldexp(dev, -exp, out=dev)
         # over every column: a product over fewer columns may sum in another order
-        var = _batch_sum(ones, np.square(dev, out=dev)) / ds.n
+        var = _batch_sum(ones, np.square(dev, out=dev)) / n
         std = np.ldexp(np.sqrt(var), exp)
-    std = np.where(std > 0.0, std, 1.0)
-    return Standardizer(mean=X[0] + shift, std=std)
+    return X[0] + shift, np.where(std > 0.0, std, 1.0)
+
+
+def fit_standardizer(ds: Dataset) -> Standardizer:
+    """The standardizer of the features' column_moments."""
+    if ds.n < 2:
+        raise DataError("standardizer needs at least 2 rows")
+    mean, std = column_moments(ds.features)
+    return Standardizer(mean=mean, std=std)
 
 
 def apply_standardizer(st: Standardizer, ds: Dataset) -> Dataset:

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, SplitSpec, Standardizer, apply_standardizer, fit_standardizer, split
-from .data import _coerce, config_from_dict, config_to_dict, split_sizes
+from .data import _coerce, column_moments, config_from_dict, config_to_dict, split_sizes
 from .isotonic import (
     CalibrationMap,
     pav_fit,
@@ -191,26 +191,18 @@ def cairo_fit(
 def mse_fit(train_ds: Dataset, cfg: TrainConfig) -> MseBaselineModel:
     """Identical architecture and loop, squared error on standardized targets.
 
-    The targets' mean and std are taken on y / 2**e, with 2**e the power of two
-    above max|y|, and scaled back: the scaling is exact, and their squares can
-    neither underflow nor overflow. Constant targets keep std 1. After training,
+    The targets' mean and std are data.column_moments of the target column, the rule
+    the features are standardized by; constant targets keep std 1. After training,
     w3 <- std * w3 and b3 <- std * b3 + mean fold the targets' scale into the
     output layer, so the scorer predicts on the target scale.
     """
     y = train_ds.targets
-    e = np.frexp(np.abs(y).max())[1]
-    u = np.ldexp(y, -e)
-    u_mean, u_std = u.mean(), u.std()
-    y_mean = np.ldexp(u_mean, e)
-    if u_std > 0.0:
-        y_std, std_targets = np.ldexp(u_std, e), (u - u_mean) / u_std
-    else:
-        y_std, std_targets = 1.0, y - y_mean
     st = fit_standardizer(train_ds)
-    std_train = replace(apply_standardizer(st, train_ds), targets=std_targets)
+    y_mean, y_std = column_moments(y[:, None])
+    std_train = replace(apply_standardizer(st, train_ds), targets=(y - y_mean) / y_std)
     params, _ = train(std_train, replace(cfg, loss=PointwiseMse()))
     params.w3[...] *= y_std
-    params.vector[-1] = y_std * params.b3 + y_mean
+    params.b3[...] = y_std * params.b3 + y_mean
     return MseBaselineModel(scorer=params, standardizer=st, feature_names=train_ds.feature_names)
 
 

@@ -35,10 +35,10 @@ from .losses import LossSpec, PointwiseMse, evaluate_loss, is_ranking_loss
 
 
 def _layout(dims: tuple[int, int, int]) -> list[tuple[str, tuple[int, ...]]]:
-    """Each layer's name and shape, in vector order; () marks the scalar b3."""
+    """Each layer's name and shape, in vector order."""
     d, h1, h2 = dims
     return [
-        ("W1", (h1, d)), ("b1", (h1,)), ("W2", (h2, h1)), ("b2", (h2,)), ("w3", (h2,)), ("b3", ())
+        ("W1", (h1, d)), ("b1", (h1,)), ("W2", (h2, h1)), ("b2", (h2,)), ("w3", (h2,)), ("b3", (1,))
     ]
 
 
@@ -50,8 +50,8 @@ def _vector_size(dims: tuple[int, int, int]) -> int:
 class MlpParams:
     """The parameter vector and dims = (d, h1, h2).
 
-    W1, b1, W2, b2 and w3 are views into the vector; b3 reads vector[-1] as
-    a float at each access, so it follows in-place updates too.
+    W1, b1, W2, b2, w3 and the one-entry b3 are views into the vector, so they
+    follow in-place updates.
     """
 
     vector: np.ndarray
@@ -64,14 +64,10 @@ class MlpParams:
         if self.vector.shape != (size,):
             raise ValueError(f"parameter vector has shape {self.vector.shape}, dims need ({size},)")
         pos = 0
-        for name, shape in _layout(self.dims)[:-1]:  # all but b3
+        for name, shape in _layout(self.dims):
             view = self.vector[pos : pos + math.prod(shape)].reshape(shape)
             object.__setattr__(self, name, view)
             pos += view.size
-
-    @property
-    def b3(self) -> float:
-        return float(self.vector[-1])
 
 
 def init_params(d: int, seed: int, hidden: tuple[int, int] = (32, 16)) -> MlpParams:
@@ -197,7 +193,7 @@ def backward(
     _batch_sum(dZ2, cache.H1, out=grads.W2)
     _batch_sum(ones, dZ2, out=grads.b2)
     np.matmul(cache.H2.T, g, out=grads.w3)
-    grads.vector[-1] = g.sum()
+    grads.b3[...] = g.sum()
     return grads
 
 

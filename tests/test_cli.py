@@ -6,13 +6,21 @@ import os
 import numpy as np
 import pytest
 
-from cairoreg.bench import BenchConfig
+from cairoreg.bench import BenchConfig, result_to_dict, run_bench
 from cairoreg.cli import OPTIONS, build_parser, main
-from cairoreg.data import TARGET_COLUMN, load_csv, usable_cpus
+from cairoreg.data import TARGET_COLUMN, SplitSpec, load_csv, split, usable_cpus, write_csv
+from cairoreg.dgp import Scenario, ScenarioSpec, generate
 from cairoreg.isotonic import predict as calibration_predict
 from cairoreg.losses import PairwiseSurrogate, SoftGini
-from cairoreg.metrics import MetricError
-from cairoreg.pipeline import load_model, mse_fit, predict_model, save_model
+from cairoreg.metrics import METRICS, MetricError
+from cairoreg.pipeline import (
+    fit_variant,
+    load_model,
+    mse_fit,
+    predict_model,
+    save_model,
+    variant_train_config,
+)
 from cairoreg.scorer import TrainConfig
 
 
@@ -150,6 +158,33 @@ class TestFitPredictEval:
         report = json.loads(out.read_text())
         assert 0 <= report["rmse"] and np.isfinite(report["rmse"])
         assert "rmse_vs_true_mean" in report  # simulated data carries the true mean
+
+    @pytest.mark.parametrize("model", ["ranknet", "nn-mse"])
+    def test_eval_of_a_repetition_s_test_rows_gives_its_raw_entry(self, tmp_path, model):
+        """cairo eval --model and a bench repetition build one report, to the same bits."""
+        cfg = BenchConfig(
+            scenarios=(Scenario.HEAVY_TAIL,),
+            models=(model,),
+            n=200,
+            d=3,
+            repetitions=2,
+            base_seed=3,
+            epochs=4,
+            batch_size=32,
+            learning_rate=0.01,
+        )
+        entry = result_to_dict(run_bench(cfg, max_workers=1))["raw"][1]
+        seed = cfg.base_seed + entry["rep"]
+        ds = generate(ScenarioSpec(Scenario.HEAVY_TAIL, n=cfg.n, d=cfg.d, seed=seed))
+        train_ds, test_ds = split(ds, SplitSpec(cfg.train_fraction, seed=seed))
+        fitted = fit_variant(model, train_ds, variant_train_config(model, seed, cfg.hyper(model)))
+        data, model_path, out = tmp_path / "test.csv", tmp_path / "m.json", tmp_path / "r.json"
+        write_csv(test_ds, data)
+        save_model(fitted, model_path)
+        args = ["eval", "--data", str(data), "--model", str(model_path), "--out", str(out)]
+        assert main(args) == 0
+        report = json.loads(out.read_text())
+        assert [report[m] for m in METRICS] == [entry[m] for m in METRICS]
 
     def test_eval_rejects_a_non_finite_metric(self, tmp_path, capsys):
         # targets near 1e200 against their negatives: the squared errors overflow

@@ -20,7 +20,9 @@ from cairoreg.data import (
     DataError,
     Dataset,
     SplitSpec,
+    Standardizer,
     apply_standardizer,
+    column_moments,
     config_to_dict,
     fit_standardizer,
     make_rng,
@@ -46,7 +48,7 @@ from cairoreg.pipeline import (
     variant_loss_spec,
     variant_train_config,
 )
-from cairoreg.scorer import TrainConfig, Workspace, forward, train
+from cairoreg.scorer import TrainConfig, Workspace, forward, init_params, train
 
 
 def _quick_cfg(**kw):
@@ -270,6 +272,34 @@ class TestMseBaseline:
         want = score_rows(params, st, X) * y_std + y_mean
         got = predict_model(mse_fit(ds, cfg), X)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("targets", ["normal", "heavy", "constant", "offset"])
+    def test_targets_take_the_features_column_moments(self, targets):
+        """The targets' mean, std and standardized values have the bits of the features' rule."""
+        scenario = Scenario.HEAVY_TAIL if targets == "heavy" else Scenario.NORMAL
+        ds = generate(ScenarioSpec(scenario, n=300, d=3, seed=16))
+        if targets == "constant":
+            ds = replace(ds, targets=np.full(ds.n, 2.5))
+        elif targets == "offset":
+            ds = replace(ds, targets=ds.targets + 1e9)
+        seen = []
+
+        def unit_train(std_ds, cfg):
+            """Records the targets; w3 = 1 and b3 = 0 fold to w3 = std and b3 = mean."""
+            seen.append(std_ds.targets.copy())
+            params = init_params(std_ds.d, cfg.seed)
+            params.w3[...], params.b3[...] = 1.0, 0.0
+            return params, []
+
+        with mock.patch.object(pipeline, "train", unit_train):
+            model = mse_fit(ds, _quick_cfg())
+        mean, std = column_moments(ds.targets[:, None])
+        assert model.scorer.b3.tobytes() == mean.tobytes()
+        assert model.scorer.w3.tobytes() == np.full(model.scorer.w3.shape, std[0]).tobytes()
+        want = Standardizer(mean, std).transform(ds.targets[:, None])[:, 0]
+        assert seen[0].tobytes() == want.tobytes()
+        if targets == "constant":
+            assert std[0] == 1.0 and not seen[0].any()
 
     @pytest.mark.parametrize("k", [-600, 600])
     @pytest.mark.parametrize("variant", ["nn-mse", "ranknet"])

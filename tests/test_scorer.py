@@ -46,12 +46,12 @@ class TestInit:
         assert p.W2.shape == (16, 32)
         assert p.b2.shape == (16,)
         assert p.w3.shape == (16,)
-        assert isinstance(p.b3, float)
+        assert p.b3.shape == (1,)
         assert p.dims == (10, 32, 16)
         # the layers are views into one vector, in this order
         layers = [p.W1, p.b1, p.W2, p.b2, p.w3, p.b3]
         np.testing.assert_array_equal(np.concatenate(layers, axis=None), p.vector)
-        assert all(np.shares_memory(layer, p.vector) for layer in layers[:5])
+        assert all(np.shares_memory(layer, p.vector) for layer in layers)
         with pytest.raises(ValueError, match="parameter vector"):
             MlpParams(np.append(p.vector, 0.0), p.dims)
 
@@ -102,7 +102,7 @@ class TestForward:
         before, _ = forward(p, X)  # b3 is 0.0 at init
         p.vector[-1] = 2.5
         after, _ = forward(p, X)
-        assert isinstance(p.b3, float) and p.b3 == 2.5
+        assert p.b3.shape == (1,) and np.shares_memory(p.b3, p.vector) and p.b3[0] == 2.5
         np.testing.assert_array_equal(after, before + 2.5)
 
     def test_duplicated_rows_duplicated_scores(self):
