@@ -1,11 +1,11 @@
 """Two-stage fit/predict plus the same-architecture MSE baseline.
 
-cairo_fit standardizes features, trains the scorer on a ranking loss
-against raw targets, then fits the monotone calibration map on the
-training scores. Targets are never standardized on the ranking path: the
-calibration stage restores their scale. The baseline standardizes targets
-during training, then folds their scale into the scorer's output layer, so
-its scorer predicts on the target scale and it has no calibration map.
+Every variant's stage 1 trains its scorer on standardized features and
+standardized targets, so no objective sees the targets' scale. cairo_fit
+then fits the monotone calibration map of the raw targets on the training
+scores, which restores their scale. The MSE baseline folds the targets'
+mean and std into the scorer's output layer, so its scorer predicts on the
+target scale and it has no calibration map.
 
 A model bundle is one JSON object whose one version is BUNDLE_VERSION. Its
 scorer, standardizer, calibration map and loss spec are written and read by
@@ -23,19 +23,10 @@ import numpy as np
 
 from .data import Dataset, SplitSpec, Standardizer, apply_standardizer, fit_standardizer, split
 from .data import _coerce, column_moments, config_from_dict, config_to_dict, split_sizes
-from .isotonic import (
-    CalibrationMap,
-    pav_fit,
-)
+from .isotonic import CalibrationMap, pav_fit
 from .isotonic import predict as calibration_predict
-from .losses import (
-    LossSpec,
-    PairwiseSurrogate,
-    PointwiseMse,
-    SoftGini,
-    WeightVariant,
-    is_ranking_loss,
-)
+from .losses import LossSpec, PairwiseSurrogate, PointwiseMse, SoftGini, WeightVariant
+from .losses import is_ranking_loss
 from .scorer import MlpParams, TrainConfig, Workspace, forward, train
 
 BUNDLE_VERSION = "cairo-model-v4"
@@ -141,13 +132,30 @@ class MseBaselineModel:
     feature_names: tuple[str, ...]
 
 
+def _stage1(
+    train_ds: Dataset, scorer_ds: Dataset, cfg: TrainConfig
+) -> tuple[Standardizer, MlpParams, np.ndarray, np.ndarray]:
+    """Every variant's stage 1: the scorer trained on scorer_ds, targets standardized.
+
+    The features take the standardizer fitted on train_ds, the targets data.column_moments
+    of their column, the features' rule (constant targets keep std 1), so no objective
+    sees the targets' scale. Returns the standardizer, the scorer and the targets'
+    one-entry mean and std.
+    """
+    st = fit_standardizer(train_ds)
+    y_mean, y_std = column_moments(scorer_ds.targets[:, None])
+    targets = (scorer_ds.targets - y_mean) / y_std
+    params, _ = train(replace(apply_standardizer(st, scorer_ds), targets=targets), cfg)
+    return st, params, y_mean, y_std
+
+
 def cairo_fit(
     train_ds: Dataset,
     loss: LossSpec,
     cfg: TrainConfig,
     calibration_fraction: float | None = None,
 ) -> CairoModel:
-    """Stage 1 (rank scorer) then Stage 2 (isotonic scale recovery).
+    """Stage 1 (rank scorer, standardized targets) then Stage 2 (isotonic map of the raw targets).
 
     Calibration reuses the full training set by default; pass
     calibration_fraction to fit it on a held-out slice instead. A fraction
@@ -158,7 +166,6 @@ def cairo_fit(
         raise ValueError("cairo_fit needs a ranking objective; use mse_fit for the baseline")
     if calibration_fraction is not None and not 0.0 < calibration_fraction < 1.0:
         raise ValueError(f"calibration_fraction must lie in (0, 1), got {calibration_fraction}")
-    st = fit_standardizer(train_ds)
     if calibration_fraction is None:
         scorer_ds, calib_ds = train_ds, train_ds
     else:
@@ -173,7 +180,7 @@ def cairo_fit(
             train_ds, SplitSpec(train_fraction=1.0 - calibration_fraction, seed=cfg.seed)
         )
 
-    params, _ = train(apply_standardizer(st, scorer_ds), replace(cfg, loss=loss))
+    st, params, _, _ = _stage1(train_ds, scorer_ds, replace(cfg, loss=loss))
     # the scores predict_model gives these rows, so the map calibrates the same bits
     scores = score_rows(params, st, calib_ds.features)
     if not np.isfinite(scores).all():
@@ -191,16 +198,10 @@ def cairo_fit(
 def mse_fit(train_ds: Dataset, cfg: TrainConfig) -> MseBaselineModel:
     """Identical architecture and loop, squared error on standardized targets.
 
-    The targets' mean and std are data.column_moments of the target column, the rule
-    the features are standardized by; constant targets keep std 1. After training,
-    w3 <- std * w3 and b3 <- std * b3 + mean fold the targets' scale into the
-    output layer, so the scorer predicts on the target scale.
+    After training, w3 <- std * w3 and b3 <- std * b3 + mean fold the targets'
+    scale into the output layer, so the scorer predicts on the target scale.
     """
-    y = train_ds.targets
-    st = fit_standardizer(train_ds)
-    y_mean, y_std = column_moments(y[:, None])
-    std_train = replace(apply_standardizer(st, train_ds), targets=(y - y_mean) / y_std)
-    params, _ = train(std_train, replace(cfg, loss=PointwiseMse()))
+    st, params, y_mean, y_std = _stage1(train_ds, train_ds, replace(cfg, loss=PointwiseMse()))
     params.w3[...] *= y_std
     params.b3[...] = y_std * params.b3 + y_mean
     return MseBaselineModel(scorer=params, standardizer=st, feature_names=train_ds.feature_names)

@@ -269,18 +269,14 @@ def train(ds: Dataset, cfg: TrainConfig) -> tuple[MlpParams, list[float]]:
     work = Workspace(min(cfg.batch_size, ds.n), params.dims)
     history: list[float] = []
     t = 0  # Adam steps taken
-    starts = range(0, ds.n, cfg.batch_size)
+    starts = range(0, ds.n - 1 if is_ranking_loss(cfg.loss) else ds.n, cfg.batch_size)
     last = len(starts) - 1  # the last batch trained in an epoch
-    if is_ranking_loss(cfg.loss) and ds.n - starts[-1] < 2:
-        last -= 1
 
     for epoch in range(cfg.epochs):
         rng = make_rng(np.random.SeedSequence([cfg.seed, epoch]))
         order = rng.permutation(ds.n)
         for batch, start in enumerate(starts):
             idx = order[start : start + cfg.batch_size]
-            if idx.size < 2 and is_ranking_loss(cfg.loss):
-                continue
             n = idx.size
             # idx is in range, and mode="raise" would gather into a temporary first
             X = np.take(ds.features, idx, axis=0, out=work.X[:n], mode="clip")
