@@ -3,7 +3,7 @@
 Every command is deterministic given its flags; seeds are explicit with
 fixed defaults. Each command's options, with their types and defaults,
 come from one table derived from a library dataclass: ScenarioSpec for
-simulate, FitHyper (plus the seed and the calibration split) for fit,
+simulate, FitHyper (plus the model, target column and seed) for fit,
 BenchConfig for bench. The table gives both the flags and the keys a JSON
 config file (--config) may hold; flags take precedence and unknown config
 keys are rejected. JSON outputs carry {"version", "config"}; CSV outputs
@@ -52,7 +52,7 @@ from .dgp import ScenarioSpec, generate
 # calibration_predict is not called here; it stays bound because perfbench/spans.py wraps it.
 from .isotonic import predict as calibration_predict  # noqa: F401
 # kendall, rmse and spearman are not called here; they stay bound for perfbench/spans.py.
-from .metrics import METRICS, kendall, rmse, spearman  # noqa: F401
+from .metrics import METRICS, MetricError, kendall, rmse, spearman  # noqa: F401
 from .pipeline import (
     VARIANTS,
     FitHyper,
@@ -88,7 +88,6 @@ OPTIONS = {
         **_TARGET,
         **_table(FitHyper),
         "seed": (int, TrainConfig.seed),
-        "calibration_fraction": (float, None),
     },
     "predict": _TARGET,
     "eval": _TARGET,
@@ -158,7 +157,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     ds = load_csv(args.data, opts["target_column"])
     if ds.d == 0:
         raise CliError(f"no feature columns in {args.data}")
-    model = fit_variant(model_name, ds, train_cfg, opts["calibration_fraction"])
+    model = fit_variant(model_name, ds, train_cfg)
     try:  # mse_fit leaves its last step unchecked; a model that overflows is not written
         yhat = predict_model(model, ds.features)
     except ValueError as exc:
@@ -223,7 +222,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
         "model": args.model and str(args.model),
         "pred": args.pred and str(args.pred),
     }
-    report = evaluate(model_label, ds, yhat)
+    try:
+        report = evaluate(model_label, ds, yhat)
+    except MetricError as exc:
+        flag = "pred" if args.model is None else "model"
+        raise CliError(f"{exc}; data {args.data}, {flag} {model_label}") from None
     metrics = {m: getattr(report, m) for m in METRICS if getattr(report, m) is not None}
     _write_json(
         Path(args.out),

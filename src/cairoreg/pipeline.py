@@ -21,8 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, SplitSpec, Standardizer, apply_standardizer, fit_standardizer, split
-from .data import _coerce, column_moments, config_from_dict, config_to_dict, split_sizes
+from .data import Dataset, Standardizer, apply_standardizer, fit_standardizer
+from .data import _coerce, column_moments, config_from_dict, config_to_dict
 from .isotonic import CalibrationMap, pav_fit
 from .isotonic import predict as calibration_predict
 from .losses import LossSpec, PairwiseSurrogate, PointwiseMse, SoftGini, WeightVariant
@@ -133,59 +133,35 @@ class MseBaselineModel:
 
 
 def _stage1(
-    train_ds: Dataset, scorer_ds: Dataset, cfg: TrainConfig
+    ds: Dataset, cfg: TrainConfig
 ) -> tuple[Standardizer, MlpParams, np.ndarray, np.ndarray]:
-    """Every variant's stage 1: the scorer trained on scorer_ds, targets standardized.
+    """Every variant's stage 1: the scorer trained on ds, features and targets standardized.
 
-    The features take the standardizer fitted on train_ds, the targets data.column_moments
+    The features take the standardizer fitted on ds, the targets data.column_moments
     of their column, the features' rule (constant targets keep std 1), so no objective
     sees the targets' scale. Returns the standardizer, the scorer and the targets'
     one-entry mean and std.
     """
-    st = fit_standardizer(train_ds)
-    y_mean, y_std = column_moments(scorer_ds.targets[:, None])
-    targets = (scorer_ds.targets - y_mean) / y_std
-    params, _ = train(replace(apply_standardizer(st, scorer_ds), targets=targets), cfg)
+    st = fit_standardizer(ds)
+    y_mean, y_std = column_moments(ds.targets[:, None])
+    targets = (ds.targets - y_mean) / y_std
+    params, _ = train(replace(apply_standardizer(st, ds), targets=targets), cfg)
     return st, params, y_mean, y_std
 
 
-def cairo_fit(
-    train_ds: Dataset,
-    loss: LossSpec,
-    cfg: TrainConfig,
-    calibration_fraction: float | None = None,
-) -> CairoModel:
+def cairo_fit(train_ds: Dataset, loss: LossSpec, cfg: TrainConfig) -> CairoModel:
     """Stage 1 (rank scorer, standardized targets) then Stage 2 (isotonic map of the raw targets).
 
-    Calibration reuses the full training set by default; pass
-    calibration_fraction to fit it on a held-out slice instead. A fraction
-    that leaves the scorer fewer than 2 rows or the slice none raises
-    ValueError before training.
+    Both stages fit every row of train_ds, so the model is auto-calibrated on its training rows.
     """
     if not is_ranking_loss(loss):
         raise ValueError("cairo_fit needs a ranking objective; use mse_fit for the baseline")
-    if calibration_fraction is not None and not 0.0 < calibration_fraction < 1.0:
-        raise ValueError(f"calibration_fraction must lie in (0, 1), got {calibration_fraction}")
-    if calibration_fraction is None:
-        scorer_ds, calib_ds = train_ds, train_ds
-    else:
-        n_scorer, n_calib = split_sizes(train_ds.n, 1.0 - calibration_fraction)
-        if n_scorer < 2 or n_calib < 1:
-            raise ValueError(
-                f"calibration_fraction={calibration_fraction} leaves {n_scorer} of {train_ds.n}"
-                f" rows to train the scorer and {n_calib} to calibrate; the scorer needs at"
-                " least 2 and the calibration slice at least 1"
-            )
-        scorer_ds, calib_ds = split(
-            train_ds, SplitSpec(train_fraction=1.0 - calibration_fraction, seed=cfg.seed)
-        )
-
-    st, params, _, _ = _stage1(train_ds, scorer_ds, replace(cfg, loss=loss))
+    st, params, _, _ = _stage1(train_ds, replace(cfg, loss=loss))
     # the scores predict_model gives these rows, so the map calibrates the same bits
-    scores = score_rows(params, st, calib_ds.features)
+    scores = score_rows(params, st, train_ds.features)
     if not np.isfinite(scores).all():
         raise ValueError("training diverged at its last step: non-finite score")
-    calibration = pav_fit(scores, calib_ds.targets)
+    calibration = pav_fit(scores, train_ds.targets)
     return CairoModel(
         scorer=params,
         calibration=calibration,
@@ -201,7 +177,7 @@ def mse_fit(train_ds: Dataset, cfg: TrainConfig) -> MseBaselineModel:
     After training, w3 <- std * w3 and b3 <- std * b3 + mean fold the targets'
     scale into the output layer, so the scorer predicts on the target scale.
     """
-    st, params, y_mean, y_std = _stage1(train_ds, train_ds, replace(cfg, loss=PointwiseMse()))
+    st, params, y_mean, y_std = _stage1(train_ds, replace(cfg, loss=PointwiseMse()))
     params.w3[...] *= y_std
     params.b3[...] = y_std * params.b3 + y_mean
     return MseBaselineModel(scorer=params, standardizer=st, feature_names=train_ds.feature_names)
@@ -210,18 +186,11 @@ def mse_fit(train_ds: Dataset, cfg: TrainConfig) -> MseBaselineModel:
 Model = CairoModel | MseBaselineModel
 
 
-def fit_variant(
-    variant: str,
-    train_ds: Dataset,
-    cfg: TrainConfig,
-    calibration_fraction: float | None = None,
-) -> Model:
+def fit_variant(variant: str, train_ds: Dataset, cfg: TrainConfig) -> Model:
     """Fit one named variant; cfg.loss must match the variant's objective.
 
     cfg.loss may differ from the variant's spec only in sigma or temperature;
-    any other loss is rejected before training. calibration_fraction is
-    passed to cairo_fit; the MSE baseline has no calibration stage and
-    rejects it.
+    any other loss is rejected before training.
     """
     want = variant_loss_spec(
         variant,
@@ -231,9 +200,7 @@ def fit_variant(
     if cfg.loss != want:
         raise ValueError(f"model {variant!r} fits {want}, not the configured loss {cfg.loss}")
     if is_ranking_loss(want):
-        return cairo_fit(train_ds, cfg.loss, cfg, calibration_fraction)
-    if calibration_fraction is not None:
-        raise ValueError("calibration_fraction applies only to ranking variants")
+        return cairo_fit(train_ds, cfg.loss, cfg)
     return mse_fit(train_ds, cfg)
 
 

@@ -2,23 +2,31 @@ import argparse
 import csv
 import json
 import os
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cairoreg.bench import BenchConfig, result_to_dict, run_bench
 from cairoreg.cli import OPTIONS, build_parser, main
 from cairoreg.data import TARGET_COLUMN, SplitSpec, load_csv, split, usable_cpus, write_csv
 from cairoreg.dgp import Scenario, ScenarioSpec, generate
+from cairoreg.isotonic import audit_autocalibration
 from cairoreg.isotonic import predict as calibration_predict
 from cairoreg.losses import PairwiseSurrogate, SoftGini
 from cairoreg.metrics import METRICS, MetricError
 from cairoreg.pipeline import (
+    VARIANTS,
     fit_variant,
     load_model,
     mse_fit,
     predict_model,
     save_model,
+    score_rows,
     variant_train_config,
 )
 from cairoreg.scorer import TrainConfig
@@ -199,6 +207,30 @@ class TestFitPredictEval:
             rc = main(["eval", "--data", str(big), "--pred", str(pred), "--out", str(out)])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: invalid rmse: inf")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "source, constant", [("pred", "prediction"), ("pred", "target"), ("model", "target")]
+    )
+    def test_an_undefined_metric_names_the_eval_s_inputs(self, tmp_path, capsys, source, constant):
+        """A constant prediction or target column fails naming --data and --model or --pred."""
+        data = _simulate(tmp_path)
+        ds = load_csv(data)
+        if constant == "target":
+            data = tmp_path / "flat.csv"
+            write_csv(replace(ds, targets=np.ones(ds.n)), data)
+        if source == "model":
+            given_path = _fit(tmp_path, _simulate(tmp_path, "train.csv", seed=2))
+        else:
+            given_path = tmp_path / "pred.csv"
+            yhat = np.zeros(ds.n) if constant == "prediction" else ds.targets
+            given_path.write_text("prediction\n" + "".join(f"{v!r}\n" for v in yhat.tolist()))
+        out = tmp_path / "report.json"
+        args = ["eval", "--data", str(data), f"--{source}", str(given_path), "--out", str(out)]
+        capsys.readouterr()
+        assert main(args) == 1
+        want = f"error: undefined correlation: constant input; data {data}, {source} {given_path}\n"
+        assert capsys.readouterr().err == want
         assert not out.exists()
 
     def test_eval_requires_exactly_one_source(self, tmp_path):
@@ -649,7 +681,6 @@ def test_every_config_mutant_runs_or_names_its_key(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     hyper = {"epochs": 1, "batch_size": 64, "learning_rate": 0.01, "sigma": 1.0, "temperature": 0.1}
     fit = {"model": "ranknet", "target_column": TARGET_COLUMN, **hyper, "seed": 0}
-    fit["calibration_fraction"] = 0.5
     bench = {"scenarios": ["normal"], "models": ["ranknet"], "n": 600, "d": 3, "repetitions": 1}
     commands = {
         "fit": ["fit", "--data", str(data), "--out", str(tmp_path / "m.json")],
@@ -795,6 +826,21 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"rank_weights_full_set": True}))
         assert main([*fit, "--config", str(cfg)]) == 1
 
+    def test_calibration_fraction_is_not_an_option(self, tmp_path, capsys):
+        """Stage 2 always calibrates on the scorer's training rows; no flag or key splits them."""
+        data = _simulate(tmp_path)
+        out = tmp_path / "m.json"
+        fit = ["fit", "--data", str(data), "--model", "ranknet", "--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main([*fit, "--calibration-fraction", "0.5"])
+        assert exc.value.code == 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"calibration_fraction": None}))
+        capsys.readouterr()
+        assert main([*fit, "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == "error: unknown config keys: ['calibration_fraction']\n"
+        assert not out.exists()
+
 
 class TestOptionTable:
     # flags that name files or set how a run executes; no config file holds them
@@ -832,7 +878,6 @@ class TestOptionTable:
             "sigma": PairwiseSurrogate().sigma,
             "temperature": SoftGini().temperature,
             "seed": train.seed,
-            "calibration_fraction": None,
         }
         bench = BenchConfig()
         for key in ("epochs", "batch_size", "learning_rate", "sigma", "temperature"):
@@ -932,3 +977,33 @@ class TestBenchCommand:
         assert main(args) == 1
         assert "constant input" in capsys.readouterr().err
         assert not failed.exists(), "a failed bench leaves its --out-dir behind"
+
+
+@settings(max_examples=6, deadline=None)
+@given(
+    model=st.sampled_from(sorted(v for v in VARIANTS if v != "nn-mse")),
+    scenario=st.sampled_from([s.value for s in Scenario]),
+    seed=st.integers(0, 2**16),
+    batch_size=st.sampled_from([32, 64]),
+    n=st.integers(100, 400),
+    epochs=st.integers(2, 3),
+)
+def test_every_ranking_bundle_is_auto_calibrated_on_its_training_rows(
+    model, scenario, seed, batch_size, n, epochs
+):
+    """Each calibration level of a saved bundle is the mean of its training rows' targets.
+
+    The fit runs through the CLI and the bundle is read back with load_model;
+    the residual is rounding error relative to max|y|.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        data, out = Path(tmp) / "data.csv", Path(tmp) / "m.json"
+        sim = ["--scenario", scenario, "--n", str(n), "--d", "3", "--seed", str(seed)]
+        assert main(["simulate", *sim, "--out", str(data)]) == 0
+        fit = ["--model", model, "--epochs", str(epochs), "--batch-size", str(batch_size)]
+        assert main(["fit", "--data", str(data), *fit, "--seed", str(seed), "--out", str(out)]) == 0
+        bundle = load_model(out)
+        ds = load_csv(data)
+    scores = score_rows(bundle.scorer, bundle.standardizer, ds.features)
+    report = audit_autocalibration(bundle.calibration, scores, ds.targets)
+    assert report.max_abs_block_residual <= 1e-9 * max(1.0, np.abs(ds.targets).max())

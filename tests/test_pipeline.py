@@ -85,36 +85,6 @@ class TestCairoFit:
         with pytest.raises(ValueError, match="ranking objective"):
             cairo_fit(ds, PointwiseMse(), _quick_cfg())
 
-    def test_calibration_fraction_uses_heldout_slice(self):
-        ds = generate(ScenarioSpec(Scenario.NORMAL, n=300, d=3, seed=4))
-        loss = PairwiseSurrogate(WeightVariant.UNIFORM, 1.0)
-        full = cairo_fit(ds, loss, _quick_cfg())
-        held = cairo_fit(ds, loss, _quick_cfg(), calibration_fraction=0.25)
-        calib = split(ds, SplitSpec(train_fraction=1.0 - 0.25, seed=_quick_cfg().seed))[1]
-        on_slice = pav_fit(score_rows(held.scorer, held.standardizer, calib.features), calib.targets)
-        scores = score_rows(held.scorer, held.standardizer, ds.features)
-        got = calibration_predict(held.calibration, scores)
-        assert got.tobytes() == calibration_predict(on_slice, scores).tobytes()
-        on_all = pav_fit(scores, ds.targets)
-        assert got.tobytes() != calibration_predict(on_all, scores).tobytes()
-        # scorers trained on different subsets differ
-        assert not np.array_equal(held.scorer.W1, full.scorer.W1)
-
-    @pytest.mark.parametrize(
-        "fraction, message",
-        [
-            # 1 - 1e-17 rounds to 1.0: every row would train the scorer, none calibrate
-            (1e-17, "leaves 300 of 300 rows to train the scorer and 0 to calibrate"),
-            (0.995, "leaves 1 of 300 rows to train the scorer and 299 to calibrate"),
-        ],
-    )
-    def test_calibration_fraction_too_extreme_for_the_rows(self, fraction, message):
-        ds = generate(ScenarioSpec(Scenario.NORMAL, n=300, d=3, seed=4))
-        full = f"^calibration_fraction={fraction} {message}; the scorer needs at least 2"
-        with mock.patch.object(pipeline, "train", side_effect=AssertionError("trained")):
-            with pytest.raises(ValueError, match=full):
-                cairo_fit(ds, PairwiseSurrogate(), _quick_cfg(), calibration_fraction=fraction)
-
 
 # strictly increasing maps of the targets
 _MONOTONE = {
@@ -340,20 +310,6 @@ class TestVariants:
             assert preds.shape == (ds.n,)
             assert isinstance(model, CairoModel) == (name != "nn-mse")
 
-    def test_fit_variant_calibration_fraction(self):
-        ds = generate(ScenarioSpec(Scenario.NORMAL, n=120, d=3, seed=8))
-        cfg = _quick_cfg(loss=variant_loss_spec("ranknet"))
-        got = fit_variant("ranknet", ds, cfg, calibration_fraction=0.25)
-        want = cairo_fit(ds, cfg.loss, cfg, calibration_fraction=0.25)
-        np.testing.assert_array_equal(
-            predict_model(got, ds.features), predict_model(want, ds.features)
-        )
-        with pytest.raises(ValueError, match="only to ranking variants"):
-            fit_variant("nn-mse", ds, _quick_cfg(), calibration_fraction=0.25)
-        for fraction in (0.0, 1.0, 1.5):
-            with pytest.raises(ValueError, match=r"calibration_fraction must lie in \(0, 1\)"):
-                fit_variant("ranknet", ds, cfg, calibration_fraction=fraction)
-
     @pytest.mark.parametrize(
         "variant, loss",
         [
@@ -568,15 +524,11 @@ for variant in ("ranknet", "nn-mse"):
 
 
 @settings(max_examples=4, deadline=None)
-@given(
-    n=st.integers(9200, 12_000),
-    fraction=st.sampled_from([None, 0.9]),
-    seed=st.integers(0, 2**16),
-)
-def test_training_rows_predict_the_map_at_the_fit_s_own_scores(n, fraction, seed):
+@given(n=st.integers(9200, 12_000), seed=st.integers(0, 2**16))
+def test_training_rows_predict_the_map_at_the_fit_s_own_scores(n, seed):
     """Auto-calibration needs the map and the predictions to see the same score bits.
 
-    With more calibration rows than one score chunk, predict_model on those
+    With more training rows than one score chunk, predict_model on those
     rows gives, bitwise, the map at the scores cairo_fit fitted it to.
     """
     ds = generate(ScenarioSpec(Scenario.HEAVY_TAIL, n=n, d=10, seed=seed))
@@ -588,12 +540,8 @@ def test_training_rows_predict_the_map_at_the_fit_s_own_scores(n, fraction, seed
         return pav_fit(scores, targets)
 
     with mock.patch.object(pipeline, "pav_fit", recording_pav_fit):
-        model = cairo_fit(ds, PairwiseSurrogate(), cfg, calibration_fraction=fraction)
-    if fraction is None:
-        calib = ds
-    else:
-        calib = split(ds, SplitSpec(train_fraction=1.0 - fraction, seed=cfg.seed))[1]
+        model = cairo_fit(ds, PairwiseSurrogate(), cfg)
     (scores,) = fitted_to
-    assert calib.n > SCORE_CHUNK_ROWS and scores.shape == (calib.n,)
+    assert ds.n > SCORE_CHUNK_ROWS and scores.shape == (ds.n,)
     want = calibration_predict(model.calibration, scores)
-    assert predict_model(model, calib.features).tobytes() == want.tobytes()
+    assert predict_model(model, ds.features).tobytes() == want.tobytes()
